@@ -6,8 +6,7 @@ JSON with a ``schema_version`` field; no plotting here.
 
 Power flags are always dB (P = 10^(dB/10)); ``--power-linear`` switches
 the given values to linear units.  Exit codes: 0 success, 1 validation
-failure, 2 usage error, 3 numerical failure.  The environment variable
-``HOYTMIMO_THREADS`` sets the default worker count for grid evaluation.
+failure, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,20 +71,6 @@ def _parse_float_list(spec: str) -> list[float]:
         return [float(tok) for tok in spec.split(",") if tok != ""]
     except ValueError as exc:
         raise UsageError(f"bad numeric list {spec!r}") from exc
-
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HOYTMIMO_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _map_grid(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(v) for v in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve_q(args) -> float:
@@ -157,7 +140,6 @@ def cmd_density(args) -> int:
     if args.grid is None:
         raise UsageError("--grid is required")
     grid = _parse_grid(args.grid)
-    threads = _thread_count(args)
 
     hist = None
     if args.simulate:
@@ -174,7 +156,7 @@ def cmd_density(args) -> int:
         lam = grid
 
     n = cfg.n
-    rho = _map_grid(lambda v: level_density(float(v), cfg, q, ctrl) / n, lam, threads)
+    rho = [level_density(float(v), cfg, q, ctrl) / n for v in lam]
     fieldnames = ["lambda", "rho_analytic"]
     rows = [{"lambda": float(v), "rho_analytic": r} for v, r in zip(lam, rho)]
     if args.asymptotic:
@@ -360,7 +342,6 @@ def _add_common(p: argparse.ArgumentParser, antennas: bool = True) -> None:
     p.add_argument("--max-terms", type=int, default=20000, help="series term budget")
     p.add_argument("--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=None, help="grid evaluation workers (default $HOYTMIMO_THREADS or 1)")
 
 
 def _add_q_tau(p: argparse.ArgumentParser, as_list: bool = False) -> None:
@@ -373,15 +354,21 @@ def _add_q_tau(p: argparse.ArgumentParser, as_list: bool = False) -> None:
         group.add_argument("--tau", type=float, help="crossover parameter >= 0")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="hoytmimo",
         description="Eigenvalue statistics and ergodic capacity of Hoyt-faded MIMO channels",
     )
     parser.add_argument("--config", help="key=value defaults file (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
 
-    p = sub.add_parser("density", help="analytic marginal eigenvalue density")
+    def add(name: str, help: str) -> argparse.ArgumentParser:
+        subparsers[name] = sub.add_parser(name, help=help)
+        return subparsers[name]
+
+    p = add("density", "analytic marginal eigenvalue density")
     _add_common(p)
     _add_q_tau(p)
     p.add_argument("--grid", help="lambda grid as min:max:points")
@@ -391,20 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("capacity", help="ergodic capacity table")
+    p = add("capacity", "ergodic capacity table")
     _add_common(p)
     _add_q_tau(p, as_list=True)
     p.add_argument("--power-db", help="power value(s), comma separated")
     p.add_argument("--power-linear", action="store_true", help="interpret powers as linear")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("degradation", help="capacity loss from q=1 to q=0")
+    p = add("degradation", "capacity loss from q=1 to q=0")
     _add_common(p)
     p.add_argument("--power-db", help="power value(s), comma separated")
     p.add_argument("--power-linear", action="store_true")
     p.set_defaults(func=cmd_degradation)
 
-    p = sub.add_parser("simulate", help="Monte Carlo eigenvalue histogram")
+    p = add("simulate", "Monte Carlo eigenvalue histogram")
     _add_common(p)
     _add_q_tau(p)
     p.add_argument("--samples", type=int, default=100000)
@@ -413,28 +400,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="run the cross-module consistency suite")
+    p = add("validate", "run the cross-module consistency suite")
     _add_common(p, antennas=False)
     p.add_argument("--quick", action="store_true", help="fast subset (< 10 s)")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("correlations", help="n-level correlation functions")
+    p = add("correlations", "n-level correlation functions")
     _add_common(p)
     _add_q_tau(p)
     p.add_argument("--points", help="point sets, e.g. '1.0,2.0;0.5'")
     p.add_argument("--points-file", help="JSON file with a 'points' list of lists")
     p.set_defaults(func=cmd_correlations)
-    return parser
+    return parser, subparsers
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load key=value defaults; command-line flags still win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a path")
-    path = argv[idx + 1]
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value, given as '--config PATH' or '--config=PATH'."""
+    pre = argparse.ArgumentParser(prog="hoytmimo", add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
+
+
+def _apply_config_file(path: str, subparsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Load key=value defaults into each subcommand that has the option; flags still win."""
     defaults = {}
     with open(path) as fh:
         for line in fh:
@@ -445,25 +433,24 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 raise UsageError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
             defaults[key.strip().replace("-", "_")] = val.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        known = {a.dest: a for a in action._actions}
+    for p in subparsers.values():
+        known = vars(p.parse_args([]))  # every option's dest and default
         for key, val in defaults.items():
-            if key in known:
-                act = known[key]
-                if act.type is not None:
-                    action.set_defaults(**{key: act.type(val)})
-                elif isinstance(act.const, bool) or act.nargs == 0:
-                    action.set_defaults(**{key: val.lower() in ("1", "true", "yes")})
-                else:
-                    action.set_defaults(**{key: val})
-    return argv
+            if key not in known or key == "func":
+                continue
+            if isinstance(known[key], bool):
+                val = val.lower() in ("1", "true", "yes")
+            # argparse converts a string default with the option's type
+            p.set_defaults(**{key: val})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        config = _config_path(argv)
+        if config is not None:
+            _apply_config_file(config, subparsers)
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

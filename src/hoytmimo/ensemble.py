@@ -8,10 +8,12 @@ Pfaffian), the skew-orthogonal polynomial system behind it, the two-point
 kernels S/A/B, the exact level density with both endpoint closed forms,
 the large-N asymptotic density and n-point correlation functions.
 
-Numerics: every infinite series accumulates log-signed terms that are
-converted to floats only at addition time, with Kahan compensation, and
-stops once three consecutive terms fall below ``rel_tol`` relative to the
-running sum.  Weighted-polynomial tables are cached per evaluation point.
+Numerics: every series term is a plain float built from two cached tables,
+the weighted Laguerre values e^{-x} L_k^{(2a+1)}(2x) (from a rescaled
+recurrence, see ``specfun.weighted_laguerre_table``) and the Gamma ratios
+gamma_k.  Sums use Kahan compensation and stop once three consecutive
+terms fall below ``rel_tol`` relative to the running sum.  Weighted-
+polynomial tables are cached per evaluation point.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -171,64 +173,84 @@ class _Accumulator:
 # All series are built from the exponentially weighted polynomials
 # wt_k(x) = e^{-x} L_k^{(2a+1)}(2x), which are polynomially bounded in k
 # (so plain floats are safe); pure powers of x are reattached analytically.
+# Tables are cached at bucket sizes 64, 128, 256, ... so the cache keys
+# stay few.
 
 _TABLE_BUCKET = 64
 
 
+def _bucket(nmax: int) -> int:
+    """Smallest table bucket that holds indices 0..nmax."""
+    size = _TABLE_BUCKET
+    while size < nmax + 1:
+        size *= 2
+    return size
+
+
 @lru_cache(maxsize=100000)
 def _wt_cached(two_a_plus_1: float, x: float, size: int) -> np.ndarray:
-    signs, logs = weighted_laguerre_table(size - 1, two_a_plus_1, 0.0, x)
-    vals = signs.astype(np.float64) * np.exp(logs)
-    vals.flags.writeable = False
-    return vals
+    return weighted_laguerre_table(size - 1, two_a_plus_1, x)
 
 
 def _wt(a: float, x: float, nmax: int) -> np.ndarray:
-    size = _TABLE_BUCKET
-    while size < nmax + 1:
-        size *= 2
-    return _wt_cached(2.0 * a + 1.0, x, size)
+    return _wt_cached(2.0 * a + 1.0, x, _bucket(nmax))
 
 
 @lru_cache(maxsize=4096)
-def _coef_half(a: float, size: int) -> np.ndarray:
-    # Gamma(j + 1/2) / Gamma(j + a + 3/2) for j = 0..size-1
-    j = np.arange(size)
-    out = np.exp([log_gamma(v + 0.5) - log_gamma(v + a + 1.5) for v in j])
+def _gamma_ratio_cached(step: float, shift: float, size: int) -> np.ndarray:
+    # Gamma(step (k+1)) / Gamma(step (k+1) + shift) for k = 0..size-1
+    logs = (log_gamma(step * (k + 1)) - log_gamma(step * (k + 1) + shift) for k in range(size))
+    out = np.exp(np.fromiter(logs, float, size))
     out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=4096)
-def _coef_int(a: float, size: int) -> np.ndarray:
-    # Gamma(j + 1) / Gamma(j + a + 2) for j = 0..size-1
-    j = np.arange(size)
-    out = np.exp([log_gamma(v + 1.0) - log_gamma(v + a + 2.0) for v in j])
-    out.flags.writeable = False
-    return out
-
-
-def _coef(kind: str, a: float, nmax: int) -> np.ndarray:
-    size = _TABLE_BUCKET
-    while size < nmax + 1:
-        size *= 2
-    return (_coef_half if kind == "half" else _coef_int)(a, size)
+def _gamma_k(a: float, kmax: int) -> np.ndarray:
+    """gamma_k = Gamma((k+1)/2) / Gamma((k+1)/2 + a + 1), by polynomial order k."""
+    return _gamma_ratio_cached(0.5, a + 1.0, _bucket(kmax))
 
 
 def _inv_alpha_sq(a: float, nmax: int) -> np.ndarray:
     # 1/alpha_mu^2 = Gamma(mu+1)/Gamma(mu+2a+2)
-    size = _TABLE_BUCKET
-    while size < nmax + 1:
-        size *= 2
-    return _inv_alpha_sq_cached(a, size)
+    return _gamma_ratio_cached(1.0, 2.0 * a + 1.0, _bucket(nmax))
 
 
-@lru_cache(maxsize=4096)
-def _inv_alpha_sq_cached(a: float, size: int) -> np.ndarray:
-    j = np.arange(size)
-    out = np.exp([log_gamma(v + 1.0) - log_gamma(v + 2.0 * a + 2.0) for v in j])
-    out.flags.writeable = False
-    return out
+def _series(x: float, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -> float:
+    """S(x; k0) = sum_{j >= 0} e^{-2 j tau} gamma_{k0+2j} wt_{k0+2j}(x).
+
+    The one single-sum series behind the one-point companion, the dual
+    functions and the S-kernel correction; callers keep their prefactors.
+    """
+    acc = _Accumulator(ctrl, what, tau)
+    decay = math.exp(-2.0 * tau)
+    e = 1.0
+    k = k0
+    w = g = ()
+    while True:
+        if k >= len(w):
+            w = _wt(a, x, k)
+            g = _gamma_k(a, k)
+        if acc.add(e * g[k] * w[k]):
+            return acc.total
+        k += 2
+        e *= decay
+
+
+def _edge_log_pow(x: float, p: float) -> float:
+    """ln(x^p) for x >= 0; at x = 0 it is -inf (p > 0), 0 (p = 0) or +inf (p < 0)."""
+    if x == 0.0:
+        return -math.inf if p > 0.0 else (math.inf if p < 0.0 else 0.0)
+    return p * math.log(x)
+
+
+def _edge_pow(x: float, p: float) -> float:
+    """x^p for x >= 0; at x = 0 it is 0 (p > 0), 1 (p = 0) or +inf (p < 0)."""
+    return math.exp(_edge_log_pow(x, p))
+
+
+def _r_n(n: int, a: float) -> float:
+    # r_N = Gamma((N+1)/2) / Gamma((N+2a+1)/2)
+    return math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
 
 
 def _log_alpha(a: float, j: int) -> float:
@@ -279,12 +301,11 @@ def _g_core(
             need = 2 * mu + 1
             wx = _wt(a, x, need)
             wy = _wt(a, y, need)
-            ch = _coef("half", a, mu)
-            ci = _coef("int", a, mu)
-            # running inner sums U(x) = sum_{nu<=mu} e^{-2 nu tau} c_nu wt_{2nu}(x)
-            ux += ehalf * ch[mu] * wx[2 * mu]
-            uy += ehalf * ch[mu] * wy[2 * mu]
-            row = 2.0 * eodd * ci[mu] * (ux * wy[2 * mu + 1] - wx[2 * mu + 1] * uy)
+            g = _gamma_k(a, need)
+            # running inner sums U(x) = sum_{nu<=mu} e^{-2 nu tau} gamma_{2nu} wt_{2nu}(x)
+            ux += ehalf * g[2 * mu] * wx[2 * mu]
+            uy += ehalf * g[2 * mu] * wy[2 * mu]
+            row = 2.0 * eodd * g[2 * mu + 1] * (ux * wy[2 * mu + 1] - wx[2 * mu + 1] * uy)
             if acc.add(row, count=mu + 1):
                 return acc.total
             mu += 1
@@ -303,14 +324,13 @@ def _g_core(
                 need = max(need_mu, 2 * nu + 1)
                 wx = _wt(a, x, need)
                 wy = _wt(a, y, need)
-                ch = _coef("half", a, mu)
-                ci = _coef("int", a, nu)
+                g = _gamma_k(a, need)
                 term = (
                     2.0
                     * ehalf
                     * eodd
-                    * ch[mu]
-                    * ci[nu]
+                    * g[2 * mu]
+                    * g[2 * nu + 1]
                     * (wx[2 * mu] * wy[2 * nu + 1] - wx[2 * nu + 1] * wy[2 * mu])
                 )
                 acc._terms += 1
@@ -359,18 +379,7 @@ def g_tau(
 
 def _omega_core(x: float, a: float, tau: float, ctrl: SeriesControl) -> float:
     """Weight-stripped one-point companion series (tau > 0)."""
-    acc = _Accumulator(ctrl, "one-point companion series", tau)
-    decay = math.exp(-2.0 * tau)
-    e = 1.0
-    mu = 0
-    while True:
-        wx = _wt(a, x, 2 * mu)
-        ch = _coef("half", a, mu)
-        term = e * ch[mu] * wx[2 * mu]
-        if acc.add(term):
-            return acc.total
-        mu += 1
-        e *= decay
+    return _series(x, a, tau, 0, ctrl, "one-point companion series")
 
 
 def omega_tau(
@@ -387,7 +396,7 @@ def omega_tau(
         return 0.0  # carries the w_{a+1} weight, a + 1 > 0
     if math.isinf(tau):
         # only the mu = 0 term survives
-        return math.exp((a + 1.0) * math.log(x)) * _coef("half", a, 0)[0] * _wt(a, x, 0)[0]
+        return math.exp((a + 1.0) * math.log(x)) * _gamma_k(a, 0)[0] * _wt(a, x, 0)[0]
     return math.exp((a + 1.0) * math.log(x)) * _omega_core(x, a, tau, ctrl)
 
 
@@ -456,13 +465,7 @@ def jpd(
             return 0.0
         logp = _log_c0(cfg) - 0.5 * n * (n + 1) * math.log(2.0 * omega) + logdelta
         for xi in x:
-            if xi == 0.0:
-                if a < 0.0:
-                    return math.inf
-                if a > 0.0:
-                    return 0.0
-            else:
-                logp += a * math.log(xi) - xi
+            logp += _edge_log_pow(xi, a) - xi
         return math.exp(logp)
 
     if q == 1.0:
@@ -472,11 +475,7 @@ def jpd(
             return 0.0
         logp = _log_cinf(cfg) - n * n * math.log(omega) + 2.0 * logdelta
         for yi in y:
-            if yi == 0.0:
-                if 2.0 * a + 1.0 > 0.0:
-                    return 0.0
-            else:
-                logp += (2.0 * a + 1.0) * math.log(yi) - yi
+            logp += _edge_log_pow(yi, 2.0 * a + 1.0) - yi
         return math.exp(logp)
 
     tau = crossover_tau(q)
@@ -509,14 +508,11 @@ def jpd(
         + pf_log
     )
     for xi in x:
-        if xi == 0.0:
-            # the weight and Pfaffian factors combine to x^{2a+1}
-            if 2.0 * a + 1.0 > 0.0:
-                return 0.0
-        else:
-            logp += (2.0 * a + 1.0) * math.log(xi) - xi
-    val = pf_sign * dl_sign * math.exp(logp)
-    return val
+        # the weight and Pfaffian factors combine to x^{2a+1}
+        logp += _edge_log_pow(xi, 2.0 * a + 1.0) - xi
+    if logp == -math.inf:
+        return 0.0
+    return pf_sign * dl_sign * math.exp(logp)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +540,8 @@ def _phi_core(j: int, x: float, cfg: ChannelConfig, tau: float) -> float:
         return pref * (t1 - t2)
     # odd N
     if j == n - 1:
-        rn = math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
         w = _wt(a, x, n - 1)
-        return 2.0 * math.exp((n - 1.0) * tau) * rn * w[n - 1]
+        return 2.0 * math.exp((n - 1.0) * tau) * _r_n(n, a) * w[n - 1]
     mu, r = divmod(j, 2)
     la = _log_alpha(a, 2 * mu + 1)
     w = _wt(a, x, 2 * mu + 2)
@@ -557,28 +552,10 @@ def _phi_core(j: int, x: float, cfg: ChannelConfig, tau: float) -> float:
     return pref * (t1 - t2)
 
 
-def _psi_series(
-    x: float,
-    a: float,
-    tau: float,
-    ctrl: SeriesControl,
-    start: int,
-    coef_kind: str,
-    parity_odd: bool,
-) -> float:
-    """sum_{nu >= start} e^{-(2 nu + p) tau} c_nu wt_{2 nu + p}(x) with p in {0,1}."""
-    acc = _Accumulator(ctrl, "dual-function series", tau)
-    decay = math.exp(-2.0 * tau)
-    p = 1 if parity_odd else 0
-    nu = start
-    e = math.exp(-(2.0 * nu + p) * tau)
-    while True:
-        w = _wt(a, x, 2 * nu + p)
-        cc = _coef(coef_kind, a, nu)
-        if acc.add(e * cc[nu] * w[2 * nu + p]):
-            return acc.total
-        nu += 1
-        e *= decay
+def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int) -> float:
+    """sum_{nu >= start} e^{-(2 nu + 1) tau} gamma_{2 nu + 1} wt_{2 nu + 1}(x)."""
+    k0 = 2 * start + 1
+    return math.exp(-k0 * tau) * _series(x, a, tau, k0, ctrl, "dual-function series")
 
 
 def _psi_core_paired(
@@ -598,7 +575,7 @@ def _psi_core_paired(
         if r == 1:
             w = _wt(a, x, 2 * mu)
             return pref * math.exp(-2.0 * mu * tau - la) * w[2 * mu]
-        s = _psi_series(x, a, tau, ctrl, mu, "int", parity_odd=True)
+        s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
     mu, r = divmod(j, 2)
@@ -608,11 +585,11 @@ def _psi_core_paired(
         return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
     # finite sum over nu = 0..mu of even-order polynomials
     w = _wt(a, x, 2 * mu)
-    ch = _coef("half", a, mu)
+    g = _gamma_k(a, 2 * mu)
     nus = np.arange(mu + 1)
     es = np.exp(-2.0 * tau * nus)
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
-    return pref * fac * float(np.dot(es * ch[: mu + 1], w[0 : 2 * mu + 1 : 2]))
+    return pref * fac * float(np.dot(es * g[0 : 2 * mu + 1 : 2], w[0 : 2 * mu + 1 : 2]))
 
 
 def _psi_core(
@@ -620,7 +597,7 @@ def _psi_core(
 ) -> float:
     """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
     if cfg.n % 2 == 1 and j == cfg.n - 1:
-        s = _psi_series(x, cfg.a, tau, ctrl, (cfg.n - 1) // 2, "int", parity_odd=True)
+        s = _psi_series(x, cfg.a, tau, ctrl, (cfg.n - 1) // 2)
         return -2.0 * s
     return _psi_core_paired(j, x, cfg, tau, ctrl)
 
@@ -682,7 +659,7 @@ def _psi_zero(j: int, x: float, cfg: ChannelConfig) -> float:
     n, a = cfg.n, cfg.a
     pref_lo = math.exp((a + 0.5) * math.log(2.0))
     pref_hi = math.exp((a + 1.5) * math.log(2.0))
-    wfac = 0.0 if x == 0.0 else math.exp((a + 1.0) * math.log(x))
+    wfac = _edge_pow(x, a + 1.0)
     if n % 2 == 0:
         mu, r = divmod(j, 2)
         la = _log_alpha(a, 2 * mu)
@@ -691,8 +668,7 @@ def _psi_zero(j: int, x: float, cfg: ChannelConfig) -> float:
         w = _wt(a, x, 2 * mu)
         return pref_hi * math.exp(-la) * w[2 * mu] * wfac
     if j == n - 1:
-        rn = math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
-        return 2.0 * rn * _script_i(n - 1, x, a)
+        return 2.0 * _r_n(n, a) * _script_i(n - 1, x, a)
     mu, r = divmod(j, 2)
     la = _log_alpha(a, 2 * mu + 1)
     if r == 0:
@@ -719,13 +695,9 @@ def skew_phi(
         raise ValueError("phi diverges at tau = inf; use the q = 1 closed forms")
     if x < 0.0:
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        if cfg.a < 0.0:
-            return math.inf
-        if cfg.a > 0.0:
-            return 0.0
-        return _phi_core(j, x, cfg, tau)
-    return math.exp(cfg.a * math.log(x)) * _phi_core(j, x, cfg, tau)
+    if x == 0.0 and cfg.a != 0.0:
+        return _edge_pow(x, cfg.a)  # the edge factor alone decides
+    return _edge_pow(x, cfg.a) * _phi_core(j, x, cfg, tau)
 
 
 def skew_psi(
@@ -766,25 +738,12 @@ def _s_corr_core(
     x: float, y: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> float:
     """Crossover correction to the S kernel, stripped of x^a y^{a+1}."""
-    n, a, c = cfg.n, cfg.a, cfg.c
+    n, a = cfg.n, cfg.a
     wx = _wt(a, x, n - 1)
     if wx[n - 1] == 0.0:
         return 0.0
-    rn = math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
-    acc = _Accumulator(ctrl, "density correction series", tau)
-    decay = math.exp(-2.0 * tau)
-    nu = (n + c) // 2
-    e = math.exp(-(2.0 * nu + 2.0 - n - c) * tau)
-    half_c = 0.5 * c
-    while True:
-        k = 2 * nu + 1 - c
-        wy = _wt(a, y, k)
-        coef = math.exp(log_gamma(nu + 1.0 - half_c) - log_gamma(nu + a + 2.0 - half_c))
-        if acc.add(e * coef * wy[k]):
-            break
-        nu += 1
-        e *= decay
-    return 2.0 * rn * wx[n - 1] * acc.total
+    s = _series(y, a, tau, n + 1, ctrl, "density correction series")
+    return 2.0 * _r_n(n, a) * wx[n - 1] * math.exp(-2.0 * tau) * s
 
 
 def _d_zero(t: float, cfg: ChannelConfig) -> float:
@@ -803,7 +762,7 @@ def _d_zero(t: float, cfg: ChannelConfig) -> float:
             + log_upper_incomplete_gamma(mu + a + 1.0, t)
         )
         total += (-1.0) ** mu * math.exp(lg)
-    xi = math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
+    xi = _r_n(n, a)
     eta = math.exp(
         2.0 * a * math.log(2.0)
         + lg_n1
@@ -827,38 +786,23 @@ def kernel_s(
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     a = cfg.a
-
-    def lo_pow(v: float) -> float:  # x^a with the genuine edge divergence
-        if v == 0.0:
-            if a < 0.0:
-                return math.inf
-            return 1.0 if a == 0.0 else 0.0
-        return math.exp(a * math.log(v))
-
-    def hi_pow(v: float) -> float:  # y^{a+1}, a + 1 > 0
-        if v == 0.0:
-            return 0.0
-        return math.exp((a + 1.0) * math.log(v))
-
     if tau == 0.0:
         # S = x^a [y^{a+1} S_lue-core + wt_{N-1}(x) D(y)]: the whole bracket
         # shares the bare x^a edge factor
         wx = _wt(a, x, cfg.n - 1)
-        bracket = hi_pow(y) * _s_lue_core(x, y, cfg) + wx[cfg.n - 1] * _d_zero(y, cfg)
         if x == 0.0 and y == 0.0:
             # diagonal origin: the LUE piece recombines to x^{2a+1}
-            lue = _s_lue_core(x, y, cfg) if 2.0 * a + 1.0 == 0.0 else 0.0
-            return lue + lo_pow(0.0) * wx[cfg.n - 1] * _d_zero(0.0, cfg)
-        return lo_pow(x) * bracket
+            lue = _edge_pow(0.0, 2.0 * a + 1.0) * _s_lue_core(x, y, cfg)
+            return lue + _edge_pow(0.0, a) * wx[cfg.n - 1] * _d_zero(0.0, cfg)
+        bracket = _edge_pow(y, a + 1.0) * _s_lue_core(x, y, cfg) + wx[cfg.n - 1] * _d_zero(y, cfg)
+        return _edge_pow(x, a) * bracket
     core = _s_lue_core(x, y, cfg)
     if not math.isinf(tau):
         core += _s_corr_core(x, y, cfg, tau, ctrl)
     if x == y:
-        if x == 0.0:
-            # weights combine to x^{2a+1}: finite exactly for square arrays
-            return core if 2.0 * a + 1.0 == 0.0 else 0.0
-        return math.exp((2.0 * a + 1.0) * math.log(x)) * core
-    return lo_pow(x) * hi_pow(y) * core
+        # weights combine to x^{2a+1}: finite at 0 exactly for square arrays
+        return _edge_pow(x, 2.0 * a + 1.0) * core
+    return _edge_pow(x, a) * _edge_pow(y, a + 1.0) * core
 
 
 def kernel_a(
@@ -921,13 +865,7 @@ def level_density_lue(lam: float, cfg: ChannelConfig) -> float:
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
     x = lam / (2.0 * cfg.omega)
-    a = cfg.a
-    core = _s_lue_core(x, x, cfg)
-    if x == 0.0:
-        val = core if 2.0 * a + 1.0 == 0.0 else 0.0
-    else:
-        val = math.exp((2.0 * a + 1.0) * math.log(x)) * core
-    return val / (2.0 * cfg.omega)
+    return _edge_pow(x, 2.0 * cfg.a + 1.0) * _s_lue_core(x, x, cfg) / (2.0 * cfg.omega)
 
 
 def level_density_loe(lam: float, cfg: ChannelConfig) -> float:
@@ -958,11 +896,7 @@ def level_density(
     tau = crossover_tau(q)
     x = lam / (2.0 * cfg.omega)
     core = _s_lue_core(x, x, cfg) + _s_corr_core(x, x, cfg, tau, ctrl)
-    if x == 0.0:
-        val = core if 2.0 * cfg.a + 1.0 == 0.0 else 0.0
-    else:
-        val = math.exp((2.0 * cfg.a + 1.0) * math.log(x)) * core
-    return val / (2.0 * cfg.omega)
+    return _edge_pow(x, 2.0 * cfg.a + 1.0) * core / (2.0 * cfg.omega)
 
 
 def mp_support(cfg: ChannelConfig) -> tuple[float, float]:
@@ -1070,11 +1004,9 @@ def correlation_fn(
         sign = 0 if phase == 0.0 else int(round(phase.real))
         log_scale = 0.0
         for xi in x:
-            if xi == 0.0:
-                if 2.0 * a + 1.0 > 0.0:
-                    return 0.0
-            else:
-                log_scale += (2.0 * a + 1.0) * math.log(xi)
+            log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
+        if log_scale == -math.inf:
+            return 0.0
         return _signed_sqrt_det(sign, logdet, mat, log_scale - n_pts * math.log(2.0 * omega), square=False)
 
     if q == 0.0:
@@ -1101,11 +1033,9 @@ def correlation_fn(
     sign = 0 if phase == 0.0 else int(round(phase.real))
     log_scale = -n_pts * math.log(2.0 * omega)
     for xi in x:
-        if xi == 0.0:
-            if 2.0 * a + 1.0 > 0.0:
-                return 0.0
-        else:
-            log_scale += (2.0 * a + 1.0) * math.log(xi)
+        log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
+    if log_scale == -math.inf:
+        return 0.0
     return _signed_sqrt_det(sign, logdet, mat, log_scale, square=True)
 
 

@@ -1,22 +1,20 @@
 """Scalar special functions used by the analytic eigenvalue formulas.
 
-Everything here is pure and thread-safe.  The weighted Laguerre evaluators
-return :class:`LogSigned` values so that high orders (n up to a few 10^4)
-never overflow; conversion to plain floats happens only at summation time.
+Everything here is pure and thread-safe.  The weighted Laguerre table runs
+its recurrence on rescaled values and joins each entry with its rescale
+offset and weight in log space, so high orders (n up to a few 10^4) never
+overflow and large x never underflows the whole table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LogSigned",
     "log_gamma",
     "laguerre",
-    "laguerre_weighted",
     "weighted_laguerre_table",
     "upper_incomplete_gamma",
     "log_upper_incomplete_gamma",
@@ -24,47 +22,6 @@ __all__ = [
     "bessel_i0e",
     "erfc",
 ]
-
-
-@dataclass(frozen=True)
-class LogSigned:
-    """A real number stored as sign and natural log of magnitude.
-
-    ``sign`` is -1, 0 or +1; ``log`` is ignored when sign == 0.
-    Products multiply signs and add logs, which is the whole point:
-    quantities like x^b e^{-x} L_n(2x) stay representable for any n, x
-    in the supported range even when the factors over/underflow floats.
-    """
-
-    sign: int
-    log: float
-
-    @staticmethod
-    def from_value(v: float) -> "LogSigned":
-        if v == 0.0:
-            return LogSigned(0, 0.0)
-        return LogSigned(1 if v > 0 else -1, math.log(abs(v)))
-
-    def __mul__(self, other: "LogSigned") -> "LogSigned":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogSigned(0, 0.0)
-        return LogSigned(s, self.log + other.log)
-
-    def scaled(self, log_factor: float) -> "LogSigned":
-        """Multiply by exp(log_factor) without leaving log space."""
-        if self.sign == 0:
-            return self
-        return LogSigned(self.sign, self.log + log_factor)
-
-    def value(self) -> float:
-        """Convert to a plain float; may overflow to +/-inf by design."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log)
-        except OverflowError:
-            return self.sign * math.inf
 
 
 # Lanczos approximation of ln Gamma, g = 607/128, 15 coefficients
@@ -124,66 +81,34 @@ def laguerre(n: int, alpha: float, x: float) -> float:
 _RESCALE_LIMIT = 1e270
 
 
-def weighted_laguerre_table(
-    nmax: int, alpha: float, weight_order: float, x: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All of w_b(x) * L_k^{(alpha)}(2x) for k = 0..nmax in log-signed form.
+def weighted_laguerre_table(nmax: int, alpha: float, x: float) -> np.ndarray:
+    """All of e^{-x} L_k^{(alpha)}(2x) for k = 0..nmax as a float array.
 
-    Returns (signs, logs) arrays of length nmax+1.  The recurrence runs on
-    values rescaled whenever they pass 1e270, so the table is finite for
-    any order; the weight w_b(x) = x^b e^{-x} is folded in at the end.
+    The recurrence runs on values rescaled whenever they pass 1e270; each
+    entry is joined with its rescale offset and the weight in log space,
+    one entry at a time, so no shared factor can overflow or underflow.
     """
     if nmax < 0:
         raise ValueError("weighted_laguerre_table: nmax must be >= 0")
     if x < 0.0:
         raise ValueError("weighted_laguerre_table: x must be >= 0")
-    signs = np.zeros(nmax + 1, dtype=np.int8)
-    logs = np.full(nmax + 1, -math.inf)
-
-    if x == 0.0 and weight_order > 0.0:
-        return signs, logs  # exact zeros: x^b = 0
-
-    if x == 0.0:
-        log_w = 0.0  # w_0(0) = 1
-    elif weight_order == 0.0:
-        log_w = -x
-    else:
-        log_w = weight_order * math.log(x) - x
+    out = np.zeros(nmax + 1)
     z = 2.0 * x
-
-    offset = 0.0
-
-    def record(k: int, v: float) -> None:
-        if v != 0.0:
-            signs[k] = 1 if v > 0.0 else -1
-            logs[k] = math.log(abs(v)) + offset + log_w
-
-    vkm1 = 1.0
-    record(0, vkm1)
-    if nmax == 0:
-        return signs, logs
-    vk = 1.0 + alpha - z
-    record(1, vk)
-    for k in range(1, nmax):
-        vkp1 = ((2 * k + 1 + alpha - z) * vk - (k + alpha) * vkm1) / (k + 1)
-        m = max(abs(vk), abs(vkp1))
+    offset = 0.0  # log of the factor divided out of the recurrence so far
+    vkm1, vk = 0.0, 1.0  # L_{-1} = 0, L_0 = 1
+    for k in range(nmax + 1):
+        if vk != 0.0:
+            out[k] = math.copysign(math.exp(math.log(abs(vk)) + offset - x), vk)
+        vkm1, vk = vk, ((2 * k + 1 + alpha - z) * vk - (k + alpha) * vkm1) / (k + 1)
+        m = max(abs(vkm1), abs(vk))
         if m > _RESCALE_LIMIT:
             s = math.log(m)
             f = math.exp(-s)
+            vkm1 *= f
             vk *= f
-            vkp1 *= f
             offset += s
-        vkm1, vk = vk, vkp1
-        record(k + 1, vk)
-    signs.flags.writeable = False
-    logs.flags.writeable = False
-    return signs, logs
-
-
-def laguerre_weighted(n: int, alpha: float, weight_order: float, x: float) -> LogSigned:
-    """w_b(x) * L_n^{(alpha)}(2x) as a LogSigned value (overflow-safe)."""
-    signs, logs = weighted_laguerre_table(n, alpha, weight_order, x)
-    return LogSigned(int(signs[n]), float(logs[n]))
+    out.flags.writeable = False
+    return out
 
 
 def erfc(x: float) -> float:

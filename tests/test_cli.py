@@ -303,11 +303,11 @@ class TestCliContract:
     def test_config_file_defaults(self, tmp_path):
         cfgfile = tmp_path / "conf"
         cfgfile.write_text("# defaults\nnt=2\nnr=2\ngrid=0:4:5\n")
-        code, text = run_cli(["--config", str(cfgfile), "density", "--q", "1",
-                              "--format", "json"])
-        assert code == 0
-        doc = json.loads(text)
-        assert doc["config"]["nt"] == 2 and len(doc["rows"]) == 5
+        for config_args in (["--config", str(cfgfile)], [f"--config={cfgfile}"]):
+            code, text = run_cli(config_args + ["density", "--q", "1", "--format", "json"])
+            assert code == 0
+            doc = json.loads(text)
+            assert doc["config"]["nt"] == 2 and len(doc["rows"]) == 5
 
     def test_flags_beat_config_file(self, tmp_path):
         cfgfile = tmp_path / "conf"
@@ -326,14 +326,3 @@ class TestCliContract:
         )
         assert proc.returncode == 0
         assert "degradation" in proc.stdout
-
-
-class TestThreading:
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["density", "--nt", "2", "--nr", "3", "--q", "0.4",
-                "--grid", "0:10:40"]
-        assert run_cli(args + ["--output", str(a), "--threads", "1"])[0] == 0
-        monkeypatch.setenv("HOYTMIMO_THREADS", "4")
-        assert run_cli(args + ["--output", str(b)])[0] == 0
-        assert a.read_text() == b.read_text()

@@ -14,6 +14,7 @@ from hoytmimo.ensemble import (
     g_tau,
     g_zero,
     jpd,
+    kernel_s,
     level_density,
     level_density_loe,
     level_density_lue,
@@ -332,3 +333,28 @@ class TestDensityCurve:
         assert np.trapezoid(curve.values, curve.lambda_grid) == pytest.approx(
             cfg.n, abs=2e-3
         )
+
+
+# Frozen values at the origin, where the edge powers x^a, x^{a+1} and
+# x^{2a+1} decide: level_density(0), jpd([0, 1.3]) and kernel_s(0, 0.7)
+# for the 2 x (3 + 2a) array.
+ORIGIN_VALUES = [
+    (-0.5, 0.0, math.inf, math.inf, math.inf),
+    (-0.5, 0.5, 2.340627309983826, 0.31800098266996596, math.inf),
+    (-0.5, 1.0, 2.0, 0.23028936511374062, math.inf),
+    (0.0, 0.0, 0.9999999999999947, 0.08483243872366515, 1.376780065781566),
+    (0.0, 0.5, 0.0, 0.0, 1.9065695405524896),
+    (0.0, 1.0, 0.0, 0.0, 2.2247021609855144),
+    (0.5, 0.0, 0.0, 0.0, 0.0),
+    (0.5, 0.5, 0.0, 0.0, 0.0),
+    (0.5, 1.0, 0.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("a,q,density,joint,kernel", ORIGIN_VALUES)
+def test_origin_edge_values(a, q, density, joint, kernel):
+    cfg = ChannelConfig(2, int(3 + 2 * a))
+    assert cfg.a == a
+    assert level_density(0.0, cfg, q) == pytest.approx(density, rel=1e-12, abs=0.0)
+    assert jpd([0.0, 1.3], cfg, q) == pytest.approx(joint, rel=1e-12, abs=0.0)
+    assert kernel_s(0.0, 0.7, cfg, crossover_tau(q)) == pytest.approx(kernel, rel=1e-12, abs=0.0)
