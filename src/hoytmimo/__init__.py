@@ -2,13 +2,11 @@
 
 from .ensemble import (
     ChannelConfig,
-    DensityCurve,
     NumericalConsistencyError,
     SeriesControl,
     SeriesTruncationError,
     correlation_fn,
     crossover_tau,
-    density_curve,
     density_mp,
     jpd,
     level_density,
@@ -24,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelConfig",
     "SeriesControl",
-    "DensityCurve",
     "SeriesTruncationError",
     "NumericalConsistencyError",
     "FadingParams",
@@ -42,7 +39,6 @@ __all__ = [
     "level_density_lue",
     "level_density_loe",
     "density_mp",
-    "density_curve",
     "correlation_fn",
     "empirical_density",
     "mc_capacity",

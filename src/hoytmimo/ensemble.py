@@ -37,7 +37,6 @@ from .specfun import log_gamma, log_upper_incomplete_gamma, weighted_laguerre_ta
 __all__ = [
     "ChannelConfig",
     "SeriesControl",
-    "DensityCurve",
     "SeriesTruncationError",
     "NumericalConsistencyError",
     "crossover_tau",
@@ -56,7 +55,6 @@ __all__ = [
     "density_mp",
     "mp_support",
     "correlation_fn",
-    "density_curve",
 ]
 
 
@@ -123,14 +121,6 @@ class SeriesControl:
 DEFAULT_CONTROL = SeriesControl()
 
 
-@dataclass
-class DensityCurve:
-    lambda_grid: np.ndarray
-    values: np.ndarray
-    config: ChannelConfig
-    q: float
-
-
 def crossover_tau(q: float) -> float:
     """tau from the Hoyt parameter: exp(-tau) = (1 - q^2)/(1 + q^2)."""
     if not 0.0 <= q <= 1.0:
@@ -152,8 +142,8 @@ class _Accumulator:
         self._small = 0
         self._terms = 0
 
-    def add(self, term: float, count: int = 1) -> bool:
-        self._terms += count
+    def add(self, term: float) -> bool:
+        self._terms += 1
         if self._terms > self.ctrl.max_terms:
             raise SeriesTruncationError(self.what, self.tau, self.ctrl.max_terms)
         y = term - self._comp
@@ -270,90 +260,37 @@ def g_zero(x: float, y: float) -> float:
     return 0.0
 
 
-def _g_core(
-    x: float,
-    y: float,
-    a: float,
-    tau: float,
-    ctrl: SeriesControl,
-    representation: int = 2,
-) -> float:
+def _g_core(x: float, y: float, a: float, tau: float, ctrl: SeriesControl) -> float:
     """Weight-stripped series for the antisymmetric kernel.
 
     Returns the double sum over even/odd polynomial pairs built from the
-    e^{-x}-weighted tables; the caller reattaches (x y)^{a+1}.  With
-    representation=2 the outer loop runs over the odd index and each row is
-    a finite sum; representation=1 enumerates the transposed (infinite-row)
-    ordering.  The two differ only in truncation shape.
+    e^{-x}-weighted tables; the caller reattaches (x y)^{a+1}.  The outer
+    loop runs over the odd index; each row's finite inner sum is carried
+    as running sums, so a row costs O(1) and counts as one term.
     """
     if x == y:
         return 0.0
     acc = _Accumulator(ctrl, "crossover kernel series", tau)
     decay = math.exp(-2.0 * tau)
-
-    if representation == 2:
-        mu = 0
-        ux = 0.0
-        uy = 0.0
-        ehalf = 1.0  # e^{-2 nu tau} at nu = mu
-        eodd = math.exp(-tau)  # e^{-(2 mu + 1) tau}
-        while True:
-            need = 2 * mu + 1
-            wx = _wt(a, x, need)
-            wy = _wt(a, y, need)
-            g = _gamma_k(a, need)
-            # running inner sums U(x) = sum_{nu<=mu} e^{-2 nu tau} gamma_{2nu} wt_{2nu}(x)
-            ux += ehalf * g[2 * mu] * wx[2 * mu]
-            uy += ehalf * g[2 * mu] * wy[2 * mu]
-            row = 2.0 * eodd * g[2 * mu + 1] * (ux * wy[2 * mu + 1] - wx[2 * mu + 1] * uy)
-            if acc.add(row, count=mu + 1):
-                return acc.total
-            mu += 1
-            ehalf *= decay
-            eodd *= decay
-    elif representation == 1:
-        mu = 0
-        ehalf = 1.0
-        while True:
-            need_mu = 2 * mu
-            row_acc = 0.0
-            nu = mu
-            eodd = math.exp(-(2.0 * nu + 1.0) * tau)
-            small = 0
-            while True:
-                need = max(need_mu, 2 * nu + 1)
-                wx = _wt(a, x, need)
-                wy = _wt(a, y, need)
-                g = _gamma_k(a, need)
-                term = (
-                    2.0
-                    * ehalf
-                    * eodd
-                    * g[2 * mu]
-                    * g[2 * nu + 1]
-                    * (wx[2 * mu] * wy[2 * nu + 1] - wx[2 * nu + 1] * wy[2 * mu])
-                )
-                acc._terms += 1
-                if acc._terms > ctrl.max_terms:
-                    raise SeriesTruncationError(
-                        "crossover kernel series", tau, ctrl.max_terms
-                    )
-                row_acc += term
-                ref = abs(acc.total + row_acc)
-                if abs(term) <= ctrl.rel_tol * ref and ref > 0.0:
-                    small += 1
-                    if small >= 3:
-                        break
-                else:
-                    small = 0
-                nu += 1
-                eodd *= decay
-            if acc.add(row_acc, count=0):
-                return acc.total
-            mu += 1
-            ehalf *= decay
-    else:
-        raise ValueError("representation must be 1 or 2")
+    mu = 0
+    ux = 0.0
+    uy = 0.0
+    ehalf = 1.0  # e^{-2 nu tau} at nu = mu
+    eodd = math.exp(-tau)  # e^{-(2 mu + 1) tau}
+    while True:
+        need = 2 * mu + 1
+        wx = _wt(a, x, need)
+        wy = _wt(a, y, need)
+        g = _gamma_k(a, need)
+        # running inner sums U(x) = sum_{nu<=mu} e^{-2 nu tau} gamma_{2nu} wt_{2nu}(x)
+        ux += ehalf * g[2 * mu] * wx[2 * mu]
+        uy += ehalf * g[2 * mu] * wy[2 * mu]
+        row = 2.0 * eodd * g[2 * mu + 1] * (ux * wy[2 * mu + 1] - wx[2 * mu + 1] * uy)
+        if acc.add(row):
+            return acc.total
+        mu += 1
+        ehalf *= decay
+        eodd *= decay
 
 
 def g_tau(
@@ -362,7 +299,6 @@ def g_tau(
     a: float,
     tau: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-    representation: int = 2,
 ) -> float:
     """Antisymmetric two-point function of the crossover at tau > 0."""
     if x < 0.0 or y < 0.0:
@@ -371,7 +307,7 @@ def g_tau(
         raise ValueError("g_tau needs finite tau > 0 (tau = 0 has g_zero)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
-    core = _g_core(x, y, a, tau, ctrl, representation)
+    core = _g_core(x, y, a, tau, ctrl)
     if core == 0.0:
         return 0.0
     return math.exp((a + 1.0) * math.log(x * y)) * core
@@ -915,32 +851,38 @@ def density_mp(lam: float, cfg: ChannelConfig) -> float:
     return math.sqrt((hi - lam) * (lam - lo)) / (2.0 * math.pi * cfg.omega * lam)
 
 
-def density_curve(
-    cfg: ChannelConfig,
-    q: float,
-    grid,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
-    marginal: bool = False,
-) -> DensityCurve:
-    """Evaluate the level density on a grid (marginal=True divides by N)."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.array([level_density(v, cfg, q, ctrl) for v in grid])
-    if marginal:
-        vals = vals / cfg.n
-    return DensityCurve(lambda_grid=grid, values=vals, config=cfg, q=q)
-
-
 # ---------------------------------------------------------------------------
 # n-level correlation functions
 
 
-def _correlation_stripped(points_x, cfg, tau, ctrl):
-    """log-scale determinant data for 0 < tau < inf."""
-    n_pts = len(points_x)
-    n = cfg.n
-    k_pairs = (n - cfg.c) // 2
+def _doubled_kernel(x, s, a, b) -> np.ndarray:
+    """The 2n x 2n matrix whose 2 x 2 block (j, k) is
+    [[s(x_j, x_k), a(x_j, x_k)], [b(x_j, x_k), s(x_k, x_j)]].
+
+    a and b are antisymmetric, so each is evaluated once per pair j <= k.
+    """
+    n_pts = len(x)
+    mat = np.zeros((2 * n_pts, 2 * n_pts))
+    for j in range(n_pts):
+        for k in range(n_pts):
+            mat[2 * j, 2 * k] = s(x[j], x[k])
+            mat[2 * j + 1, 2 * k + 1] = s(x[k], x[j])
+            if k >= j:
+                av = a(x[j], x[k])
+                bv = b(x[j], x[k])
+                mat[2 * j, 2 * k + 1] = av
+                mat[2 * j + 1, 2 * k] = bv
+                if k > j:
+                    mat[2 * k, 2 * j + 1] = -av
+                    mat[2 * k + 1, 2 * j] = -bv
+    return mat
+
+
+def _correlation_stripped(x, cfg, tau, ctrl):
+    """The doubled kernel matrix of the weight-stripped kernels, 0 < tau < inf."""
+    k_pairs = (cfg.n - cfg.c) // 2
     # balance the growing phi-block against the decaying psi-block
-    bal = math.exp(-(n - 1.0) * tau)
+    bal = math.exp(-(cfg.n - 1.0) * tau)
 
     def s_tilde(u, v):
         return _s_lue_core(u, v, cfg) + _s_corr_core(u, v, cfg, tau, ctrl)
@@ -950,26 +892,12 @@ def _correlation_stripped(points_x, cfg, tau, ctrl):
         for mu in range(k_pairs):
             tot += _phi_core(2 * mu + 1, u, cfg, tau) * _phi_core(2 * mu, v, cfg, tau)
             tot -= _phi_core(2 * mu, u, cfg, tau) * _phi_core(2 * mu + 1, v, cfg, tau)
-        return tot
+        return tot * bal
 
     def b_tilde(u, v):
-        return _b_tail_core(u, v, cfg, tau, ctrl)
+        return _b_tail_core(u, v, cfg, tau, ctrl) / bal
 
-    mat = np.zeros((2 * n_pts, 2 * n_pts))
-    for j in range(n_pts):
-        for k in range(n_pts):
-            xj, xk = points_x[j], points_x[k]
-            mat[2 * j, 2 * k] = s_tilde(xj, xk)
-            mat[2 * j + 1, 2 * k + 1] = s_tilde(xk, xj)
-            if k >= j:
-                av = a_tilde(xj, xk) * bal
-                bv = b_tilde(xj, xk) / bal
-                mat[2 * j, 2 * k + 1] = av
-                mat[2 * j + 1, 2 * k] = bv
-                if k > j:
-                    mat[2 * k, 2 * j + 1] = -av
-                    mat[2 * k + 1, 2 * j] = -bv
-    return mat
+    return _doubled_kernel(x, s_tilde, a_tilde, b_tilde)
 
 
 def correlation_fn(
@@ -981,8 +909,16 @@ def correlation_fn(
     """n-level correlation function R_n(lambda_1..lambda_n) at parameter q.
 
     Computed as the nonnegative square root of the ordinary determinant of
-    the doubled kernel matrix; a determinant negative beyond tolerance
-    raises NumericalConsistencyError rather than being clamped.
+    the doubled kernel matrix (the plain kernel determinant at q = 1); a
+    determinant negative beyond tolerance raises NumericalConsistencyError
+    rather than being clamped.
+
+    R_n loses relative accuracy as points close in.  The determinant
+    vanishes with the squared gaps while its O(1) entries do not, so it is
+    formed by cancellation; neither the square root nor the series
+    tolerance is the cause, and the q = 1 branch, which takes no root,
+    degrades the same way.  At n = N, N! * jpd(points) is the accurate
+    route: jpd factors the Vandermonde product out exactly.
     """
     pts = np.asarray(points, dtype=float)
     n_pts = len(pts)
@@ -1009,33 +945,22 @@ def correlation_fn(
             return 0.0
         return _signed_sqrt_det(sign, logdet, mat, log_scale - n_pts * math.log(2.0 * omega), square=False)
 
+    log_scale = -n_pts * math.log(2.0 * omega)
     if q == 0.0:
-        mat = np.zeros((2 * n_pts, 2 * n_pts))
-        for j in range(n_pts):
-            for k in range(n_pts):
-                mat[2 * j, 2 * k] = kernel_s(x[j], x[k], cfg, 0.0)
-                mat[2 * j + 1, 2 * k + 1] = kernel_s(x[k], x[j], cfg, 0.0)
-                if k >= j:
-                    av = kernel_a(x[j], x[k], cfg, 0.0)
-                    bv = kernel_b(x[j], x[k], cfg, 0.0)
-                    mat[2 * j, 2 * k + 1] = av
-                    mat[2 * j + 1, 2 * k] = bv
-                    if k > j:
-                        mat[2 * k, 2 * j + 1] = -av
-                        mat[2 * k + 1, 2 * j] = -bv
-        phase, logdet = linalg.determinant_signed_log(mat)
-        sign = 0 if phase == 0.0 else int(round(phase.real))
-        return _signed_sqrt_det(sign, logdet, mat, -n_pts * math.log(2.0 * omega), square=True)
-
-    tau = crossover_tau(q)
-    mat = _correlation_stripped(x, cfg, tau, ctrl)
+        mat = _doubled_kernel(
+            x,
+            lambda u, v: kernel_s(u, v, cfg, 0.0),
+            lambda u, v: kernel_a(u, v, cfg, 0.0),
+            lambda u, v: kernel_b(u, v, cfg, 0.0),
+        )
+    else:
+        mat = _correlation_stripped(x, cfg, crossover_tau(q), ctrl)
+        for xi in x:
+            log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
+        if log_scale == -math.inf:
+            return 0.0
     phase, logdet = linalg.determinant_signed_log(mat)
     sign = 0 if phase == 0.0 else int(round(phase.real))
-    log_scale = -n_pts * math.log(2.0 * omega)
-    for xi in x:
-        log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
-    if log_scale == -math.inf:
-        return 0.0
     return _signed_sqrt_det(sign, logdet, mat, log_scale, square=True)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rng import GaussianStream
+from .rng import SplitMix64, gaussian_block
 from .specfun import bessel_i0e
 
 __all__ = [
@@ -103,9 +103,9 @@ def phase_pdf(theta: float, p: FadingParams) -> float:
     return sx * sy / (2.0 * math.pi * (p.sigma_x2 * s * s + p.sigma_y2 * c * c))
 
 
-def sample_signal(p: FadingParams, rng: GaussianStream) -> complex:
+def sample_signal(p: FadingParams, stream: SplitMix64) -> complex:
     """One draw of Z = X + jY; consumes two gaussians (X first, then Y)."""
-    g = rng.next_gaussians(2)
+    g = gaussian_block(stream, 2)
     return complex(
         math.sqrt(p.sigma_x2) * g[0],
         math.sqrt(p.sigma_y2) * g[1],

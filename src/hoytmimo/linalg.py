@@ -1,11 +1,8 @@
 """Minimal dense linear algebra on numpy arrays.
 
-Complex rectangular matrices are plain ``numpy.ndarray`` (complex128);
-antisymmetric matrices are real square ndarrays with B^T = -B.  The
-eigensolver is a cyclic Jacobi on the 2Nx2N real embedding of a Hermitian
-matrix: for the small N used here (<= 64) simplicity and reproducibility
-matter more than speed.  The Monte Carlo hot path uses the batched
-``numpy.linalg.eigvalsh`` wrapper below; a test pins both to each other.
+Antisymmetric matrices are real square ndarrays with B^T = -B.  Hermitian
+spectra come from the batched ``numpy.linalg.eigvalsh`` wrapper below; the
+tests pin it to an independent Jacobi solver.
 """
 
 from __future__ import annotations
@@ -15,76 +12,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "gram",
-    "hermitian_eigenvalues",
     "hermitian_eigenvalues_batch",
     "pfaffian",
     "determinant",
 ]
-
-
-def gram(h: np.ndarray, nr: int, nt: int) -> np.ndarray:
-    """H^dag H if nr >= nt else H H^dag; N x N Hermitian PSD, N = min."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (nr, nt):
-        raise ValueError(f"channel matrix shape {h.shape} != ({nr}, {nt})")
-    if nr >= nt:
-        w = h.conj().T @ h
-    else:
-        w = h @ h.conj().T
-    # symmetrize exactly so gram output is Hermitian to the last bit
-    return 0.5 * (w + w.conj().T)
-
-
-def hermitian_eigenvalues(w: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix via real-embedded Jacobi.
-
-    The N x N Hermitian W maps to the 2N x 2N real symmetric
-    [[Re W, -Im W], [Im W, Re W]] whose spectrum is that of W doubled;
-    cyclic Jacobi sweeps run until the off-diagonal norm is <= tol * ||W||.
-    """
-    w = np.asarray(w, dtype=complex)
-    n = w.shape[0]
-    if w.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(w))) if n else 0.0
-    if np.max(np.abs(w - w.conj().T)) > 1e-12 * max(1.0, scale):
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    w = 0.5 * (w + w.conj().T)
-    if scale == 0.0:
-        return np.zeros(n)
-
-    s = np.block([[w.real, -w.imag], [w.imag, w.real]])
-    m = 2 * n
-    fro = math.sqrt(float(np.sum(s * s)))
-    thresh = tol * max(fro, 1e-300)
-    for _ in range(60):
-        od = s.copy()
-        np.fill_diagonal(od, 0.0)
-        off = math.sqrt(float(np.sum(od * od)))
-        if off <= thresh:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                spq = s[p, q]
-                if abs(spq) <= 1e-300:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * spq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rp = s[p, :].copy()
-                rq = s[q, :].copy()
-                s[p, :] = c * rp - sn * rq
-                s[q, :] = sn * rp + c * rq
-                cp = s[:, p].copy()
-                cq = s[:, q].copy()
-                s[:, p] = c * cp - sn * cq
-                s[:, q] = sn * cp + c * cq
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-    vals = np.sort(np.diag(s))
-    return vals[0::2]  # doubled spectrum: keep one of each adjacent pair
 
 
 def hermitian_eigenvalues_batch(ws: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ substream seeded by ``derive_stream_seed(seed, k)``.  Within a chunk the
 gaussian stream is consumed sample by sample: first nr*nt values fill the
 real part row-major, the next nr*nt the imaginary part.  Results are
 therefore bit-identical for a given seed regardless of how chunks are
-scheduled.
+scheduled.  The single-draw samplers read the same helpers with m = 1.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .ensemble import ChannelConfig, mp_support
 from .fading import params_from_q
-from .linalg import gram, hermitian_eigenvalues_batch
-from .rng import GaussianStream, SplitMix64, derive_stream_seed, gaussian_block
+from .linalg import hermitian_eigenvalues_batch
+from .rng import SplitMix64, derive_stream_seed, gaussian_block
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -52,17 +52,29 @@ class SpectralSample:
     eigenvalues: np.ndarray  # ascending, length N, clamped at 0
 
 
-def sample_channel(cfg: ChannelConfig, q: float, rng: GaussianStream) -> np.ndarray:
-    """One nr x nt channel draw H = H_X + j H_Y from the given stream."""
+def _channels(cfg: ChannelConfig, q: float, stream: SplitMix64, m: int) -> np.ndarray:
+    """m consecutive channel draws H = H_X + j H_Y, shape (m, nr, nt)."""
     p = params_from_q(q, cfg.omega)
-    k = cfg.nr * cfg.nt
-    g = rng.next_gaussians(2 * k)
-    hx = g[:k].reshape(cfg.nr, cfg.nt)
-    hy = g[k:].reshape(cfg.nr, cfg.nt)
-    return math.sqrt(p.sigma_x2) * hx + 1j * math.sqrt(p.sigma_y2) * hy
+    sx = math.sqrt(p.sigma_x2)
+    sy = math.sqrt(p.sigma_y2)
+    nr, nt = cfg.nr, cfg.nt
+    k = nr * nt
+    g = gaussian_block(stream, m * 2 * k).reshape(m, 2 * k)
+    return sx * g[:, :k].reshape(m, nr, nt) + 1j * sy * g[:, k:].reshape(m, nr, nt)
 
 
-def _clamp_spectrum(vals: np.ndarray, scale: float) -> np.ndarray:
+def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
+    """Ascending gram-matrix eigenvalues of a channel stack, shape (m, N).
+
+    Values below zero by round-off are clamped to 0; anything further
+    below is a solver fault and raises.
+    """
+    if cfg.nr >= cfg.nt:
+        w = np.einsum("sij,sik->sjk", h.conj(), h)
+    else:
+        w = np.einsum("sij,skj->sik", h, h.conj())
+    vals = hermitian_eigenvalues_batch(w)
+    scale = float(np.max(np.abs(vals))) if vals.size else 1.0
     floor = -_CLAMP_FACTOR * max(scale, 1e-300)
     if np.any(vals < floor):
         raise RuntimeError(
@@ -72,35 +84,24 @@ def _clamp_spectrum(vals: np.ndarray, scale: float) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def sample_spectrum(cfg: ChannelConfig, q: float, rng: GaussianStream) -> SpectralSample:
+def sample_channel(cfg: ChannelConfig, q: float, stream: SplitMix64) -> np.ndarray:
+    """One nr x nt channel draw from the stream (2 nr nt gaussians)."""
+    return _channels(cfg, q, stream, 1)[0]
+
+
+def sample_spectrum(cfg: ChannelConfig, q: float, stream: SplitMix64) -> SpectralSample:
     """Eigenvalues of the gram matrix of one channel draw."""
-    h = sample_channel(cfg, q, rng)
-    w = gram(h, cfg.nr, cfg.nt)
-    vals = np.sort(np.linalg.eigvalsh(w))
-    return SpectralSample(eigenvalues=_clamp_spectrum(vals, float(np.trace(w).real)))
+    return SpectralSample(eigenvalues=_spectra(cfg, _channels(cfg, q, stream, 1))[0])
 
 
 def _spectra_chunks(cfg: ChannelConfig, q: float, samples: int, seed: int):
-    """Yield (chunk_eigenvalues,) arrays of shape (m, N), deterministically."""
-    p = params_from_q(q, cfg.omega)
-    sx = math.sqrt(p.sigma_x2)
-    sy = math.sqrt(p.sigma_y2)
-    nr, nt = cfg.nr, cfg.nt
-    k = nr * nt
+    """Yield chunk eigenvalue arrays of shape (m, N), deterministically."""
     done = 0
     chunk_index = 0
     while done < samples:
         m = min(CHUNK_SAMPLES, samples - done)
         stream = SplitMix64(derive_stream_seed(seed, chunk_index))
-        g = gaussian_block(stream, m * 2 * k).reshape(m, 2 * k)
-        h = sx * g[:, :k].reshape(m, nr, nt) + 1j * sy * g[:, k:].reshape(m, nr, nt)
-        if nr >= nt:
-            w = np.einsum("sij,sik->sjk", h.conj(), h)
-        else:
-            w = np.einsum("sij,skj->sik", h, h.conj())
-        vals = hermitian_eigenvalues_batch(w)
-        scale = float(np.max(np.abs(vals))) if vals.size else 1.0
-        yield _clamp_spectrum(vals, scale)
+        yield _spectra(cfg, _channels(cfg, q, stream, m))
         done += m
         chunk_index += 1
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SplitMix64", "GaussianStream", "derive_stream_seed"]
+__all__ = ["SplitMix64", "derive_stream_seed", "gaussian_block"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -89,29 +89,3 @@ def gaussian_block(stream: SplitMix64, n: int) -> np.ndarray:
     out[1::2] = r * np.sin(ang)
     return out[:n]
 
-
-class GaussianStream:
-    """Scalar gaussian draws over a SplitMix64 core, with pair buffering.
-
-    Buffering does not change the stream: the k-th gaussian returned is
-    always g_k of the documented sequence.
-    """
-
-    def __init__(self, seed: int, _core: SplitMix64 | None = None):
-        self.core = _core if _core is not None else SplitMix64(seed)
-        self._buf: list[float] = []
-
-    def next_gaussian(self) -> float:
-        if not self._buf:
-            self._buf = list(gaussian_block(self.core, 2))[::-1]
-        return self._buf.pop()
-
-    def next_gaussians(self, n: int) -> np.ndarray:
-        out = np.empty(n)
-        i = 0
-        while self._buf and i < n:
-            out[i] = self._buf.pop()
-            i += 1
-        if i < n:
-            out[i:] = gaussian_block(self.core, n - i)
-        return out

@@ -13,10 +13,70 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import ensemble, linalg
-from .ensemble import ChannelConfig, SeriesControl, correlation_fn, jpd, kernel_s
+from .ensemble import (
+    ChannelConfig,
+    SeriesControl,
+    SeriesTruncationError,
+    correlation_fn,
+    jpd,
+    kernel_s,
+)
 from .quadrature import adaptive_gauss_kronrod
 
-__all__ = ["run_checks", "jpd_normalization_n2", "jpd_normalization_n3"]
+__all__ = ["run_checks", "g_tau_transposed", "jpd_normalization_n2", "jpd_normalization_n3"]
+
+
+def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesControl) -> float:
+    """``ensemble.g_tau`` summed in the transposed order.
+
+    The outer loop runs over the even index and each row is an infinite
+    sum over the odd index; ``g_tau``'s outer loop runs over the odd index
+    with finite rows over the even index.  The two orderings differ only
+    in truncation shape, so their agreement checks the series.  Every
+    inner term counts against ``max_terms``.
+    """
+    if x == y or x == 0.0 or y == 0.0:
+        return 0.0
+    acc = ensemble._Accumulator(ctrl, "crossover kernel series", tau)
+    decay = math.exp(-2.0 * tau)
+    terms = 0
+    mu = 0
+    ehalf = 1.0
+    while True:
+        row_acc = 0.0
+        nu = mu
+        eodd = math.exp(-(2.0 * nu + 1.0) * tau)
+        small = 0
+        while True:
+            need = max(2 * mu, 2 * nu + 1)
+            wx = ensemble._wt(a, x, need)
+            wy = ensemble._wt(a, y, need)
+            g = ensemble._gamma_k(a, need)
+            term = (
+                2.0
+                * ehalf
+                * eodd
+                * g[2 * mu]
+                * g[2 * nu + 1]
+                * (wx[2 * mu] * wy[2 * nu + 1] - wx[2 * nu + 1] * wy[2 * mu])
+            )
+            terms += 1
+            if terms > ctrl.max_terms:
+                raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
+            row_acc += term
+            ref = abs(acc.total + row_acc)
+            if abs(term) <= ctrl.rel_tol * ref and ref > 0.0:
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            nu += 1
+            eodd *= decay
+        if acc.add(row_acc):
+            return math.exp((a + 1.0) * math.log(x * y)) * acc.total
+        mu += 1
+        ehalf *= decay
 
 
 def jpd_normalization_n2(
@@ -99,8 +159,8 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
         (0.2, -0.5), (0.2, 0.0), (0.5, 0.5), (1.0, 1.5), (3.0, 0.0),
     ]
     for tau, a in combos:
-        v1 = ensemble.g_tau(0.7, 1.9, a, tau, ctrl, representation=1)
-        v2 = ensemble.g_tau(0.7, 1.9, a, tau, ctrl, representation=2)
+        v1 = g_tau_transposed(0.7, 1.9, a, tau, ctrl)
+        v2 = ensemble.g_tau(0.7, 1.9, a, tau, ctrl)
         worst = max(worst, abs(v1 - v2) / abs(v2))
     checks.append(_check("g_dual_representation_equality", worst, 1e-8))
 

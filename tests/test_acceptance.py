@@ -33,7 +33,7 @@ from hoytmimo.linalg import determinant, pfaffian
 from hoytmimo.montecarlo import empirical_density
 from hoytmimo.quadrature import adaptive_gauss_kronrod
 from hoytmimo.specfun import laguerre, log_gamma
-from hoytmimo.validation import jpd_normalization_n2, jpd_normalization_n3
+from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2, jpd_normalization_n3
 
 CTRL = SeriesControl()
 GOLDEN = Path(__file__).parent / "golden"
@@ -195,8 +195,8 @@ def test_criterion_7_representation_equality():
     worst = 0.0
     for tau in (0.2, 0.5, 1.0, 3.0):
         for a in (-0.5, 0.0, 0.5, 1.5):
-            v1 = g_tau(0.7, 1.9, a, tau, CTRL, representation=1)
-            v2 = g_tau(0.7, 1.9, a, tau, CTRL, representation=2)
+            v1 = g_tau_transposed(0.7, 1.9, a, tau, CTRL)
+            v2 = g_tau(0.7, 1.9, a, tau, CTRL)
             worst = max(worst, abs(v1 - v2) / abs(v2))
     _report(
         "criterion 7: dual series representations agree (1e-8, 4x4 tau/a grid)",

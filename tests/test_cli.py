@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hoytmimo
 from hoytmimo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -318,11 +320,15 @@ class TestCliContract:
         assert json.loads(text)["config"]["nr"] == 3
 
     def test_console_script_runs(self):
+        # the child imports the same hoytmimo as this process, installed or not
+        src = str(Path(hoytmimo.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "hoytmimo.cli", "degradation", "--nt", "2",
              "--nr", "2", "--power-db", "15"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "degradation" in proc.stdout

@@ -9,6 +9,7 @@ from hoytmimo.ensemble import (
     ChannelConfig,
     SeriesControl,
     SeriesTruncationError,
+    correlation_fn,
     crossover_tau,
     density_mp,
     g_tau,
@@ -23,7 +24,7 @@ from hoytmimo.ensemble import (
 )
 from hoytmimo.quadrature import adaptive_gauss_kronrod
 from hoytmimo.specfun import laguerre, log_gamma
-from hoytmimo.validation import jpd_normalization_n2
+from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2
 
 CTRL = SeriesControl()
 
@@ -77,8 +78,8 @@ class TestGTau:
     @pytest.mark.parametrize("tau", [0.2, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.5])
     def test_representation_equality(self, tau, a):
-        v1 = g_tau(0.7, 1.9, a, tau, CTRL, representation=1)
-        v2 = g_tau(0.7, 1.9, a, tau, CTRL, representation=2)
+        v1 = g_tau_transposed(0.7, 1.9, a, tau, CTRL)
+        v2 = g_tau(0.7, 1.9, a, tau, CTRL)
         assert v1 == pytest.approx(v2, rel=1e-8)
 
     def test_large_tau_single_term(self):
@@ -312,27 +313,32 @@ class TestDensityMp:
 
 
 class TestDensityCurve:
-    def test_marginal_curve_mass(self):
-        from hoytmimo.ensemble import density_curve
+    """level_density on a grid: the curve the CLI `density` command writes."""
 
-        cfg = ChannelConfig(2, 3)
-        grid = np.linspace(0.0, 25.0, 400)
-        curve = density_curve(cfg, 0.5, grid, CTRL, marginal=True)
-        assert curve.q == 0.5 and curve.config is cfg
-        assert np.all(np.isfinite(curve.values)) and np.all(curve.values >= 0.0)
-        assert np.trapezoid(curve.values, curve.lambda_grid) == pytest.approx(
-            1.0, abs=1e-3
-        )
+    cfg = ChannelConfig(2, 3)
+    grid = np.linspace(0.0, 25.0, 400)
+
+    def _curve(self):
+        return np.array([level_density(float(v), self.cfg, 0.5, CTRL) for v in self.grid])
+
+    def test_marginal_curve_mass(self):
+        values = self._curve() / self.cfg.n
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert np.trapezoid(values, self.grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_level_curve_counts_levels(self):
-        from hoytmimo.ensemble import density_curve
+        assert np.trapezoid(self._curve(), self.grid) == pytest.approx(self.cfg.n, abs=2e-3)
 
-        cfg = ChannelConfig(2, 3)
-        grid = np.linspace(0.0, 25.0, 400)
-        curve = density_curve(cfg, 0.5, grid, CTRL)
-        assert np.trapezoid(curve.values, curve.lambda_grid) == pytest.approx(
-            cfg.n, abs=2e-3
-        )
+
+# Near the one-sided end the crossover series needs O(1/tau) rows; each row
+# is O(1) work on running sums and counts once against max_terms.
+@pytest.mark.parametrize("q", [0.1, 0.06])
+@pytest.mark.parametrize("nt,nr", [(1, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_jpd_near_one_sided_matches_correlation(nt, nr, q):
+    cfg = ChannelConfig(nt, nr)
+    pts = np.linspace(0.8, 0.8 + 1.1 * (cfg.n - 1), cfg.n)
+    expect = correlation_fn(pts, cfg, q, CTRL) / math.factorial(cfg.n)
+    assert jpd(pts, cfg, q, CTRL) == pytest.approx(expect, rel=1e-6)
 
 
 # Frozen values at the origin, where the edge powers x^a, x^{a+1} and

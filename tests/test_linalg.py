@@ -5,15 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoytmimo.ensemble import ChannelConfig
 from hoytmimo.linalg import (
     determinant,
     determinant_signed_log,
-    gram,
-    hermitian_eigenvalues,
     hermitian_eigenvalues_batch,
     pfaffian,
     pfaffian_signed_log,
 )
+from hoytmimo.montecarlo import _spectra, sample_channel, sample_spectrum
+from hoytmimo.rng import SplitMix64
+
+
+def hermitian_eigenvalues(w: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix via real-embedded Jacobi.
+
+    The independent reference for the LAPACK batch the library uses.  The
+    N x N Hermitian W maps to the 2N x 2N real symmetric
+    [[Re W, -Im W], [Im W, Re W]] whose spectrum is that of W doubled;
+    cyclic Jacobi sweeps run until the off-diagonal norm is <= tol * ||W||.
+    """
+    w = np.asarray(w, dtype=complex)
+    n = w.shape[0]
+    if w.shape != (n, n):
+        raise ValueError("matrix must be square")
+    scale = float(np.max(np.abs(w))) if n else 0.0
+    if np.max(np.abs(w - w.conj().T)) > 1e-12 * max(1.0, scale):
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    w = 0.5 * (w + w.conj().T)
+    if scale == 0.0:
+        return np.zeros(n)
+
+    s = np.block([[w.real, -w.imag], [w.imag, w.real]])
+    m = 2 * n
+    fro = math.sqrt(float(np.sum(s * s)))
+    thresh = tol * max(fro, 1e-300)
+    for _ in range(60):
+        od = s.copy()
+        np.fill_diagonal(od, 0.0)
+        off = math.sqrt(float(np.sum(od * od)))
+        if off <= thresh:
+            break
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                spq = s[p, q]
+                if abs(spq) <= 1e-300:
+                    continue
+                theta = (s[q, q] - s[p, p]) / (2.0 * spq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                rp = s[p, :].copy()
+                rq = s[q, :].copy()
+                s[p, :] = c * rp - sn * rq
+                s[q, :] = sn * rp + c * rq
+                cp = s[:, p].copy()
+                cq = s[:, q].copy()
+                s[:, p] = c * cp - sn * cq
+                s[:, q] = sn * cp + c * cq
+    else:
+        raise RuntimeError("Jacobi eigensolver failed to converge")
+    vals = np.sort(np.diag(s))
+    return vals[0::2]  # doubled spectrum: keep one of each adjacent pair
 
 
 def _random_complex(rng, shape):
@@ -21,36 +74,31 @@ def _random_complex(rng, shape):
 
 
 class TestGram:
+    """The gram-matrix spectra of the Monte Carlo path (H^dag H or H H^dag)."""
+
     def test_identity(self):
-        w = gram(np.eye(2, dtype=complex), 2, 2)
-        np.testing.assert_allclose(w, np.eye(2))
+        vals = _spectra(ChannelConfig(2, 2), np.eye(2, dtype=complex)[None])
+        np.testing.assert_allclose(vals, [[1.0, 1.0]])
 
     def test_rank_one(self):
         h = np.array([[1 + 1j, 0.0], [0.0, 0.0]])
-        w = gram(h, 2, 2)
-        np.testing.assert_allclose(w, np.diag([2.0, 0.0]))
+        np.testing.assert_allclose(_spectra(ChannelConfig(2, 2), h[None]), [[0.0, 2.0]])
 
     def test_trace_identity(self):
-        rng = np.random.default_rng(0)
-        h = _random_complex(rng, (3, 5))
-        w = gram(h, 3, 5)
-        assert w.shape == (3, 3)
-        assert np.trace(w).real == pytest.approx(np.sum(np.abs(h) ** 2), rel=1e-12)
-
-    def test_exactly_hermitian(self):
-        rng = np.random.default_rng(1)
-        w = gram(_random_complex(rng, (4, 3)), 4, 3)
-        assert np.max(np.abs(w - w.conj().T)) == 0.0
+        cfg = ChannelConfig(5, 3)  # 3 x 5 channel: W = H H^dag is 3 x 3
+        h = sample_channel(cfg, 0.5, SplitMix64(0))
+        vals = sample_spectrum(cfg, 0.5, SplitMix64(0)).eigenvalues
+        assert vals.shape == (3,)
+        assert np.sum(vals) == pytest.approx(np.sum(np.abs(h) ** 2), rel=1e-12)
 
     def test_psd(self):
-        rng = np.random.default_rng(2)
-        w = gram(_random_complex(rng, (5, 4)), 5, 4)
-        vals = hermitian_eigenvalues(w)
-        assert np.all(vals >= -1e-10 * np.max(np.abs(w)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gram(np.eye(2, dtype=complex), 3, 2)
+        cfg = ChannelConfig(4, 5)  # 5 x 4 channel: W = H^dag H is 4 x 4
+        h = sample_channel(cfg, 0.5, SplitMix64(2))
+        w = h.conj().T @ h
+        ref = hermitian_eigenvalues(w)
+        assert np.all(ref >= -1e-10 * np.max(np.abs(w)))
+        vals = sample_spectrum(cfg, 0.5, SplitMix64(2)).eigenvalues
+        np.testing.assert_allclose(vals, ref, rtol=0.0, atol=1e-10 * np.max(np.abs(w)))
 
 
 class TestEigenvalues:

@@ -7,37 +7,48 @@ from scipy.integrate import quad
 from hoytmimo.ensemble import ChannelConfig, level_density, mp_support
 from hoytmimo.montecarlo import (
     CHUNK_SAMPLES,
+    _channels,
+    _spectra,
     empirical_density,
     mc_capacity,
     sample_channel,
     sample_spectrum,
 )
-from hoytmimo.rng import GaussianStream
+from hoytmimo.rng import SplitMix64
+
+# _channels(cfg, q, SplitMix64(seed), m) is m consecutive sample_channel
+# draws from SplitMix64(seed), built as one block, and _spectra of them the
+# matching sample_spectrum draws (test_block_equals_consecutive_draws).
 
 
 class TestSampleChannel:
     def test_rayleigh_component_variances(self):
         cfg = ChannelConfig(5, 5)
-        rng = GaussianStream(1)
-        hs = np.array([sample_channel(cfg, 1.0, rng) for _ in range(8000)])
+        hs = _channels(cfg, 1.0, SplitMix64(1), 8000)
         # 400k entries: sample variance within 1%
         assert np.var(hs.real) == pytest.approx(0.5, rel=0.01)
         assert np.var(hs.imag) == pytest.approx(0.5, rel=0.01)
 
     def test_one_sided_has_no_imaginary_part(self):
         cfg = ChannelConfig(3, 2)
-        h = sample_channel(cfg, 0.0, GaussianStream(2))
+        h = sample_channel(cfg, 0.0, SplitMix64(2))
         assert np.all(h.imag == 0.0)
         assert np.any(h.real != 0.0)
 
+    def test_block_equals_consecutive_draws(self):
+        cfg = ChannelConfig(2, 3)
+        stream = SplitMix64(8)
+        one_by_one = [sample_channel(cfg, 0.3, stream) for _ in range(5)]
+        block = _channels(cfg, 0.3, SplitMix64(8), 5)
+        np.testing.assert_array_equal(block, one_by_one)
+        stream = SplitMix64(8)
+        spectra = [sample_spectrum(cfg, 0.3, stream).eigenvalues for _ in range(5)]
+        np.testing.assert_array_equal(_spectra(cfg, block), spectra)
+
     def test_mean_gram_trace(self):
         cfg = ChannelConfig(2, 3, omega=1.5)
-        rng = GaussianStream(3)
         n = 20000
-        traces = np.empty(n)
-        for i in range(n):
-            h = sample_channel(cfg, 0.6, rng)
-            traces[i] = float(np.sum(np.abs(h) ** 2))
+        traces = np.sum(np.abs(_channels(cfg, 0.6, SplitMix64(3), n)) ** 2, axis=(1, 2))
         expect = cfg.nt * cfg.nr * cfg.omega
         se = np.std(traces) / math.sqrt(n)
         assert abs(np.mean(traces) - expect) < 4.0 * se
@@ -46,15 +57,12 @@ class TestSampleChannel:
 class TestSampleSpectrum:
     def test_single_antenna_exponential(self):
         cfg = ChannelConfig(1, 1)
-        rng = GaussianStream(4)
-        vals = np.array(
-            [sample_spectrum(cfg, 1.0, rng).eigenvalues[0] for _ in range(20000)]
-        )
+        vals = _spectra(cfg, _channels(cfg, 1.0, SplitMix64(4), 20000))[:, 0]
         assert np.mean(vals) == pytest.approx(1.0, abs=4.0 / math.sqrt(20000))
 
     def test_spectrum_shape_and_sign(self):
         cfg = ChannelConfig(2, 3)
-        s = sample_spectrum(cfg, 0.5, GaussianStream(5))
+        s = sample_spectrum(cfg, 0.5, SplitMix64(5))
         assert s.eigenvalues.shape == (2,)
         assert np.all(s.eigenvalues >= 0.0)
         assert np.all(np.diff(s.eigenvalues) >= 0.0)

@@ -11,7 +11,18 @@ from hoytmimo.fading import (
     phase_pdf,
     sample_signal,
 )
-from hoytmimo.rng import GaussianStream, SplitMix64, derive_stream_seed, gaussian_block
+from hoytmimo.ensemble import ChannelConfig
+from hoytmimo.montecarlo import sample_channel
+from hoytmimo.rng import SplitMix64, derive_stream_seed, gaussian_block
+
+
+def _signals(p, seed, n):
+    """n consecutive sample_signal draws from SplitMix64(seed), as one block."""
+    g = gaussian_block(SplitMix64(seed), 2 * n).reshape(n, 2)
+    z = np.empty(n, dtype=complex)
+    z.real = math.sqrt(p.sigma_x2) * g[:, 0]
+    z.imag = math.sqrt(p.sigma_y2) * g[:, 1]
+    return z
 
 
 class TestSplitMix64:
@@ -41,12 +52,23 @@ class TestSplitMix64:
         u = SplitMix64(3).next_double_block(10000)
         assert np.all(u > 0.0) and np.all(u <= 1.0)
 
-    def test_gaussian_stream_buffering_transparent(self):
-        a = GaussianStream(99)
-        b = GaussianStream(99)
-        one_by_one = [a.next_gaussian() for _ in range(9)]
-        batch = b.next_gaussians(9)
-        np.testing.assert_array_equal(one_by_one, batch)
+    def test_samplers_read_consecutive_gaussians(self):
+        # sample_signal and sample_channel are views of gaussian_block:
+        # interleaved draws consume the stream in order, bit for bit
+        p = params_from_q(0.4, 1.3)
+        cfg = ChannelConfig(2, 3)
+        pc = params_from_q(0.5, cfg.omega)
+        stream = SplitMix64(99)
+        g = gaussian_block(SplitMix64(99), 2 * 14).reshape(2, 14)
+        for row in g:
+            z = sample_signal(p, stream)
+            h = sample_channel(cfg, 0.5, stream)
+            assert z == complex(math.sqrt(p.sigma_x2) * row[0], math.sqrt(p.sigma_y2) * row[1])
+            np.testing.assert_array_equal(h.real, math.sqrt(pc.sigma_x2) * row[2:8].reshape(3, 2))
+            np.testing.assert_array_equal(h.imag, math.sqrt(pc.sigma_y2) * row[8:14].reshape(3, 2))
+        # the block helper the sampling tests use draws the same values
+        stream = SplitMix64(7)
+        np.testing.assert_array_equal(_signals(p, 7, 5), [sample_signal(p, stream) for _ in range(5)])
 
     def test_gaussian_moments(self):
         g = gaussian_block(SplitMix64(5), 200000)
@@ -160,9 +182,8 @@ class TestPhase:
     def test_orientation_against_sampling(self):
         # Monte Carlo oracle pins the axis convention of the closed form
         p = params_from_sigmas(2.0, 1.0)
-        rng = GaussianStream(444)
         n = 400000
-        theta = np.angle([sample_signal(p, rng) for _ in range(n)])
+        theta = np.angle(_signals(p, 444, n))
         width = 0.2
         frac = np.mean(np.abs(theta) < width / 2.0)
         assert frac / width == pytest.approx(phase_pdf(0.0, p), rel=0.05)
@@ -181,24 +202,21 @@ class TestPhase:
 class TestSampling:
     def test_zero_mean(self):
         p = params_from_q(0.5, 1.0)
-        rng = GaussianStream(17)
         n = 200000
-        z = np.array([sample_signal(p, rng) for _ in range(n)])
+        z = _signals(p, 17, n)
         assert abs(np.mean(z.real)) < 4.0 * math.sqrt(1.0 / n)
         assert abs(np.mean(z.imag)) < 4.0 * math.sqrt(1.0 / n)
 
     def test_power(self):
         p = params_from_q(0.5, 2.0)
-        rng = GaussianStream(23)
         n = 200000
-        pw = np.mean([abs(sample_signal(p, rng)) ** 2 for _ in range(n)])
+        pw = np.mean(np.abs(_signals(p, 23, n)) ** 2)
         assert pw == pytest.approx(2.0, rel=0.02)
 
     def test_envelope_histogram_matches_density(self):
         p = params_from_q(0.5, 1.0)
-        rng = GaussianStream(31)
         n = 1000000
-        env = np.abs([sample_signal(p, rng) for _ in range(n)])
+        env = np.abs(_signals(p, 31, n))
         edges = np.linspace(0.0, 3.5, 36)
         counts, _ = np.histogram(env, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -212,6 +230,6 @@ class TestSampling:
 
     def test_determinism(self):
         p = params_from_q(0.3, 1.0)
-        z1 = [sample_signal(p, GaussianStream(5)) for _ in range(4)]
-        z2 = [sample_signal(p, GaussianStream(5)) for _ in range(4)]
+        z1 = [sample_signal(p, SplitMix64(5)) for _ in range(4)]
+        z2 = [sample_signal(p, SplitMix64(5)) for _ in range(4)]
         assert z1 == z2
