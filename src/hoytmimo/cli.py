@@ -66,6 +66,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, pts)
 
 
+def _parse_range(spec: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(t) for t in spec.split(":"))
+    except ValueError as exc:
+        raise UsageError(f"bad range spec {spec!r}; expected lo:hi") from exc
+    if not hi > lo:
+        raise UsageError("range needs hi > lo")
+    return lo, hi
+
+
 def _parse_float_list(spec: str) -> list[float]:
     try:
         return [float(tok) for tok in spec.split(",") if tok != ""]
@@ -83,6 +93,16 @@ def _resolve_q(args) -> float:
             raise UsageError("q must lie in [0, 1]")
         return args.q
     return _q_from_tau(args.tau)
+
+
+def _powers_db(args) -> list[float]:
+    """The --power-db values in dB, converted from linear with --power-linear."""
+    if args.power_db is None:
+        raise UsageError("--power-db is required")
+    powers = _parse_float_list(args.power_db)
+    if args.power_linear and any(not p > 0.0 for p in powers):
+        raise UsageError("linear powers must be > 0")
+    return [10.0 * math.log10(p) for p in powers] if args.power_linear else powers
 
 
 def _config(args) -> ChannelConfig:
@@ -189,14 +209,7 @@ def cmd_capacity(args) -> int:
             raise UsageError("q values must lie in [0, 1]")
     else:
         qs = [_q_from_tau(t) for t in _parse_float_list(args.tau)]
-    if args.power_db is None:
-        raise UsageError("--power-db is required")
-    powers = _parse_float_list(args.power_db)
-    if args.power_linear:
-        pdbs = [10.0 * math.log10(p) for p in powers]
-    else:
-        pdbs = powers
-    results = capacity_sweep(cfg, qs, pdbs, ctrl)
+    results = capacity_sweep(cfg, qs, _powers_db(args), ctrl)
     rows = [
         {
             "q": r.q,
@@ -214,12 +227,8 @@ def cmd_capacity(args) -> int:
 def cmd_degradation(args) -> int:
     cfg = _config(args)
     ctrl = _control(args)
-    if args.power_db is None:
-        raise UsageError("--power-db is required")
-    powers = _parse_float_list(args.power_db)
-    pdbs = [10.0 * math.log10(p) for p in powers] if args.power_linear else powers
     rows = []
-    for pdb in pdbs:
+    for pdb in _powers_db(args):
         rows.append(
             {"power_db": pdb, "degradation": degradation(cfg, db_to_linear(pdb), ctrl)}
         )
@@ -231,10 +240,7 @@ def cmd_degradation(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _config(args)
     q = _resolve_q(args)
-    value_range = None
-    if args.range:
-        lo, hi = (float(t) for t in args.range.split(":"))
-        value_range = (lo, hi)
+    value_range = _parse_range(args.range) if args.range else None
     hist = empirical_density(
         cfg, q, samples=args.samples, bins=args.bins, value_range=value_range, seed=args.seed
     )
@@ -268,7 +274,9 @@ def cmd_correlations(args) -> int:
     if args.points_file:
         with open(args.points_file) as fh:
             doc = json.load(fh)
-        point_sets = doc["points"] if isinstance(doc, dict) else doc
+        point_sets = doc.get("points") if isinstance(doc, dict) else doc
+        if point_sets is None:
+            raise UsageError(f"{args.points_file} has no 'points' list")
     elif args.points:
         point_sets = [
             _parse_float_list(group) for group in args.points.split(";") if group
@@ -453,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config_file(config, subparsers)
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError and invalid values met past the parser
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SeriesTruncationError, NumericalConsistencyError, QuadratureError) as exc:

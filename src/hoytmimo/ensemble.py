@@ -15,6 +15,11 @@ gamma_k.  Sums use Kahan compensation and stop once three consecutive
 terms fall below ``rel_tol`` relative to the running sum.  Weighted-
 polynomial tables are cached per evaluation point.
 
+Near q = 0 a series needs O(1/tau) terms.  Double sums carry their inner
+sums as running sums, so they cost O(1/tau) rows too: one loop serves G
+(jpd) and, restricted to the index pairs past the first N, the B kernel.
+Correlation functions build their S, A and B matrices once per point set.
+
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
 (nt == nr, a = -1/2) the q = 0 density and the joint density diverge like
@@ -25,6 +30,7 @@ module does).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -260,37 +266,44 @@ def g_zero(x: float, y: float) -> float:
     return 0.0
 
 
-def _g_core(x: float, y: float, a: float, tau: float, ctrl: SeriesControl) -> float:
+def _g_core(
+    x: float, y: float, a: float, tau: float, ctrl: SeriesControl, n: int = 0
+) -> float:
     """Weight-stripped series for the antisymmetric kernel.
 
-    Returns the double sum over even/odd polynomial pairs built from the
-    e^{-x}-weighted tables; the caller reattaches (x y)^{a+1}.  The outer
-    loop runs over the odd index; each row's finite inner sum is carried
-    as running sums, so a row costs O(1) and counts as one term.
+    Returns the double sum over polynomial pairs of opposite parity,
+    2 sum_{i < k} [t_i(x) t_k(y) - t_k(x) t_i(y)] with
+    t_k = e^{-k tau} gamma_k wt_k, built from the e^{-x}-weighted tables;
+    the caller reattaches (x y)^{a+1}.  The outer loop runs over the row
+    order k = n+1, n+3, ...; the inner orders i = n, n+2, ..., k-1 are
+    carried as running sums, so a row costs O(1) and counts as one term.
+
+    n = 0 gives G.  n = N > 0 restricts the sum to the index pairs past
+    the first N, which is minus the psi-pair tail of the N-level B kernel
+    (for odd N the parity term is absorbed: its rows have even order).
     """
     if x == y:
         return 0.0
     acc = _Accumulator(ctrl, "crossover kernel series", tau)
     decay = math.exp(-2.0 * tau)
-    mu = 0
+    k = n + 1
     ux = 0.0
     uy = 0.0
-    ehalf = 1.0  # e^{-2 nu tau} at nu = mu
-    eodd = math.exp(-tau)  # e^{-(2 mu + 1) tau}
+    e_in = math.exp(-n * tau)  # e^{-i tau} at the inner order i = k - 1
+    e_row = math.exp(-tau) * e_in  # e^{-k tau}
     while True:
-        need = 2 * mu + 1
-        wx = _wt(a, x, need)
-        wy = _wt(a, y, need)
-        g = _gamma_k(a, need)
-        # running inner sums U(x) = sum_{nu<=mu} e^{-2 nu tau} gamma_{2nu} wt_{2nu}(x)
-        ux += ehalf * g[2 * mu] * wx[2 * mu]
-        uy += ehalf * g[2 * mu] * wy[2 * mu]
-        row = 2.0 * eodd * g[2 * mu + 1] * (ux * wy[2 * mu + 1] - wx[2 * mu + 1] * uy)
+        wx = _wt(a, x, k)
+        wy = _wt(a, y, k)
+        g = _gamma_k(a, k)
+        # running inner sums U(x) = sum_{i<k} e^{-i tau} gamma_i wt_i(x)
+        ux += e_in * g[k - 1] * wx[k - 1]
+        uy += e_in * g[k - 1] * wy[k - 1]
+        row = 2.0 * e_row * g[k] * (ux * wy[k] - wx[k] * uy)
         if acc.add(row):
             return acc.total
-        mu += 1
-        ehalf *= decay
-        eodd *= decay
+        k += 2
+        e_in *= decay
+        e_row *= decay
 
 
 def g_tau(
@@ -494,19 +507,14 @@ def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int)
     return math.exp(-k0 * tau) * _series(x, a, tau, k0, ctrl, "dual-function series")
 
 
-def _psi_core_paired(
+def _psi_core(
     j: int, x: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> float:
-    """Paired-form psi_j / x^{a+1}, valid for every j >= 0.
-
-    For odd N the paired pattern continues past the unpaired slot at
-    j = N - 1 (the kernel tails need those indices); the unpaired dual
-    itself lives in :func:`_psi_core`.
-    """
+    """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
     n, a = cfg.n, cfg.a
     pref = math.exp((a + 1.5) * math.log(2.0))
+    mu, r = divmod(j, 2)
     if n % 2 == 0:
-        mu, r = divmod(j, 2)
         la = _log_alpha(a, 2 * mu)
         if r == 1:
             w = _wt(a, x, 2 * mu)
@@ -514,7 +522,8 @@ def _psi_core_paired(
         s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
-    mu, r = divmod(j, 2)
+    if j == n - 1:
+        return -2.0 * _psi_series(x, a, tau, ctrl, mu)
     la = _log_alpha(a, 2 * mu + 1)
     if r == 1:
         w = _wt(a, x, 2 * mu + 1)
@@ -526,44 +535,6 @@ def _psi_core_paired(
     es = np.exp(-2.0 * tau * nus)
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
     return pref * fac * float(np.dot(es * g[0 : 2 * mu + 1 : 2], w[0 : 2 * mu + 1 : 2]))
-
-
-def _psi_core(
-    j: int, x: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
-) -> float:
-    """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
-    if cfg.n % 2 == 1 and j == cfg.n - 1:
-        s = _psi_series(x, cfg.a, tau, ctrl, (cfg.n - 1) // 2)
-        return -2.0 * s
-    return _psi_core_paired(j, x, cfg, tau, ctrl)
-
-
-def _b_tail_core(
-    x: float, y: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
-) -> float:
-    """Weight-stripped B kernel for tau > 0, summed from its defining tail.
-
-    Direct summation keeps B accurate at large tau, where the algebraic
-    identity B = -G + (finite pair sum) would cancel e^{2N tau}-fold.
-    Tail terms decay like e^{-4 mu tau}, and within each term the leading
-    psi factors decay too, so three consecutive small terms end the sum.
-    """
-    acc = _Accumulator(ctrl, "B kernel tail", tau)
-    mu = (cfg.n - cfg.c) // 2
-    while True:
-        term = _psi_core_paired(2 * mu + 1, x, cfg, tau, ctrl) * _psi_core_paired(
-            2 * mu, y, cfg, tau, ctrl
-        ) - _psi_core_paired(2 * mu, x, cfg, tau, ctrl) * _psi_core_paired(
-            2 * mu + 1, y, cfg, tau, ctrl
-        )
-        if acc.add(term):
-            break
-        mu += 1
-    total = acc.total
-    if cfg.c:
-        total += _psi_core(cfg.n - 1, x, cfg, tau, ctrl) * _omega_core(y, cfg.a, tau, ctrl)
-        total -= _psi_core(cfg.n - 1, y, cfg, tau, ctrl) * _omega_core(x, cfg.a, tau, ctrl)
-    return total
 
 
 def _script_i(nn: int, x: float, a: float) -> float:
@@ -670,16 +641,22 @@ def _s_lue_core(x: float, y: float, cfg: ChannelConfig) -> float:
     return pref * float(np.dot(inv[:n], wx[:n] * wy[:n]))
 
 
+def _s_corr_lead(x: float, cfg: ChannelConfig, tau: float) -> float:
+    """The x factor 2 r_N wt_{N-1}(x) e^{-2 tau} of the S-kernel correction."""
+    n, a = cfg.n, cfg.a
+    return 2.0 * _r_n(n, a) * _wt(a, x, n - 1)[n - 1] * math.exp(-2.0 * tau)
+
+
+def _s_corr_series(y: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl) -> float:
+    """The y factor of the S-kernel correction, one series per point."""
+    return _series(y, cfg.a, tau, cfg.n + 1, ctrl, "density correction series")
+
+
 def _s_corr_core(
     x: float, y: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> float:
     """Crossover correction to the S kernel, stripped of x^a y^{a+1}."""
-    n, a = cfg.n, cfg.a
-    wx = _wt(a, x, n - 1)
-    if wx[n - 1] == 0.0:
-        return 0.0
-    s = _series(y, a, tau, n + 1, ctrl, "density correction series")
-    return 2.0 * _r_n(n, a) * wx[n - 1] * math.exp(-2.0 * tau) * s
+    return _s_corr_lead(x, cfg, tau) * _s_corr_series(y, cfg, tau, ctrl)
 
 
 def _d_zero(t: float, cfg: ChannelConfig) -> float:
@@ -768,10 +745,12 @@ def kernel_b(
 ) -> float:
     """Kernel B_N(x, y): the infinite psi-pair tail plus parity term.
 
-    For tau > 0 the defining tail is summed directly (stable at any tau).
-    At tau = 0 it is assembled from the identity
-    B = -G + (finite psi-pair sum) + parity term with the closed-form
-    duals, where every piece is exact.
+    For tau > 0, tail and parity term together are minus the G double
+    series restricted to the index pairs past the first N, summed directly
+    in O(1/tau) rows by the loop jpd uses.  That stays accurate at large
+    tau, where the identity B = -G + (finite psi-pair sum) + parity term
+    would cancel e^{2N tau}-fold.  At tau = 0 the identity is used, with
+    the closed-form duals, where every piece is exact.
     """
     if math.isinf(tau):
         raise ValueError("B_N vanishes as tau -> inf (q = 1 is determinantal)")
@@ -782,7 +761,7 @@ def kernel_b(
         if x == 0.0 or y == 0.0:
             return 0.0  # carries w_{a+1} in each argument
         pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
-        return pw * _b_tail_core(x, y, cfg, tau, ctrl)
+        return -pw * _g_core(x, y, a, tau, ctrl, n)
     total = -g_zero(x, y)
     for mu in range((n - c) // 2):
         total += _psi_zero(2 * mu, x, cfg) * _psi_zero(2 * mu + 1, y, cfg)
@@ -855,49 +834,71 @@ def density_mp(lam: float, cfg: ChannelConfig) -> float:
 # n-level correlation functions
 
 
-def _doubled_kernel(x, s, a, b) -> np.ndarray:
-    """The 2n x 2n matrix whose 2 x 2 block (j, k) is
-    [[s(x_j, x_k), a(x_j, x_k)], [b(x_j, x_k), s(x_k, x_j)]].
+def _pair_matrix(p: np.ndarray, r: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Antisymmetric start_jk + sum_m [p_m(x_j) r_m(x_k) - r_m(x_j) p_m(x_k)].
 
-    a and b are antisymmetric, so each is evaluated once per pair j <= k.
+    p and r hold one row of function values per point.  The sum is
+    accumulated term by term, as the scalar kernels do, and the entries
+    below the diagonal are the negatives of those above it.
     """
-    n_pts = len(x)
-    mat = np.zeros((2 * n_pts, 2 * n_pts))
-    for j in range(n_pts):
-        for k in range(n_pts):
-            mat[2 * j, 2 * k] = s(x[j], x[k])
-            mat[2 * j + 1, 2 * k + 1] = s(x[k], x[j])
-            if k >= j:
-                av = a(x[j], x[k])
-                bv = b(x[j], x[k])
-                mat[2 * j, 2 * k + 1] = av
-                mat[2 * j + 1, 2 * k] = bv
-                if k > j:
-                    mat[2 * k, 2 * j + 1] = -av
-                    mat[2 * k + 1, 2 * j] = -bv
-    return mat
+    tot = np.zeros((len(p), len(p))) if start is None else start
+    for pm, rm in zip(p.T, r.T):
+        tot = tot + np.outer(pm, rm) - np.outer(rm, pm)
+    upper = np.triu(tot, 1)
+    return upper - upper.T
 
 
-def _correlation_stripped(x, cfg, tau, ctrl):
-    """The doubled kernel matrix of the weight-stripped kernels, 0 < tau < inf."""
-    k_pairs = (cfg.n - cfg.c) // 2
-    # balance the growing phi-block against the decaying psi-block
+def _s_lue_matrix(x, cfg: ChannelConfig) -> np.ndarray:
+    """_s_lue_core(x_j, x_k) over every pair of points (finite sums on cached tables)."""
+    return np.array([[_s_lue_core(u, v, cfg) for v in x] for u in x])
+
+
+def _zero_blocks(x, cfg: ChannelConfig):
+    """kernel_s, kernel_a and kernel_b at tau = 0 over every pair of points."""
+    n, a, c = cfg.n, cfg.a, cfg.c
+    k2 = n - c  # indices of the paired functions
+    xa = np.array([_edge_pow(u, a) for u in x])
+    xa1 = np.array([_edge_pow(u, a + 1.0) for u in x])
+    lead = np.array([_wt(a, u, n - 1)[n - 1] for u in x])
+    d = np.array([_d_zero(u, cfg) for u in x])
+    s = xa[:, None] * (xa1 * _s_lue_matrix(x, cfg) + np.outer(lead, d))
+    phi = np.array([[skew_phi(j, u, cfg, 0.0) for j in range(k2)] for u in x])
+    psi = np.array([[_psi_zero(j, u, cfg) for j in range(n)] for u in x])
+    b = _pair_matrix(psi[:, 0:k2:2], psi[:, 1:k2:2], -0.5 * np.sign(np.subtract.outer(x, x)))
+    if c:
+        b += 0.5 * np.subtract.outer(psi[:, n - 1], psi[:, n - 1])
+    return s, _pair_matrix(phi[:, 1::2], phi[:, 0::2]), b
+
+
+def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
+    """The weight-stripped S, A and B over every pair of points, 0 < tau < inf.
+
+    S takes one correction series per point, A one row of phi values per
+    point and B one restricted G loop per pair of points; A and B are
+    balanced so the growing phi-block and the decaying psi-block stay O(1).
+    """
+    k2 = cfg.n - cfg.c
     bal = math.exp(-(cfg.n - 1.0) * tau)
+    lead = [_s_corr_lead(u, cfg, tau) for u in x]
+    series = [_s_corr_series(v, cfg, tau, ctrl) for v in x]
+    s = _s_lue_matrix(x, cfg) + np.outer(lead, series)
+    phi = np.array([[_phi_core(j, u, cfg, tau) for j in range(k2)] for u in x])
+    a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
+    g = np.zeros((len(x), len(x)))
+    for j, k in itertools.combinations(range(len(x)), 2):
+        g[j, k] = _g_core(x[j], x[k], cfg.a, tau, ctrl, cfg.n)
+    return s, a, (g.T - g) / bal
 
-    def s_tilde(u, v):
-        return _s_lue_core(u, v, cfg) + _s_corr_core(u, v, cfg, tau, ctrl)
 
-    def a_tilde(u, v):
-        tot = 0.0
-        for mu in range(k_pairs):
-            tot += _phi_core(2 * mu + 1, u, cfg, tau) * _phi_core(2 * mu, v, cfg, tau)
-            tot -= _phi_core(2 * mu, u, cfg, tau) * _phi_core(2 * mu + 1, v, cfg, tau)
-        return tot * bal
-
-    def b_tilde(u, v):
-        return _b_tail_core(u, v, cfg, tau, ctrl) / bal
-
-    return _doubled_kernel(x, s_tilde, a_tilde, b_tilde)
+def _doubled_kernel(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2n x 2n matrix whose 2 x 2 block (j, k) is [[s_jk, a_jk], [b_jk, s_kj]]."""
+    n_pts = len(s)
+    mat = np.empty((2 * n_pts, 2 * n_pts))
+    mat[0::2, 0::2] = s
+    mat[0::2, 1::2] = a
+    mat[1::2, 0::2] = b
+    mat[1::2, 1::2] = s.T
+    return mat
 
 
 def correlation_fn(
@@ -911,7 +912,9 @@ def correlation_fn(
     Computed as the nonnegative square root of the ordinary determinant of
     the doubled kernel matrix (the plain kernel determinant at q = 1); a
     determinant negative beyond tolerance raises NumericalConsistencyError
-    rather than being clamped.
+    rather than being clamped.  The S, A and B matrices are built once per
+    point set and interleaved into the doubled matrix; B is summed by the
+    same O(1/tau)-row G loop as jpd, so R_n costs about as much as jpd.
 
     R_n loses relative accuracy as points close in.  The determinant
     vanishes with the squared gaps while its O(1) entries do not, so it is
@@ -931,37 +934,23 @@ def correlation_fn(
     omega, a = cfg.omega, cfg.a
     x = pts / (2.0 * omega)
 
+    # the stripped kernels (q > 0) leave the weights x^{2a+1} to reattach
+    log_scale = 0.0
+    if q > 0.0:
+        for xi in x:
+            log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
+        if log_scale == -math.inf:
+            return 0.0
     if q == 1.0:
-        mat = np.empty((n_pts, n_pts))
-        for j in range(n_pts):
-            for k in range(n_pts):
-                mat[j, k] = _s_lue_core(x[j], x[k], cfg)
-        phase, logdet = linalg.determinant_signed_log(mat)
-        sign = 0 if phase == 0.0 else int(round(phase.real))
-        log_scale = 0.0
-        for xi in x:
-            log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
-        if log_scale == -math.inf:
-            return 0.0
-        return _signed_sqrt_det(sign, logdet, mat, log_scale - n_pts * math.log(2.0 * omega), square=False)
-
-    log_scale = -n_pts * math.log(2.0 * omega)
-    if q == 0.0:
-        mat = _doubled_kernel(
-            x,
-            lambda u, v: kernel_s(u, v, cfg, 0.0),
-            lambda u, v: kernel_a(u, v, cfg, 0.0),
-            lambda u, v: kernel_b(u, v, cfg, 0.0),
-        )
+        mat = _s_lue_matrix(x, cfg)
+    elif q == 0.0:
+        mat = _doubled_kernel(*_zero_blocks(x, cfg))
     else:
-        mat = _correlation_stripped(x, cfg, crossover_tau(q), ctrl)
-        for xi in x:
-            log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
-        if log_scale == -math.inf:
-            return 0.0
+        mat = _doubled_kernel(*_crossover_blocks(x, cfg, crossover_tau(q), ctrl))
     phase, logdet = linalg.determinant_signed_log(mat)
     sign = 0 if phase == 0.0 else int(round(phase.real))
-    return _signed_sqrt_det(sign, logdet, mat, log_scale, square=True)
+    log_scale -= n_pts * math.log(2.0 * omega)
+    return _signed_sqrt_det(sign, logdet, mat, log_scale, square=q < 1.0)
 
 
 def _signed_sqrt_det(

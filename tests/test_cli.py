@@ -295,6 +295,29 @@ class TestCliContract:
                            "--grid", "oops"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--nt", "0", "--nr", "2", "--q", "0.5", "--samples", "10"],
+            ["density", "--nt", "2", "--nr", "2", "--q", "0.5", "--grid", "0:1:3", "--omega", "-1"],
+            ["capacity", "--nt", "2", "--nr", "2", "--q", ",", "--power-db", "10"],
+            ["capacity", "--nt", "2", "--nr", "2", "--q", "0.5", "--power-db", "-1", "--power-linear"],
+            ["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples", "0"],
+            ["correlations", "--nt", "2", "--nr", "2", "--q", "0.5", "--points", "-1"],
+            ["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples", "10", "--range", "1:2:3"],
+            ["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples", "10", "--range", "3:1"],
+            ["correlations", "--nt", "2", "--nr", "2", "--q", "0.5", "--points-file", "{no_points}"],
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, argv, tmp_path, capsys):
+        # one "error:" line on stderr and exit 2, never a traceback
+        no_points = tmp_path / "sets.json"
+        no_points.write_text(json.dumps({"sets": [[1.0]]}))
+        code, _ = run_cli([arg.format(no_points=no_points) for arg in argv])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_truncation_failure_exit_code(self):
         code, _ = run_cli(
             ["density", "--nt", "2", "--nr", "2", "--tau", "0.005", "--grid",

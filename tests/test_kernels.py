@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hoytmimo.ensemble import (
     ChannelConfig,
     SeriesControl,
     correlation_fn,
+    crossover_tau,
     g_tau,
     jpd,
     kernel_a,
@@ -122,8 +124,9 @@ class TestKernels:
     def test_b_satisfies_expansion_identity(self):
         # the directly summed tail must satisfy
         # B = -G + (finite psi-pair sum) + parity term, both parities
-        tau, x, y = 0.8, 0.7, 1.6
-        for nt, nr in ((2, 2), (3, 4)):
+        x, y = 0.7, 1.6
+        shapes = ((1, 1), (2, 2), (3, 3), (3, 4), (2, 5), (4, 4), (4, 5))
+        for (nt, nr), tau in itertools.product(shapes, (0.05, 0.2, 0.8)):
             cfg = ChannelConfig(nt, nr)
             ident = -g_tau(x, y, cfg.a, tau, CTRL)
             for mu in range((cfg.n - cfg.c) // 2):
@@ -132,7 +135,26 @@ class TestKernels:
             if cfg.c:
                 ident += skew_psi(cfg.n - 1, x, cfg, tau, CTRL) * omega_tau(y, cfg.a, tau, CTRL)
                 ident -= skew_psi(cfg.n - 1, y, cfg, tau, CTRL) * omega_tau(x, cfg.a, tau, CTRL)
-            assert kernel_b(x, y, cfg, tau, CTRL) == pytest.approx(ident, rel=1e-7)
+            got = kernel_b(x, y, cfg, tau, CTRL)
+            assert got == pytest.approx(ident, rel=1e-7), (nt, nr, tau)
+
+    # B(0.25, 1.0) from the same identity evaluated with 50 significant
+    # digits (mpmath, 45/tau + 60 polynomial orders), where the
+    # e^{2N tau}-fold cancellation of the identity costs nothing; near
+    # q = 1 odd N must not cancel either
+    @pytest.mark.parametrize(
+        "nt,nr,q,expect,rel",
+        [
+            (5, 5, 0.95, -2.3376329362151457e-18, 1e-12),
+            (5, 5, 0.75, -1.6229048341726448e-09, 1e-12),
+            (2, 5, 0.35, 0.03270827919200179, 1e-8),
+            (4, 4, 0.1, -0.0794999543868929, 1e-7),
+        ],
+    )
+    def test_b_matches_high_precision_values(self, nt, nr, q, expect, rel):
+        cfg = ChannelConfig(nt, nr)
+        got = kernel_b(0.25, 1.0, cfg, crossover_tau(q), CTRL)
+        assert got == pytest.approx(expect, rel=rel, abs=0.0)
 
     def test_b_even_tail_matches_public_duals(self):
         # for even N the tail indices are plain psi's: explicit cross-check
