@@ -18,6 +18,7 @@ import math
 import sys
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .capacity import capacity_sweep, db_to_linear, degradation
 from .ensemble import (
@@ -461,12 +462,13 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config_file(config, subparsers)
         args = parser.parse_args(argv)
         return args.func(args)
+    # LinAlgError subclasses ValueError, so numerical failures are caught first
+    except (SeriesTruncationError, NumericalConsistencyError, QuadratureError, LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:  # UsageError and invalid values met past the parser
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SeriesTruncationError, NumericalConsistencyError, QuadratureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; not an error
         try:

@@ -17,7 +17,8 @@ polynomial tables are cached per evaluation point.
 
 Near q = 0 a series needs O(1/tau) terms.  Double sums carry their inner
 sums as running sums, so they cost O(1/tau) rows too: one loop serves G
-(jpd) and, restricted to the index pairs past the first N, the B kernel.
+(jpd) and, restricted to the index pairs past the first N (for odd N the
+opposite-parity pairs), the B kernel.
 Correlation functions build their S, A and B matrices once per point set.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
@@ -278,9 +279,14 @@ def _g_core(
     order k = n+1, n+3, ...; the inner orders i = n, n+2, ..., k-1 are
     carried as running sums, so a row costs O(1) and counts as one term.
 
-    n = 0 gives G.  n = N > 0 restricts the sum to the index pairs past
-    the first N, which is minus the psi-pair tail of the N-level B kernel
-    (for odd N the parity term is absorbed: its rows have even order).
+    n = 0 gives G.  For even N, n = N restricts G to the index pairs past
+    the first N, which is minus the psi-pair tail of the N-level B kernel.
+    For odd N the rows have even order and the inner sums odd order, so
+    n = N sums the opposite-order pairs (odd i >= N, even k > i), which G
+    does not contain.  It is still minus tail plus parity term, by
+    G = 2 [E(x) O(y) - O(x) E(y)] + G', with E and O the even- and
+    odd-order sums of t and G' this double sum over all opposite-order
+    pairs: the E O products absorb the parity term.
     """
     if x == y:
         return 0.0
@@ -746,8 +752,9 @@ def kernel_b(
     """Kernel B_N(x, y): the infinite psi-pair tail plus parity term.
 
     For tau > 0, tail and parity term together are minus the G double
-    series restricted to the index pairs past the first N, summed directly
-    in O(1/tau) rows by the loop jpd uses.  That stays accurate at large
+    series restricted to the index pairs past the first N (for odd N the
+    opposite-parity pairs, see _g_core), summed directly in O(1/tau) rows
+    by the loop jpd uses.  That stays accurate at large
     tau, where the identity B = -G + (finite psi-pair sum) + parity term
     would cancel e^{2N tau}-fold.  At tau = 0 the identity is used, with
     the closed-form duals, where every piece is exact.
@@ -834,40 +841,31 @@ def density_mp(lam: float, cfg: ChannelConfig) -> float:
 # n-level correlation functions
 
 
-def _pair_matrix(p: np.ndarray, r: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """Antisymmetric start_jk + sum_m [p_m(x_j) r_m(x_k) - r_m(x_j) p_m(x_k)].
+def _pair_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Antisymmetric sum_m [p_m(x_j) r_m(x_k) - r_m(x_j) p_m(x_k)].
 
     p and r hold one row of function values per point.  The sum is
     accumulated term by term, as the scalar kernels do, and the entries
     below the diagonal are the negatives of those above it.
     """
-    tot = np.zeros((len(p), len(p))) if start is None else start
+    tot = np.zeros((len(p), len(p)))
     for pm, rm in zip(p.T, r.T):
         tot = tot + np.outer(pm, rm) - np.outer(rm, pm)
     upper = np.triu(tot, 1)
     return upper - upper.T
 
 
+def _antisymmetric(f, x) -> np.ndarray:
+    """f(x_j, x_k) above the diagonal, its negative below and 0 on it."""
+    upper = np.zeros((len(x), len(x)))
+    for j, k in itertools.combinations(range(len(x)), 2):
+        upper[j, k] = f(x[j], x[k])
+    return upper - upper.T
+
+
 def _s_lue_matrix(x, cfg: ChannelConfig) -> np.ndarray:
     """_s_lue_core(x_j, x_k) over every pair of points (finite sums on cached tables)."""
     return np.array([[_s_lue_core(u, v, cfg) for v in x] for u in x])
-
-
-def _zero_blocks(x, cfg: ChannelConfig):
-    """kernel_s, kernel_a and kernel_b at tau = 0 over every pair of points."""
-    n, a, c = cfg.n, cfg.a, cfg.c
-    k2 = n - c  # indices of the paired functions
-    xa = np.array([_edge_pow(u, a) for u in x])
-    xa1 = np.array([_edge_pow(u, a + 1.0) for u in x])
-    lead = np.array([_wt(a, u, n - 1)[n - 1] for u in x])
-    d = np.array([_d_zero(u, cfg) for u in x])
-    s = xa[:, None] * (xa1 * _s_lue_matrix(x, cfg) + np.outer(lead, d))
-    phi = np.array([[skew_phi(j, u, cfg, 0.0) for j in range(k2)] for u in x])
-    psi = np.array([[_psi_zero(j, u, cfg) for j in range(n)] for u in x])
-    b = _pair_matrix(psi[:, 0:k2:2], psi[:, 1:k2:2], -0.5 * np.sign(np.subtract.outer(x, x)))
-    if c:
-        b += 0.5 * np.subtract.outer(psi[:, n - 1], psi[:, n - 1])
-    return s, _pair_matrix(phi[:, 1::2], phi[:, 0::2]), b
 
 
 def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
@@ -884,10 +882,8 @@ def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     s = _s_lue_matrix(x, cfg) + np.outer(lead, series)
     phi = np.array([[_phi_core(j, u, cfg, tau) for j in range(k2)] for u in x])
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
-    g = np.zeros((len(x), len(x)))
-    for j, k in itertools.combinations(range(len(x)), 2):
-        g[j, k] = _g_core(x[j], x[k], cfg.a, tau, ctrl, cfg.n)
-    return s, a, (g.T - g) / bal
+    b = _antisymmetric(lambda u, v: -_g_core(u, v, cfg.a, tau, ctrl, cfg.n), x)
+    return s, a, b / bal
 
 
 def _doubled_kernel(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -944,7 +940,11 @@ def correlation_fn(
     if q == 1.0:
         mat = _s_lue_matrix(x, cfg)
     elif q == 0.0:
-        mat = _doubled_kernel(*_zero_blocks(x, cfg))
+        mat = _doubled_kernel(
+            np.array([[kernel_s(u, v, cfg, 0.0) for v in x] for u in x]),
+            _antisymmetric(lambda u, v: kernel_a(u, v, cfg, 0.0), x),
+            _antisymmetric(lambda u, v: kernel_b(u, v, cfg, 0.0), x),
+        )
     else:
         mat = _doubled_kernel(*_crossover_blocks(x, cfg, crossover_tau(q), ctrl))
     phase, logdet = linalg.determinant_signed_log(mat)

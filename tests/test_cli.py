@@ -325,6 +325,17 @@ class TestCliContract:
         )
         assert code == 3
 
+    def test_linalg_failure_is_numerical(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError but is not a usage error
+        def fail(mat):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr("hoytmimo.ensemble.linalg.determinant_signed_log", fail)
+        code, _ = run_cli(["correlations", "--nt", "2", "--nr", "2", "--q", "0.5",
+                           "--points", "1,2"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_config_file_defaults(self, tmp_path):
         cfgfile = tmp_path / "conf"
         cfgfile.write_text("# defaults\nnt=2\nnr=2\ngrid=0:4:5\n")
