@@ -1,20 +1,22 @@
 """Scalar special functions used by the analytic eigenvalue formulas.
 
-Everything here is pure and thread-safe.  The weighted Laguerre table runs
-its recurrence on rescaled values and joins each entry with its rescale
-offset and weight in log space, so high orders (n up to a few 10^4) never
-overflow and large x never underflows the whole table.
+Everything here is pure and thread-safe.  The weighted Laguerre values
+come from one streamed recurrence on rescaled values with a single scale
+factor, so high orders (n up to a few 10^4) never overflow, and from a
+log-space join where that factor would underflow, so large x never does.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import count, islice
 
 import numpy as np
 
 __all__ = [
     "log_gamma",
-    "laguerre",
+    "weighted_laguerre",
     "weighted_laguerre_table",
     "upper_incomplete_gamma",
     "log_upper_incomplete_gamma",
@@ -63,52 +65,44 @@ def log_gamma(x: float) -> float:
     return (xm1 + 0.5) * math.log(t) - t + _LN_SQRT_2PI + math.log(s)
 
 
-def laguerre(n: int, alpha: float, x: float) -> float:
-    """Associated Laguerre polynomial L_n^{(alpha)}(x), upward recurrence."""
-    if n < 0:
-        raise ValueError("laguerre: n must be a nonnegative integer")
-    if alpha <= -1.0:
-        raise ValueError("laguerre: alpha must be > -1")
-    if n == 0:
-        return 1.0
-    lkm1 = 1.0
-    lk = 1.0 + alpha - x
-    for k in range(1, n):
-        lkm1, lk = lk, ((2 * k + 1 + alpha - x) * lk - (k + alpha) * lkm1) / (k + 1)
-    return lk
-
-
 _RESCALE_LIMIT = 1e270
+_SCALE_FLOOR = 1e-290
 
 
-def weighted_laguerre_table(nmax: int, alpha: float, x: float) -> np.ndarray:
-    """All of e^{-x} L_k^{(alpha)}(2x) for k = 0..nmax as a float array.
+def weighted_laguerre(alpha: float, x: float) -> Iterator[float]:
+    """Yield e^{-x} L_k^{(alpha)}(2x) for k = 0, 1, 2, ... without end.
 
-    The recurrence runs on values rescaled whenever they pass 1e270; each
-    entry is joined with its rescale offset and the weight in log space,
-    one entry at a time, so no shared factor can overflow or underflow.
+    The recurrence runs on values v_k rescaled past 1e270; each value is
+    v_k * scale, scale = e^{offset - x} recomputed only at a rescale.  While
+    scale would underflow (x above about 667) values are joined in log
+    space instead, so large x never zeroes the sequence.
     """
-    if nmax < 0:
-        raise ValueError("weighted_laguerre_table: nmax must be >= 0")
     if x < 0.0:
-        raise ValueError("weighted_laguerre_table: x must be >= 0")
-    out = np.zeros(nmax + 1)
+        raise ValueError("weighted_laguerre: x must be >= 0")
     z = 2.0 * x
     offset = 0.0  # log of the factor divided out of the recurrence so far
+    scale = math.exp(-x)
     vkm1, vk = 0.0, 1.0  # L_{-1} = 0, L_0 = 1
-    for k in range(nmax + 1):
-        if vk != 0.0:
-            out[k] = math.copysign(math.exp(math.log(abs(vk)) + offset - x), vk)
-        vkm1, vk = vk, ((2 * k + 1 + alpha - z) * vk - (k + alpha) * vkm1) / (k + 1)
-        m = max(abs(vkm1), abs(vk))
-        if m > _RESCALE_LIMIT:
-            s = math.log(m)
+    for k in count(0.0):  # a float order: exact, and no int allocated per step
+        if scale > _SCALE_FLOOR or vk == 0.0:
+            yield vk * scale
+        else:
+            yield math.copysign(math.exp(math.log(abs(vk)) + offset - x), vk)
+        vkm1, vk = vk, ((2.0 * k + 1.0 + alpha - z) * vk - (k + alpha) * vkm1) / (k + 1.0)
+        if abs(vk) > _RESCALE_LIMIT:  # vkm1 passed this check one step earlier
+            s = math.log(abs(vk))
             f = math.exp(-s)
             vkm1 *= f
             vk *= f
             offset += s
-    out.flags.writeable = False
-    return out
+            scale = math.exp(offset - x)
+
+
+def weighted_laguerre_table(nmax: int, alpha: float, x: float) -> np.ndarray:
+    """e^{-x} L_k^{(alpha)}(2x) for k = 0..nmax, read from ``weighted_laguerre``."""
+    if nmax < 0:
+        raise ValueError("weighted_laguerre_table: nmax must be >= 0")
+    return np.fromiter(islice(weighted_laguerre(alpha, x), nmax + 1), float, nmax + 1)
 
 
 def erfc(x: float) -> float:

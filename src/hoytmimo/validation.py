@@ -22,6 +22,7 @@ from .ensemble import (
     kernel_s,
 )
 from .quadrature import adaptive_gauss_kronrod
+from .specfun import weighted_laguerre
 
 __all__ = ["run_checks", "g_tau_transposed", "jpd_normalization_n2", "jpd_normalization_n3"]
 
@@ -33,10 +34,14 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
     sum over the odd index; ``g_tau``'s outer loop runs over the odd index
     with finite rows over the even index.  The two orderings differ only
     in truncation shape, so their agreement checks the series.  Every
-    inner term counts against ``max_terms``.
+    inner term counts against ``max_terms``.  Each point's weighted
+    polynomials are read from one stream into a list as the orders grow.
     """
     if x == y or x == 0.0 or y == 0.0:
         return 0.0
+    x_stream = weighted_laguerre(2.0 * a + 1.0, x)
+    y_stream = weighted_laguerre(2.0 * a + 1.0, y)
+    wx, wy = [], []
     acc = ensemble._Accumulator(ctrl, "crossover kernel series", tau)
     decay = math.exp(-2.0 * tau)
     terms = 0
@@ -49,8 +54,9 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
         small = 0
         while True:
             need = max(2 * mu, 2 * nu + 1)
-            wx = ensemble._wt(a, x, need)
-            wy = ensemble._wt(a, y, need)
+            while len(wx) <= need:
+                wx.append(next(x_stream))
+                wy.append(next(y_stream))
             g = ensemble._gamma_k(a, need)
             term = (
                 2.0

@@ -32,8 +32,9 @@ from hoytmimo.ensemble import (
 from hoytmimo.linalg import determinant, pfaffian
 from hoytmimo.montecarlo import empirical_density
 from hoytmimo.quadrature import adaptive_gauss_kronrod
-from hoytmimo.specfun import laguerre, log_gamma
+from hoytmimo.specfun import log_gamma
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2, jpd_normalization_n3
+from test_specfun import laguerre
 
 CTRL = SeriesControl()
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from hoytmimo.ensemble import (
     omega_tau,
 )
 from hoytmimo.quadrature import adaptive_gauss_kronrod
-from hoytmimo.specfun import laguerre, log_gamma
+from hoytmimo.specfun import log_gamma
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2
+from test_specfun import laguerre
 
 CTRL = SeriesControl()
 
@@ -246,6 +248,20 @@ class TestLevelDensity:
             gaps[tau] = worst
         assert gaps[1e-4] < 1e-3
         assert gaps[1e-3] / gaps[1e-4] == pytest.approx(10.0, rel=0.15)
+
+    def test_no_memory_held_per_point(self):
+        # near q = 0 each point runs a series of thousands of terms; after
+        # 40 distinct points nothing of them may stay allocated
+        cfg = ChannelConfig(2, 2)
+        level_density(0.05, cfg, 0.05, CTRL)  # fills the Gamma-ratio tables, keyed by a only
+        tracemalloc.start()
+        try:
+            for lam in np.linspace(0.1, 8.0, 40):
+                level_density(float(lam), cfg, 0.05, CTRL)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2**20
 
     def test_monotone_interpolation_regression(self):
         # adjacent-q curves stay close and move monotonically at a fixed

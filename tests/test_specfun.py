@@ -11,7 +11,6 @@ from hoytmimo.specfun import (
     bessel_i0,
     bessel_i0e,
     erfc,
-    laguerre,
     log_gamma,
     log_upper_incomplete_gamma,
     upper_incomplete_gamma,
@@ -23,6 +22,25 @@ from hoytmimo.specfun import (
 LOG_GAMMA_7_3 = 7.14789252302224903277705715443
 GAMMA_2_5_AT_1_3 = 1.01211360070320342941420928868
 ERFC_0_7 = 0.322198806162581527024371190756
+
+
+def laguerre(n: int, alpha: float, x: float) -> float:
+    """Reference: associated Laguerre polynomial L_n^{(alpha)}(x), upward recurrence.
+
+    Unweighted and independent of the library's streamed recurrence; the
+    other test modules import it from here.
+    """
+    if n < 0:
+        raise ValueError("laguerre: n must be a nonnegative integer")
+    if alpha <= -1.0:
+        raise ValueError("laguerre: alpha must be > -1")
+    if n == 0:
+        return 1.0
+    lkm1 = 1.0
+    lk = 1.0 + alpha - x
+    for k in range(1, n):
+        lkm1, lk = lk, ((2 * k + 1 + alpha - x) * lk - (k + alpha) * lkm1) / (k + 1)
+    return lk
 
 
 class TestLogGamma:
