@@ -22,6 +22,7 @@ from numpy.linalg import LinAlgError
 
 from .capacity import capacity_sweep, db_to_linear, degradation
 from .ensemble import (
+    DEFAULT_CONTROL,
     ChannelConfig,
     NumericalConsistencyError,
     SeriesControl,
@@ -347,8 +348,10 @@ def _add_common(p: argparse.ArgumentParser, antennas: bool = True) -> None:
         p.add_argument("--nt", type=int, help="transmit antennas")
         p.add_argument("--nr", type=int, help="receive antennas")
         p.add_argument("--omega", type=float, default=1.0, help="signal power (default 1)")
-    p.add_argument("--rel-tol", type=float, default=1e-10, help="series truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=20000, help="series term budget")
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONTROL.rel_tol,
+                   help="series truncation tolerance")
+    p.add_argument("--max-terms", type=int, default=DEFAULT_CONTROL.max_terms,
+                   help="series term budget")
     p.add_argument("--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

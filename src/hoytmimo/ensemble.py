@@ -8,12 +8,12 @@ Pfaffian), the skew-orthogonal polynomial system behind it, the two-point
 kernels S/A/B, the exact level density with both endpoint closed forms,
 the large-N asymptotic density and n-point correlation functions.
 
-Numerics: every series term is a plain float, a Gamma ratio gamma_k times
-a weighted Laguerre value e^{-x} L_k^{(2a+1)}(2x) streamed into the series
-from one rescaled recurrence per point (``specfun.weighted_laguerre``);
-nothing is cached per point, only the Gamma ratios, which depend on a
-alone.  Sums use Kahan compensation and stop once three consecutive terms
-fall below ``rel_tol`` relative to the running sum.
+Numerics: every series term is a plain float, a weighted Laguerre value
+e^{-x} L_k^{(2a+1)}(2x) streamed into the series from one rescaled
+recurrence per point (``specfun.weighted_laguerre``) times a running
+coefficient e^{-k tau} gamma_k, stepped by the Gamma-function recurrence;
+nothing is cached.  Sums use Kahan compensation and stop once three
+consecutive terms fall below ``rel_tol`` relative to the running sum.
 
 Near q = 0 a series needs O(1/tau) terms.  Double sums carry their inner
 sums as running sums, so they cost O(1/tau) rows too: one loop serves G
@@ -33,15 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from math import lgamma as log_gamma
 
 import numpy as np
 
 from . import linalg
-from .specfun import log_gamma, log_upper_incomplete_gamma
-from .specfun import weighted_laguerre, weighted_laguerre_table
+from .specfun import log_upper_incomplete_gamma, weighted_laguerre, weighted_laguerre_table
 
 __all__ = [
     "ChannelConfig",
@@ -178,44 +176,15 @@ class _Accumulator:
 # wt_k(x) = e^{-x} L_k^{(2a+1)}(2x), which are polynomially bounded in k
 # (so plain floats are safe); pure powers of x are reattached analytically.
 # Series read them from one stream per point, fixed orders from a table of
-# it; only the Gamma ratios, keyed by a, are cached (sizes 64, 128, ...).
-
-_TABLE_BUCKET = 64
-
-
-def _bucket(nmax: int) -> int:
-    """Smallest table bucket that holds indices 0..nmax."""
-    size = _TABLE_BUCKET
-    while size < nmax + 1:
-        size *= 2
-    return size
+# it.  Their coefficients e^{-k tau} gamma_k are seeded once by _gamma and
+# then stepped two orders at a time by gamma_{k+2} = gamma_k h / (h + a + 1),
+# h = (k + 1)/2 (DLMF 5.5.1).
 
 
-@lru_cache(maxsize=4096)
-def _gamma_ratio_cached(step: float, shift: float, size: int) -> np.ndarray:
-    # Gamma(step (k+1)) / Gamma(step (k+1) + shift) for k = 0..size-1
-    logs = (log_gamma(step * (k + 1)) - log_gamma(step * (k + 1) + shift) for k in range(size))
-    out = np.exp(np.fromiter(logs, float, size))
-    out.flags.writeable = False
-    return out
-
-
-def _gamma_k(a: float, kmax: int) -> np.ndarray:
+def _gamma(a: float, k: int) -> float:
     """gamma_k = Gamma((k+1)/2) / Gamma((k+1)/2 + a + 1), by polynomial order k."""
-    return _gamma_ratio_cached(0.5, a + 1.0, _bucket(kmax))
-
-
-def _gammas(a: float) -> Iterator[float]:
-    """gamma_0, gamma_1, ... as plain floats, read from the cached buckets in turn."""
-    k, size = 0, _TABLE_BUCKET
-    while True:
-        yield from memoryview(_gamma_ratio_cached(0.5, a + 1.0, size))[k:]
-        k, size = size, 2 * size
-
-
-def _inv_alpha_sq(a: float, nmax: int) -> np.ndarray:
-    # 1/alpha_mu^2 = Gamma(mu+1)/Gamma(mu+2a+2)
-    return _gamma_ratio_cached(1.0, 2.0 * a + 1.0, _bucket(nmax))
+    h = 0.5 * (k + 1)
+    return math.exp(log_gamma(h) - log_gamma(h + a + 1.0))
 
 
 def _series(x: float, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -> float:
@@ -226,13 +195,13 @@ def _series(x: float, a: float, tau: float, k0: int, ctrl: SeriesControl, what: 
     """
     acc = _Accumulator(ctrl, what, tau)
     decay = math.exp(-2.0 * tau)
-    e = 1.0
-    gs = itertools.islice(_gammas(a), k0, None, 2)
-    ws = itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), k0, None, 2)
-    for g, w in zip(gs, ws):
-        if acc.add(e * g * w):
+    coef = _gamma(a, k0)  # e^{-2 j tau} gamma_{k0+2j}
+    h = 0.5 * (k0 + 1)
+    for w in itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), k0, None, 2):
+        if acc.add(coef * w):
             return acc.total
-        e *= decay
+        coef *= decay * h / (h + a + 1.0)
+        h += 1.0
 
 
 def _edge_log_pow(x: float, p: float) -> float:
@@ -276,7 +245,7 @@ def _g_core(
 
     Returns the double sum over polynomial pairs of opposite parity,
     2 sum_{i < k} [t_i(x) t_k(y) - t_k(x) t_i(y)] with
-    t_k = e^{-k tau} gamma_k wt_k, built from the e^{-x}-weighted tables;
+    t_k = e^{-k tau} gamma_k wt_k, built from the e^{-x}-weighted streams;
     the caller reattaches (x y)^{a+1}.  The outer loop runs over the row
     order k = n+1, n+3, ...; the inner orders i = n, n+2, ..., k-1 are
     carried as running sums, so a row costs O(1) and counts as one term.
@@ -295,21 +264,24 @@ def _g_core(
     acc = _Accumulator(ctrl, "crossover kernel series", tau)
     decay = math.exp(-2.0 * tau)
     ux = uy = 0.0
-    e_in = math.exp(-n * tau)  # e^{-i tau} at the inner order i = k - 1
-    e_row = math.exp(-tau) * e_in  # e^{-k tau}
-    gs = itertools.islice(_gammas(a), n, None)
+    # e^{-i tau} gamma_i at the inner order i = k - 1, and e^{-k tau} gamma_k
+    c_in = math.exp(-n * tau) * _gamma(a, n)
+    c_row = math.exp(-(n + 1.0) * tau) * _gamma(a, n + 1)
+    h_in, h_row = 0.5 * (n + 1), 0.5 * (n + 2)
     wxs = itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), n, None)
     wys = itertools.islice(weighted_laguerre(2.0 * a + 1.0, y), n, None)
     # each stream is read in (k - 1, k) pairs: zip draws its arguments in order
-    for g_in, g_k, wx_in, wx_k, wy_in, wy_k in zip(gs, gs, wxs, wxs, wys, wys):
+    for wx_in, wx_k, wy_in, wy_k in zip(wxs, wxs, wys, wys):
         # running inner sums U(x) = sum_{i<k} e^{-i tau} gamma_i wt_i(x)
-        ux += e_in * g_in * wx_in
-        uy += e_in * g_in * wy_in
-        row = 2.0 * e_row * g_k * (ux * wy_k - wx_k * uy)
+        ux += c_in * wx_in
+        uy += c_in * wy_in
+        row = 2.0 * c_row * (ux * wy_k - wx_k * uy)
         if acc.add(row):
             return acc.total
-        e_in *= decay
-        e_row *= decay
+        c_in *= decay * h_in / (h_in + a + 1.0)
+        c_row *= decay * h_row / (h_row + a + 1.0)
+        h_in += 1.0
+        h_row += 1.0
 
 
 def g_tau(
@@ -351,7 +323,7 @@ def omega_tau(
         return 0.0  # carries the w_{a+1} weight, a + 1 > 0
     if math.isinf(tau):
         # only the mu = 0 term survives, and wt_0(x) = e^{-x}
-        return math.exp((a + 1.0) * math.log(x)) * _gamma_k(a, 0)[0] * math.exp(-x)
+        return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
     return math.exp((a + 1.0) * math.log(x)) * _omega_core(x, a, tau, ctrl)
 
 
@@ -403,8 +375,10 @@ def jpd(
     form diverges as any eigenvalue reaches 0 (returns +inf there).
 
     Near q = 1 it loses relative accuracy as N grows while correlation_fn /
-    N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is 6.3e-9 off at
-    q = 0.95, 1.3e-3 off at q = 0.99 and negative at q = 0.999.
+    N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 1e-3 off
+    at q = 0.99 and hundreds of times too large (or negative) at q = 0.999.
+    At q = 0.95 its error there, 3e-7, is rounding noise: 1-ulp changes of
+    the Gamma ratios move it anywhere between 5e-8 and 7e-7.
     """
     lams = np.asarray(lams, dtype=float)
     n = cfg.n
@@ -540,11 +514,10 @@ def _psi_core(
         return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
     # finite sum over nu = 0..mu of even-order polynomials
     w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
-    g = _gamma_k(a, 2 * mu)
-    nus = np.arange(mu + 1)
-    es = np.exp(-2.0 * tau * nus)
+    g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
+    es = np.exp(-2.0 * tau * np.arange(mu + 1))
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
-    return pref * fac * float(np.dot(es * g[0 : 2 * mu + 1 : 2], w[0 : 2 * mu + 1 : 2]))
+    return pref * fac * float(np.dot(es * g, w[0 : 2 * mu + 1 : 2]))
 
 
 def _script_i(nn: int, x: float, a: float) -> float:
@@ -646,9 +619,9 @@ def _s_lue_core(x: float, y: float, cfg: ChannelConfig) -> float:
     n, a = cfg.n, cfg.a
     wx = weighted_laguerre_table(n - 1, 2.0 * a + 1.0, x)
     wy = weighted_laguerre_table(n - 1, 2.0 * a + 1.0, y)
-    inv = _inv_alpha_sq(a, n - 1)
+    inv = np.array([math.exp(-2.0 * _log_alpha(a, mu)) for mu in range(n)])  # 1/alpha_mu^2
     pref = math.exp((2.0 * a + 2.0) * math.log(2.0))
-    return pref * float(np.dot(inv[:n], wx[:n] * wy[:n]))
+    return pref * float(np.dot(inv, wx * wy))
 
 
 def _s_corr_lead(x: float, cfg: ChannelConfig, tau: float) -> float:
@@ -664,30 +637,15 @@ def _s_corr_series(y: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 
 
 def _d_zero(t: float, cfg: ChannelConfig) -> float:
-    """Finite incomplete-gamma sum entering the q = 0 closed forms."""
-    n, a, c = cfg.n, cfg.a, cfg.c
-    lg_n1 = log_gamma(n + 1.0)
-    total = 0.0
-    for mu in range(n + 1):
-        lg = (
-            (mu + 2.0 * a + 1.0) * math.log(2.0)
-            + math.log(n + 2.0 * a + 1.0)
-            + lg_n1
-            - log_gamma(mu + 1.0)
-            - log_gamma(mu + 2.0 * a + 2.0)
-            - log_gamma(n - mu + 1.0)
-            + log_upper_incomplete_gamma(mu + a + 1.0, t)
-        )
-        total += (-1.0) ** mu * math.exp(lg)
-    xi = _r_n(n, a)
-    eta = math.exp(
-        2.0 * a * math.log(2.0)
-        + lg_n1
-        + log_gamma(0.5 * (n + 2 * a + 2))
-        - log_gamma(n + 2.0 * a + 1.0)
-        - log_gamma(0.5 * (n + 2))
-    )
-    return total + c * xi - (1 - c) * eta
+    """The incomplete-gamma part of the q = 0 closed forms.
+
+    D(t) = c r_N - 2^{2a+1} Gamma(N+1)/Gamma(N+2a+1) I_N(t): D's finite
+    sum is I_N's, rescaled, and for even N D's constant term is I_N's
+    half-range constant, rescaled.
+    """
+    n, a = cfg.n, cfg.a
+    lk = (2.0 * a + 1.0) * math.log(2.0) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * a + 1.0)
+    return cfg.c * _r_n(n, a) - math.exp(lk) * _script_i(n, t, a)
 
 
 def kernel_s(
@@ -862,7 +820,7 @@ def _antisymmetric(f, x) -> np.ndarray:
 
 
 def _s_lue_matrix(x, cfg: ChannelConfig) -> np.ndarray:
-    """_s_lue_core(x_j, x_k) over every pair of points (finite sums on cached tables)."""
+    """_s_lue_core(x_j, x_k) over every pair of points."""
     return np.array([[_s_lue_core(u, v, cfg) for v in x] for u in x])
 
 

@@ -15,7 +15,6 @@ from itertools import count, islice
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "weighted_laguerre",
     "weighted_laguerre_table",
     "upper_incomplete_gamma",
@@ -24,45 +23,6 @@ __all__ = [
     "bessel_i0e",
     "erfc",
 ]
-
-
-# Lanczos approximation of ln Gamma, g = 607/128, 15 coefficients
-# (Godfrey's tabulation; about 1e-15 relative accuracy on the real axis).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum on its accurate branch
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    xm1 = x - 1.0
-    s = _LANCZOS_C[0]
-    for k in range(1, 15):
-        s += _LANCZOS_C[k] / (xm1 + k)
-    t = xm1 + _LANCZOS_G + 0.5
-    return (xm1 + 0.5) * math.log(t) - t + _LN_SQRT_2PI + math.log(s)
 
 
 _RESCALE_LIMIT = 1e270
@@ -171,7 +131,7 @@ def log_upper_incomplete_gamma(s: float, x: float) -> float:
     if x < 0.0:
         raise ValueError("upper incomplete gamma: x must be >= 0")
     if x == 0.0:
-        return log_gamma(s)
+        return math.lgamma(s)
 
     log_x = math.log(x)
     half = round(two_s) % 2 == 1

@@ -32,10 +32,12 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
 
     The outer loop runs over the even index and each row is an infinite
     sum over the odd index; ``g_tau``'s outer loop runs over the odd index
-    with finite rows over the even index.  The two orderings differ only
-    in truncation shape, so their agreement checks the series.  Every
-    inner term counts against ``max_terms``.  Each point's weighted
-    polynomials are read from one stream into a list as the orders grow.
+    with finite rows over the even index.  The two differ in truncation
+    shape, and here each Gamma ratio comes from ``lgamma`` where
+    ``g_tau`` steps them by recurrence, so their agreement checks the
+    series.  Every inner term counts against ``max_terms``.  Each point's
+    weighted polynomials are read from one stream into a list as the
+    orders grow.
     """
     if x == y or x == 0.0 or y == 0.0:
         return 0.0
@@ -51,19 +53,19 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
         row_acc = 0.0
         nu = mu
         eodd = math.exp(-(2.0 * nu + 1.0) * tau)
+        g_even = ensemble._gamma(a, 2 * mu)
         small = 0
         while True:
             need = max(2 * mu, 2 * nu + 1)
             while len(wx) <= need:
                 wx.append(next(x_stream))
                 wy.append(next(y_stream))
-            g = ensemble._gamma_k(a, need)
             term = (
                 2.0
                 * ehalf
                 * eodd
-                * g[2 * mu]
-                * g[2 * nu + 1]
+                * g_even
+                * ensemble._gamma(a, 2 * nu + 1)
                 * (wx[2 * mu] * wy[2 * nu + 1] - wx[2 * nu + 1] * wy[2 * mu])
             )
             terms += 1

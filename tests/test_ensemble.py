@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoytmimo import ensemble
 from hoytmimo.ensemble import (
     ChannelConfig,
     SeriesControl,
@@ -24,7 +25,6 @@ from hoytmimo.ensemble import (
     omega_tau,
 )
 from hoytmimo.quadrature import adaptive_gauss_kronrod
-from hoytmimo.specfun import log_gamma
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2
 from test_specfun import laguerre
 
@@ -88,7 +88,7 @@ class TestGTau:
         a, tau, x, y = 0.5, 8.0, 0.7, 1.9
         alpha = 2.0 * a + 1.0
         k00 = math.exp(
-            log_gamma(0.5) + log_gamma(1.0) - log_gamma(a + 1.5) - log_gamma(a + 2.0)
+            math.lgamma(0.5) + math.lgamma(1.0) - math.lgamma(a + 1.5) - math.lgamma(a + 2.0)
         )
         w = lambda t: t ** (a + 1.0) * math.exp(-t)  # noqa: E731
         lead = (
@@ -125,9 +125,29 @@ class TestOmegaTau:
         lead = (
             x ** (a + 1.0)
             * math.exp(-x)
-            * math.exp(log_gamma(0.5) - log_gamma(a + 1.5))
+            * math.exp(math.lgamma(0.5) - math.lgamma(a + 1.5))
         )
         assert omega_tau(x, a, tau, CTRL) == pytest.approx(lead, rel=1e-6)
+
+    # omega_tau(x, a, 0.002) from the same series summed with 50 significant
+    # digits (mpmath, Laguerre recurrence and a Gamma-function ratio per
+    # term, about 42000 orders, until 50 consecutive terms fell below 1e-40
+    # of the sum); a dps = 70 rerun agreed to all 30 digits kept
+    @pytest.mark.parametrize(
+        "a,x,expect",
+        [
+            (-0.5, 0.3, 0.500768655858977464590974736223),
+            (-0.5, 2.0, 0.499562722980392641364096657804),
+            (0.5, 0.3, 0.500095817207790870047666321121),
+            (0.5, 2.0, 0.500312503994144862988797913549),
+            (2.5, 0.3, 0.488844527724392887852288554562),
+            (2.5, 2.0, 0.500311502621595138256346936941),
+        ],
+    )
+    def test_long_series_matches_high_precision_values(self, a, x, expect):
+        # about 2e4 orders: the stepped Gamma ratios must not drift
+        ctrl = SeriesControl(rel_tol=1e-17, max_terms=10**6)
+        assert omega_tau(x, a, 0.002, ctrl) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 class TestJpd:
@@ -142,7 +162,7 @@ class TestJpd:
         a, omega, n = cfg.a, cfg.omega, cfg.n
         logc = 0.5 * n * math.log(math.pi) - n * math.log(2.0)
         for k in range(1, n + 1):
-            logc -= log_gamma(0.5 * k + 1.0) + log_gamma(0.5 * k + a + 0.5)
+            logc -= math.lgamma(0.5 * k + 1.0) + math.lgamma(0.5 * k + a + 0.5)
         rng = np.random.default_rng(0)
         for _ in range(5):
             lam = np.sort(rng.uniform(0.1, 6.0, size=2))
@@ -253,7 +273,7 @@ class TestLevelDensity:
         # near q = 0 each point runs a series of thousands of terms; after
         # 40 distinct points nothing of them may stay allocated
         cfg = ChannelConfig(2, 2)
-        level_density(0.05, cfg, 0.05, CTRL)  # fills the Gamma-ratio tables, keyed by a only
+        level_density(0.05, cfg, 0.05, CTRL)  # warm-up: first-call allocations are not per point
         tracemalloc.start()
         try:
             for lam in np.linspace(0.1, 8.0, 40):
@@ -262,6 +282,24 @@ class TestLevelDensity:
         finally:
             tracemalloc.stop()
         assert held < 0.1 * 2**20
+
+    def test_gamma_ratio_cost_independent_of_series_length(self, monkeypatch):
+        # the Gamma ratios are stepped inside the series, so the log-Gamma
+        # calls a point makes do not grow with the terms its series needs
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return math.lgamma(v)
+
+        monkeypatch.setattr(ensemble, "log_gamma", counted)
+        cfg = ChannelConfig(3, 3)
+        with pytest.raises(SeriesTruncationError):
+            level_density(1.0, cfg, 0.005, CTRL)
+        truncating = len(calls)
+        calls.clear()
+        level_density(1.0, cfg, 0.5, CTRL)
+        assert truncating == len(calls) <= 20
 
     def test_monotone_interpolation_regression(self):
         # adjacent-q curves stay close and move monotonically at a fixed
