@@ -10,8 +10,6 @@ from .ensemble import (
     density_mp,
     jpd,
     level_density,
-    level_density_loe,
-    level_density_lue,
 )
 from .fading import FadingParams, envelope_pdf, params_from_q, params_from_sigmas, phase_pdf, sample_signal
 from .capacity import CapacityResult, capacity_sweep, degradation, ergodic_capacity
@@ -36,8 +34,6 @@ __all__ = [
     "sample_signal",
     "jpd",
     "level_density",
-    "level_density_lue",
-    "level_density_loe",
     "density_mp",
     "correlation_fn",
     "empirical_density",

@@ -5,15 +5,17 @@ eigenvalue density that interpolates between the real-gaussian (q = 0) and
 complex-gaussian (q = 1) Wishart ensembles as the crossover parameter tau
 runs from 0 to infinity.  This module evaluates that joint density (as a
 Pfaffian), the skew-orthogonal polynomial system behind it, the two-point
-kernels S/A/B, the exact level density with both endpoint closed forms,
-the large-N asymptotic density and n-point correlation functions.
+kernels S/A/B, the exact level density (S on the diagonal, whose
+tau = 0 and tau = inf forms are the endpoint closed forms), the large-N
+asymptotic density and n-point correlation functions.
 
-Numerics: every series term is a plain float, a weighted Laguerre value
-e^{-x} L_k^{(2a+1)}(2x) streamed into the series from one rescaled
-recurrence per point (``specfun.weighted_laguerre``) times a running
-coefficient e^{-k tau} gamma_k, stepped by the Gamma-function recurrence;
-nothing is cached.  Sums use Kahan compensation and stop once three
-consecutive terms fall below ``rel_tol`` relative to the running sum.
+Numerics: each evaluation reads one row per point, the weighted Laguerre
+values wt_k(x) = e^{-x} L_k^{(2a+1)}(2x) for k < N from one rescaled
+recurrence (``specfun.weighted_laguerre``), and that point's series read
+on from the same stream.  Every series term is a plain float, wt_k times a
+running coefficient e^{-k tau} gamma_k, stepped by the Gamma-function
+recurrence; nothing is cached.  Sums use Kahan compensation and stop once
+three consecutive terms fall below ``rel_tol`` relative to the running sum.
 
 Near q = 0 a series needs O(1/tau) terms.  Double sums carry their inner
 sums as running sums, so they cost O(1/tau) rows too: one loop serves G
@@ -39,7 +41,7 @@ from math import lgamma as log_gamma
 import numpy as np
 
 from . import linalg
-from .specfun import log_upper_incomplete_gamma, weighted_laguerre, weighted_laguerre_table
+from .specfun import log_upper_incomplete_gamma, weighted_laguerre
 
 __all__ = [
     "ChannelConfig",
@@ -57,8 +59,6 @@ __all__ = [
     "kernel_a",
     "kernel_b",
     "level_density",
-    "level_density_lue",
-    "level_density_loe",
     "density_mp",
     "mp_support",
     "correlation_fn",
@@ -175,9 +175,9 @@ class _Accumulator:
 # All series are built from the exponentially weighted polynomials
 # wt_k(x) = e^{-x} L_k^{(2a+1)}(2x), which are polynomially bounded in k
 # (so plain floats are safe); pure powers of x are reattached analytically.
-# Series read them from one stream per point, fixed orders from a table of
-# it.  Their coefficients e^{-k tau} gamma_k are seeded once by _gamma and
-# then stepped two orders at a time by gamma_{k+2} = gamma_k h / (h + a + 1),
+# A point's row of fixed orders and its series read one stream.  Their
+# coefficients e^{-k tau} gamma_k are seeded once by _gamma and then
+# stepped two orders at a time by gamma_{k+2} = gamma_k h / (h + a + 1),
 # h = (k + 1)/2 (DLMF 5.5.1).
 
 
@@ -187,17 +187,25 @@ def _gamma(a: float, k: int) -> float:
     return math.exp(log_gamma(h) - log_gamma(h + a + 1.0))
 
 
-def _series(x: float, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -> float:
+def _row(x: float, cfg: ChannelConfig, size: int = 0):
+    """wt_0..wt_{m-1}(x), m = max(N, size), and the stream left at order m."""
+    ws = weighted_laguerre(2.0 * cfg.a + 1.0, x)
+    m = max(cfg.n, size)
+    return np.fromiter(itertools.islice(ws, m), float, m), ws
+
+
+def _series(ws, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -> float:
     """S(x; k0) = sum_{j >= 0} e^{-2 j tau} gamma_{k0+2j} wt_{k0+2j}(x).
 
-    The one single-sum series behind the one-point companion, the dual
-    functions and the S-kernel correction; callers keep their prefactors.
+    ws is a stream of x already at order k0.  The one single-sum series
+    behind the one-point companion, the dual functions and the S-kernel
+    correction; callers keep their prefactors.
     """
     acc = _Accumulator(ctrl, what, tau)
     decay = math.exp(-2.0 * tau)
     coef = _gamma(a, k0)  # e^{-2 j tau} gamma_{k0+2j}
     h = 0.5 * (k0 + 1)
-    for w in itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), k0, None, 2):
+    for w in itertools.islice(ws, 0, None, 2):
         if acc.add(coef * w):
             return acc.total
         coef *= decay * h / (h + a + 1.0)
@@ -306,7 +314,7 @@ def g_tau(
 
 def _omega_core(x: float, a: float, tau: float, ctrl: SeriesControl) -> float:
     """Weight-stripped one-point companion series (tau > 0)."""
-    return _series(x, a, tau, 0, ctrl, "one-point companion series")
+    return _series(weighted_laguerre(2.0 * a + 1.0, x), a, tau, 0, ctrl, "one-point companion series")
 
 
 def omega_tau(
@@ -456,14 +464,13 @@ def jpd(
 # functions reattach the powers.  All formulas live on x = lambda/(2 omega).
 
 
-def _phi_core(j: int, x: float, cfg: ChannelConfig, tau: float) -> float:
-    """phi_j / x^a, built from e^{-x}-weighted tables."""
+def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
+    """phi_j / x^a, read from the row w of x (orders up to j + 1)."""
     n, a = cfg.n, cfg.a
     pref = math.exp((a + 0.5) * math.log(2.0))
     if n % 2 == 0:
         mu, r = divmod(j, 2)
         la = _log_alpha(a, 2 * mu)
-        w = weighted_laguerre_table(2 * mu + 1, 2.0 * a + 1.0, x)
         if r == 0:
             return pref * math.exp(2.0 * mu * tau - la) * w[2 * mu]
         t1 = (2 * mu + 1) * math.exp((2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
@@ -473,11 +480,9 @@ def _phi_core(j: int, x: float, cfg: ChannelConfig, tau: float) -> float:
         return pref * (t1 - t2)
     # odd N
     if j == n - 1:
-        w = weighted_laguerre_table(n - 1, 2.0 * a + 1.0, x)
         return 2.0 * math.exp((n - 1.0) * tau) * _r_n(n, a) * w[n - 1]
     mu, r = divmod(j, 2)
     la = _log_alpha(a, 2 * mu + 1)
-    w = weighted_laguerre_table(2 * mu + 2, 2.0 * a + 1.0, x)
     if r == 0:
         return pref * math.exp((2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
     t1 = (2 * mu + 2) * math.exp((2.0 * mu + 2.0) * tau - la) * w[2 * mu + 2]
@@ -488,21 +493,21 @@ def _phi_core(j: int, x: float, cfg: ChannelConfig, tau: float) -> float:
 def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int) -> float:
     """sum_{nu >= start} e^{-(2 nu + 1) tau} gamma_{2 nu + 1} wt_{2 nu + 1}(x)."""
     k0 = 2 * start + 1
-    return math.exp(-k0 * tau) * _series(x, a, tau, k0, ctrl, "dual-function series")
+    ws = itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), k0, None)
+    return math.exp(-k0 * tau) * _series(ws, a, tau, k0, ctrl, "dual-function series")
 
 
 def _psi_core(
     j: int, x: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> float:
-    """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
+    """psi_j / x^{a+1} for tau > 0, read from a row or a stream of x."""
     n, a = cfg.n, cfg.a
     pref = math.exp((a + 1.5) * math.log(2.0))
     mu, r = divmod(j, 2)
     if n % 2 == 0:
         la = _log_alpha(a, 2 * mu)
         if r == 1:
-            w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
-            return pref * math.exp(-2.0 * mu * tau - la) * w[2 * mu]
+            return pref * math.exp(-2.0 * mu * tau - la) * _row(x, cfg, j)[0][2 * mu]
         s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
@@ -510,10 +515,9 @@ def _psi_core(
         return -2.0 * _psi_series(x, a, tau, ctrl, mu)
     la = _log_alpha(a, 2 * mu + 1)
     if r == 1:
-        w = weighted_laguerre_table(2 * mu + 1, 2.0 * a + 1.0, x)
-        return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
+        return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * _row(x, cfg, j + 1)[0][j]
     # finite sum over nu = 0..mu of even-order polynomials
-    w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
+    w = _row(x, cfg, j + 1)[0]
     g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
     es = np.exp(-2.0 * tau * np.arange(mu + 1))
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
@@ -544,8 +548,11 @@ def _script_i(nn: int, x: float, a: float) -> float:
     return out
 
 
-def _psi_zero(j: int, x: float, cfg: ChannelConfig) -> float:
-    """psi_j at tau = 0 via the incomplete-gamma closed forms (full weights)."""
+def _psi_zero(j: int, x: float, w: np.ndarray, cfg: ChannelConfig) -> float:
+    """psi_j at tau = 0 via the incomplete-gamma closed forms (full weights).
+
+    w is the row of x (orders up to j).
+    """
     n, a = cfg.n, cfg.a
     pref_lo = math.exp((a + 0.5) * math.log(2.0))
     pref_hi = math.exp((a + 1.5) * math.log(2.0))
@@ -555,7 +562,6 @@ def _psi_zero(j: int, x: float, cfg: ChannelConfig) -> float:
         la = _log_alpha(a, 2 * mu)
         if r == 0:
             return pref_lo * math.exp(-la) * _script_i(2 * mu, x, a)
-        w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
         return pref_hi * math.exp(-la) * w[2 * mu] * wfac
     if j == n - 1:
         return 2.0 * _r_n(n, a) * _script_i(n - 1, x, a)
@@ -563,7 +569,6 @@ def _psi_zero(j: int, x: float, cfg: ChannelConfig) -> float:
     la = _log_alpha(a, 2 * mu + 1)
     if r == 0:
         return pref_lo * math.exp(-la) * _script_i(2 * mu + 1, x, a)
-    w = weighted_laguerre_table(2 * mu + 1, 2.0 * a + 1.0, x)
     return pref_hi * math.exp(-la) * w[2 * mu + 1] * wfac
 
 
@@ -576,6 +581,17 @@ def _check_index(j: int, cfg: ChannelConfig) -> None:
         )
 
 
+def _skew_phis(k: int, x: float, cfg: ChannelConfig, tau: float) -> list[float]:
+    """phi_0..phi_{k-1} at x, read from one row of x."""
+    if x < 0.0:
+        raise ValueError("x must be >= 0")
+    edge = _edge_pow(x, cfg.a)
+    if x == 0.0 and cfg.a != 0.0:
+        return [edge] * k  # the edge factor alone decides
+    w = _row(x, cfg, k + 1)[0]
+    return [edge * _phi_core(j, w, cfg, tau) for j in range(k)]
+
+
 def skew_phi(
     j: int, x: float, cfg: ChannelConfig, tau: float
 ) -> float:
@@ -583,11 +599,7 @@ def skew_phi(
     _check_index(j, cfg)
     if math.isinf(tau):
         raise ValueError("phi diverges at tau = inf; use the q = 1 closed forms")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0 and cfg.a != 0.0:
-        return _edge_pow(x, cfg.a)  # the edge factor alone decides
-    return _edge_pow(x, cfg.a) * _phi_core(j, x, cfg, tau)
+    return _skew_phis(j + 1, x, cfg, tau)[j]
 
 
 def skew_psi(
@@ -604,7 +616,7 @@ def skew_psi(
     if x < 0.0:
         raise ValueError("x must be >= 0")
     if tau == 0.0:
-        return _psi_zero(j, x, cfg)
+        return _psi_zero(j, x, _row(x, cfg, j + 1)[0], cfg)
     if x == 0.0:
         return 0.0  # psi carries the w_{a+1} weight
     return math.exp((cfg.a + 1.0) * math.log(x)) * _psi_core(j, x, cfg, tau, ctrl)
@@ -614,26 +626,27 @@ def skew_psi(
 # two-point kernels
 
 
-def _s_lue_core(x: float, y: float, cfg: ChannelConfig) -> float:
-    """Finite Christoffel-Darboux-type sum, stripped of x^a y^{a+1}."""
+def _s_lue_core(wx: np.ndarray, wy: np.ndarray, cfg: ChannelConfig) -> float:
+    """Finite Christoffel-Darboux-type sum over the rows of x and y,
+
+    stripped of x^a y^{a+1}.
+    """
     n, a = cfg.n, cfg.a
-    wx = weighted_laguerre_table(n - 1, 2.0 * a + 1.0, x)
-    wy = weighted_laguerre_table(n - 1, 2.0 * a + 1.0, y)
     inv = np.array([math.exp(-2.0 * _log_alpha(a, mu)) for mu in range(n)])  # 1/alpha_mu^2
     pref = math.exp((2.0 * a + 2.0) * math.log(2.0))
     return pref * float(np.dot(inv, wx * wy))
 
 
-def _s_corr_lead(x: float, cfg: ChannelConfig, tau: float) -> float:
+def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
     """The x factor 2 r_N wt_{N-1}(x) e^{-2 tau} of the S-kernel correction."""
     n, a = cfg.n, cfg.a
-    wt = weighted_laguerre_table(n - 1, 2.0 * a + 1.0, x)[n - 1]
-    return 2.0 * _r_n(n, a) * wt * math.exp(-2.0 * tau)
+    return 2.0 * _r_n(n, a) * wx[n - 1] * math.exp(-2.0 * tau)
 
 
-def _s_corr_series(y: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl) -> float:
-    """The y factor of the S-kernel correction, one series per point."""
-    return _series(y, cfg.a, tau, cfg.n + 1, ctrl, "density correction series")
+def _s_corr_series(ys, cfg: ChannelConfig, tau: float, ctrl: SeriesControl) -> float:
+    """The y factor of the S-kernel correction, read on from y's row stream."""
+    next(ys)  # order N; the series starts at N + 1
+    return _series(ys, cfg.a, tau, cfg.n + 1, ctrl, "density correction series")
 
 
 def _d_zero(t: float, cfg: ChannelConfig) -> float:
@@ -661,19 +674,20 @@ def kernel_s(
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     a = cfg.a
+    wx, xs = _row(x, cfg)
+    wy, ys = (wx, xs) if y == x else _row(y, cfg)
+    core = _s_lue_core(wx, wy, cfg)
     if tau == 0.0:
         # S = x^a [y^{a+1} S_lue-core + wt_{N-1}(x) D(y)]: the whole bracket
         # shares the bare x^a edge factor
-        wx = weighted_laguerre_table(cfg.n - 1, 2.0 * a + 1.0, x)
         if x == 0.0 and y == 0.0:
             # diagonal origin: the LUE piece recombines to x^{2a+1}
-            lue = _edge_pow(0.0, 2.0 * a + 1.0) * _s_lue_core(x, y, cfg)
+            lue = _edge_pow(0.0, 2.0 * a + 1.0) * core
             return lue + _edge_pow(0.0, a) * wx[cfg.n - 1] * _d_zero(0.0, cfg)
-        bracket = _edge_pow(y, a + 1.0) * _s_lue_core(x, y, cfg) + wx[cfg.n - 1] * _d_zero(y, cfg)
+        bracket = _edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * _d_zero(y, cfg)
         return _edge_pow(x, a) * bracket
-    core = _s_lue_core(x, y, cfg)
     if not math.isinf(tau):
-        core += _s_corr_lead(x, cfg, tau) * _s_corr_series(y, cfg, tau, ctrl)
+        core += _s_corr_lead(wx, cfg, tau) * _s_corr_series(ys, cfg, tau, ctrl)
     if x == y:
         # weights combine to x^{2a+1}: finite at 0 exactly for square arrays
         return _edge_pow(x, 2.0 * a + 1.0) * core
@@ -690,11 +704,14 @@ def kernel_a(
     """Antisymmetric kernel A_N(x, y): finite sum over phi pairs."""
     if math.isinf(tau):
         raise ValueError("A_N diverges as tau -> inf (q = 1 is determinantal)")
-    n = cfg.n
+    k2 = cfg.n - cfg.c
+    if k2 == 0:
+        return 0.0  # N = 1 has no phi pair
+    px, py = _skew_phis(k2, x, cfg, tau), _skew_phis(k2, y, cfg, tau)
     total = 0.0
-    for mu in range((n - cfg.c) // 2):
-        total += skew_phi(2 * mu + 1, x, cfg, tau) * skew_phi(2 * mu, y, cfg, tau)
-        total -= skew_phi(2 * mu, x, cfg, tau) * skew_phi(2 * mu + 1, y, cfg, tau)
+    for mu in range(k2 // 2):
+        total += px[2 * mu + 1] * py[2 * mu]
+        total -= px[2 * mu] * py[2 * mu + 1]
     return total
 
 
@@ -726,36 +743,17 @@ def kernel_b(
         pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
         return -pw * _g_core(x, y, a, tau, ctrl, n)
     total = -g_zero(x, y)
+    wx, wy = _row(x, cfg)[0], _row(y, cfg)[0]
     for mu in range((n - c) // 2):
-        total += _psi_zero(2 * mu, x, cfg) * _psi_zero(2 * mu + 1, y, cfg)
-        total -= _psi_zero(2 * mu + 1, x, cfg) * _psi_zero(2 * mu, y, cfg)
+        total += _psi_zero(2 * mu, x, wx, cfg) * _psi_zero(2 * mu + 1, y, wy, cfg)
+        total -= _psi_zero(2 * mu + 1, x, wx, cfg) * _psi_zero(2 * mu, y, wy, cfg)
     if c:
-        total += 0.5 * (_psi_zero(n - 1, x, cfg) - _psi_zero(n - 1, y, cfg))
+        total += 0.5 * (_psi_zero(n - 1, x, wx, cfg) - _psi_zero(n - 1, y, wy, cfg))
     return total
 
 
 # ---------------------------------------------------------------------------
 # level density
-
-
-def level_density_lue(lam: float, cfg: ChannelConfig) -> float:
-    """Exact level density at q = 1 (complex-gaussian endpoint)."""
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
-    x = lam / (2.0 * cfg.omega)
-    return _edge_pow(x, 2.0 * cfg.a + 1.0) * _s_lue_core(x, x, cfg) / (2.0 * cfg.omega)
-
-
-def level_density_loe(lam: float, cfg: ChannelConfig) -> float:
-    """Exact level density at q = 0 (one-sided gaussian endpoint).
-
-    Diverges like lambda^{-1/2} at the origin for square arrays.
-    """
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
-    return kernel_s(lam / (2.0 * cfg.omega), lam / (2.0 * cfg.omega), cfg, 0.0) / (
-        2.0 * cfg.omega
-    )
 
 
 def level_density(
@@ -764,17 +762,15 @@ def level_density(
     q: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
-    """Exact level density R_1(lambda) at Hoyt parameter q in [0, 1]."""
+    """Exact level density R_1(lambda) = S_N(x, x) / (2 omega) at Hoyt parameter q in [0, 1].
+
+    The endpoints are kernel_s's closed forms; at q = 0 the density
+    diverges like lambda^{-1/2} at the origin for square arrays.
+    """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
-    if q == 1.0:
-        return level_density_lue(lam, cfg)
-    if q == 0.0:
-        return level_density_loe(lam, cfg)
-    tau = crossover_tau(q)
     x = lam / (2.0 * cfg.omega)
-    core = _s_lue_core(x, x, cfg) + _s_corr_lead(x, cfg, tau) * _s_corr_series(x, cfg, tau, ctrl)
-    return _edge_pow(x, 2.0 * cfg.a + 1.0) * core / (2.0 * cfg.omega)
+    return kernel_s(x, x, cfg, crossover_tau(q), ctrl) / (2.0 * cfg.omega)
 
 
 def mp_support(cfg: ChannelConfig) -> tuple[float, float]:
@@ -819,24 +815,26 @@ def _antisymmetric(f, x) -> np.ndarray:
     return upper - upper.T
 
 
-def _s_lue_matrix(x, cfg: ChannelConfig) -> np.ndarray:
-    """_s_lue_core(x_j, x_k) over every pair of points."""
-    return np.array([[_s_lue_core(u, v, cfg) for v in x] for u in x])
+def _s_lue_matrix(rows, cfg: ChannelConfig) -> np.ndarray:
+    """_s_lue_core over every pair of the points' rows."""
+    return np.array([[_s_lue_core(u, v, cfg) for v in rows] for u in rows])
 
 
 def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     """The weight-stripped S, A and B over every pair of points, 0 < tau < inf.
 
-    S takes one correction series per point, A one row of phi values per
-    point and B one restricted G loop per pair of points; A and B are
-    balanced so the growing phi-block and the decaying psi-block stay O(1).
+    Each point's row feeds S and A, and its stream runs on into the S
+    correction series; B takes one restricted G loop per pair of points.
+    A and B are balanced so the growing phi-block and the decaying
+    psi-block stay O(1).
     """
     k2 = cfg.n - cfg.c
     bal = math.exp(-(cfg.n - 1.0) * tau)
-    lead = [_s_corr_lead(u, cfg, tau) for u in x]
-    series = [_s_corr_series(v, cfg, tau, ctrl) for v in x]
-    s = _s_lue_matrix(x, cfg) + np.outer(lead, series)
-    phi = np.array([[_phi_core(j, u, cfg, tau) for j in range(k2)] for u in x])
+    rows, streams = zip(*(_row(u, cfg) for u in x))
+    lead = [_s_corr_lead(w, cfg, tau) for w in rows]
+    series = [_s_corr_series(ws, cfg, tau, ctrl) for ws in streams]
+    s = _s_lue_matrix(rows, cfg) + np.outer(lead, series)
+    phi = np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
     b = _antisymmetric(lambda u, v: -_g_core(u, v, cfg.a, tau, ctrl, cfg.n), x)
     return s, a, b / bal
@@ -894,7 +892,7 @@ def correlation_fn(
         if log_scale == -math.inf:
             return 0.0
     if q == 1.0:
-        mat = _s_lue_matrix(x, cfg)
+        mat = _s_lue_matrix([_row(u, cfg)[0] for u in x], cfg)
     elif q == 0.0:
         mat = _doubled_kernel(
             np.array([[kernel_s(u, v, cfg, 0.0) for v in x] for u in x]),

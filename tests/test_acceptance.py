@@ -23,8 +23,6 @@ from hoytmimo.ensemble import (
     jpd,
     kernel_s,
     level_density,
-    level_density_loe,
-    level_density_lue,
     mp_support,
     skew_phi,
     skew_psi,
@@ -174,15 +172,16 @@ def test_criterion_5_correlation_jpd_consistency():
 def test_criterion_6_limit_reductions():
     cfg = ChannelConfig(3, 5)
     same_path = all(
-        level_density(lam, cfg, 1.0, CTRL) == level_density_lue(lam, cfg)
-        and level_density(lam, cfg, 0.0, CTRL) == level_density_loe(lam, cfg)
+        level_density(lam, cfg, 1.0, CTRL) == kernel_s(x, x, cfg, math.inf) / (2.0 * cfg.omega)
+        and level_density(lam, cfg, 0.0, CTRL) == kernel_s(x, x, cfg, 0.0) / (2.0 * cfg.omega)
         for lam in (0.4, 2.0, 9.0)
+        for x in [lam / (2.0 * cfg.omega)]
     )
     q20 = math.sqrt((1.0 - math.exp(-20.0)) / (1.0 + math.exp(-20.0)))
     worst = 0.0
     for lam in np.linspace(0.05, 20.0, 50):
         v1 = level_density(float(lam), cfg, q20, CTRL)
-        v2 = level_density_lue(float(lam), cfg)
+        v2 = level_density(float(lam), cfg, 1.0)
         worst = max(worst, abs(v1 - v2) / max(abs(v2), 1e-300))
     _report(
         "criterion 6: endpoint dispatch exact; tau=20 series matches q=1 to 1e-9",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoytmimo import ensemble
+from hoytmimo import ensemble, specfun
 from hoytmimo.ensemble import (
     ChannelConfig,
     SeriesControl,
@@ -19,8 +19,6 @@ from hoytmimo.ensemble import (
     jpd,
     kernel_s,
     level_density,
-    level_density_loe,
-    level_density_lue,
     mp_support,
     omega_tau,
 )
@@ -226,8 +224,9 @@ class TestLevelDensity:
     def test_endpoint_dispatch_is_exact(self):
         cfg = ChannelConfig(3, 6)
         for lam in (0.5, 2.0, 8.0):
-            assert level_density(lam, cfg, 1.0) == level_density_lue(lam, cfg)
-            assert level_density(lam, cfg, 0.0) == level_density_loe(lam, cfg)
+            x = lam / (2.0 * cfg.omega)
+            assert level_density(lam, cfg, 1.0) == kernel_s(x, x, cfg, math.inf) / (2.0 * cfg.omega)
+            assert level_density(lam, cfg, 0.0) == kernel_s(x, x, cfg, 0.0) / (2.0 * cfg.omega)
 
     @pytest.mark.parametrize(
         "nt,nr,q", [(2, 2, 1.0), (3, 6, 0.5), (4, 15, 0.0), (2, 2, 0.35), (3, 4, 0.0)]
@@ -248,7 +247,7 @@ class TestLevelDensity:
         q = math.sqrt((1.0 - math.exp(-20.0)) / (1.0 + math.exp(-20.0)))
         for lam in np.linspace(0.05, 20.0, 50):
             v1 = level_density(float(lam), cfg, q, CTRL)
-            v2 = level_density_lue(float(lam), cfg)
+            v2 = level_density(float(lam), cfg, 1.0)
             assert v1 == pytest.approx(v2, rel=1e-9)
 
     def test_continuity_toward_loe(self):
@@ -263,7 +262,7 @@ class TestLevelDensity:
             worst = 0.0
             for lam in np.linspace(0.1, 10.0, 23):
                 v1 = level_density(float(lam), cfg, q, ctrl)
-                v2 = level_density_loe(float(lam), cfg)
+                v2 = level_density(float(lam), cfg, 0.0)
                 worst = max(worst, abs(v1 - v2))
             gaps[tau] = worst
         assert gaps[1e-4] < 1e-3
@@ -282,6 +281,36 @@ class TestLevelDensity:
         finally:
             tracemalloc.stop()
         assert held < 0.1 * 2**20
+
+    @pytest.fixture
+    def streams(self, monkeypatch):
+        # one counter behind both names a weighted-Laguerre stream is started by
+        opened = []
+        inner = specfun.weighted_laguerre
+
+        def counted(alpha, x):
+            opened.append(x)
+            return inner(alpha, x)
+
+        monkeypatch.setattr(specfun, "weighted_laguerre", counted)
+        monkeypatch.setattr(ensemble, "weighted_laguerre", counted)
+        return opened
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_density_reads_one_stream(self, streams, q):
+        level_density(1.3, ChannelConfig(4, 4), q, CTRL)
+        assert len(streams) == 1
+
+    def test_kernel_s_reads_one_stream_per_argument(self, streams):
+        kernel_s(0.4, 1.9, ChannelConfig(4, 4), crossover_tau(0.5), CTRL)
+        assert sorted(streams) == [0.4, 1.9]
+
+    @pytest.mark.parametrize("q,expect", [(0.5, 4 + 4 * 3), (1.0, 4)])
+    def test_correlation_streams(self, streams, q, expect):
+        # one row per point, plus the two streams of each pair's B loop
+        # below q = 1
+        correlation_fn([0.3, 1.1, 2.6, 4.0], ChannelConfig(4, 4), q, CTRL)
+        assert len(streams) == expect
 
     def test_gamma_ratio_cost_independent_of_series_length(self, monkeypatch):
         # the Gamma ratios are stepped inside the series, so the log-Gamma

@@ -16,7 +16,6 @@ from hoytmimo.ensemble import (
     kernel_b,
     kernel_s,
     level_density,
-    level_density_lue,
     omega_tau,
     skew_phi,
     skew_psi,
@@ -105,7 +104,7 @@ class TestKernels:
         for lam in (0.4, 2.2, 7.0):
             x = lam / (2.0 * cfg.omega)
             assert kernel_s(x, x, cfg, math.inf) / (2.0 * cfg.omega) == pytest.approx(
-                level_density_lue(lam, cfg), rel=1e-12
+                level_density(lam, cfg, 1.0), rel=1e-12
             )
 
     @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4)])
