@@ -901,10 +901,11 @@ def correlation_fn(
         )
     else:
         mat = _doubled_kernel(*_crossover_blocks(x, cfg, crossover_tau(q), ctrl))
-    phase, logdet = linalg.determinant_signed_log(mat)
-    sign = 0 if phase == 0.0 else int(round(phase.real))
+    sign, logdet = linalg.determinant_signed_log(mat)
+    if math.isnan(logdet):
+        raise NumericalConsistencyError("correlation determinant is undefined (NaN kernel entry)")
     log_scale -= n_pts * math.log(2.0 * omega)
-    return _signed_sqrt_det(sign, logdet, mat, log_scale, square=q < 1.0)
+    return _signed_sqrt_det(int(sign), logdet, mat, log_scale, square=q < 1.0)
 
 
 def _signed_sqrt_det(

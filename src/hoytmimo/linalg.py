@@ -14,7 +14,7 @@ import numpy as np
 __all__ = [
     "hermitian_eigenvalues_batch",
     "pfaffian",
-    "determinant",
+    "determinant_signed_log",
 ]
 
 
@@ -86,33 +86,6 @@ def pfaffian(b: np.ndarray) -> float:
     return sign * math.exp(logabs)
 
 
-def determinant_signed_log(m: np.ndarray) -> tuple[complex, float]:
-    """(phase, log|det|) via LU with partial pivoting; phase is 0 if singular."""
-    a = np.asarray(m, dtype=complex).copy()
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    phase = 1.0 + 0.0j
-    logabs = 0.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return 0.0j, -math.inf
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            phase = -phase
-        piv = a[k, k]
-        phase *= piv / abs(piv)
-        logabs += math.log(abs(piv))
-        if k + 1 < n:
-            f = a[k + 1 :, k] / piv
-            a[k + 1 :, k + 1 :] -= np.outer(f, a[k, k + 1 :])
-    return phase, logabs
-
-
-def determinant(m: np.ndarray) -> complex:
-    """Determinant of a square complex matrix (LU, partial pivoting)."""
-    phase, logabs = determinant_signed_log(m)
-    if phase == 0.0:
-        return 0.0j
-    return phase * math.exp(logabs)
+def determinant_signed_log(m: np.ndarray) -> tuple[float, float]:
+    """(sign, log|det|) of a real square matrix; sign is 0 if it is singular."""
+    return np.linalg.slogdet(np.asarray(m, dtype=float))

@@ -17,11 +17,8 @@ import numpy as np
 __all__ = [
     "weighted_laguerre",
     "weighted_laguerre_table",
-    "upper_incomplete_gamma",
     "log_upper_incomplete_gamma",
-    "bessel_i0",
     "bessel_i0e",
-    "erfc",
 ]
 
 
@@ -65,39 +62,13 @@ def weighted_laguerre_table(nmax: int, alpha: float, x: float) -> np.ndarray:
     return np.fromiter(islice(weighted_laguerre(alpha, x), nmax + 1), float, nmax + 1)
 
 
-def erfc(x: float) -> float:
-    """Complementary error function on the real line."""
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < 1.5:
-        return 1.0 - _erf_series(x)
-    # erfc(x) = exp(-x^2)/sqrt(pi) * F(x) with F from the continued fraction
-    return math.exp(-x * x - 0.5 * math.log(math.pi) + math.log(_erfc_cf_factor(x)))
-
-
-def _erf_series(x: float) -> float:
-    # Taylor series of erf; used only for |x| < 1.5 where it is well behaved.
-    t = x
-    s = x
-    xx = x * x
-    k = 0
-    while True:
-        k += 1
-        t *= -xx / k
-        term = t / (2 * k + 1)
-        s += term
-        if abs(term) <= 1e-18 * abs(s):
-            return s * 2.0 / math.sqrt(math.pi)
-
-
 def _erfc_cf_factor(x: float) -> float:
     """F(x) = erfc(x) * exp(x^2) * sqrt(pi), continued fraction for x >= 1.5.
 
     F(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))), modified Lentz.
     """
     tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
+    f = c = x
     d = 0.0
     for k in range(1, 300):
         ak = 0.5 * k
@@ -137,15 +108,13 @@ def log_upper_incomplete_gamma(s: float, x: float) -> float:
     half = round(two_s) % 2 == 1
     if half:
         base = 0.5
-        # Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)); keep it in logs so the
-        # erfc underflow at large x never bites
+        # Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)); past sqrt(x) = 1.5 it is
+        # e^{-x} F(sqrt(x)), kept in logs so the erfc underflow never bites
         rx = math.sqrt(x)
         if rx < 1.5:
-            cur = 0.5 * math.log(math.pi) + math.log(erfc(rx))
+            cur = 0.5 * math.log(math.pi) + math.log(math.erfc(rx))
         else:
-            cur = 0.5 * math.log(math.pi) + (
-                -x - 0.5 * math.log(math.pi) + math.log(_erfc_cf_factor(rx))
-            )
+            cur = math.log(_erfc_cf_factor(rx)) - x
     else:
         base = 1.0
         cur = -x  # Gamma(1, x) = e^{-x}
@@ -162,11 +131,6 @@ def _logaddexp(a: float, b: float) -> float:
     if b == -math.inf:
         return a
     return a + math.log1p(math.exp(b - a))
-
-
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) for positive (half-)integer s."""
-    return math.exp(log_upper_incomplete_gamma(s, x))
 
 
 _I0_SERIES_CUTOFF = 30.0
@@ -201,14 +165,3 @@ def bessel_i0e(x: float) -> float:
         if t < 1e-18 * s:
             break
     return s / math.sqrt(2.0 * math.pi * x)
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I_0(x); saturates to +inf past ~709."""
-    if x < 0.0:
-        raise ValueError("bessel_i0: x must be >= 0")
-    scaled = bessel_i0e(x)
-    try:
-        return scaled * math.exp(x)
-    except OverflowError:
-        return math.inf

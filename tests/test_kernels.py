@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 from hoytmimo.ensemble import (
     ChannelConfig,
+    NumericalConsistencyError,
     SeriesControl,
     correlation_fn,
     crossover_tau,
@@ -246,6 +247,16 @@ class TestCorrelations:
             correlation_fn([1.0, 2.0, 3.0], cfg, 0.5, CTRL)
         with pytest.raises(ValueError):
             correlation_fn([], cfg, 0.5, CTRL)
+
+    def test_nan_determinant_is_a_numerical_failure(self, monkeypatch):
+        # a NaN kernel entry (A at the origin of a square array at q = 0,
+        # an infinite phi times zero) gives a NaN log-determinant; it must
+        # surface as a numerical failure, not as a value
+        monkeypatch.setattr(
+            "hoytmimo.ensemble.linalg.determinant_signed_log", lambda m: (1.0, math.nan)
+        )
+        with pytest.raises(NumericalConsistencyError):
+            correlation_fn([0.5, 1.0], ChannelConfig(2, 2), 0.5, CTRL)
 
     @pytest.mark.parametrize("nt,nr", [(3, 4), (4, 4), (4, 5)])
     def test_large_tau_stability(self, nt, nr):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hoytmimo.ensemble import ChannelConfig
 from hoytmimo.linalg import (
-    determinant,
     determinant_signed_log,
     hermitian_eigenvalues_batch,
     pfaffian,
@@ -153,7 +152,7 @@ class TestPfaffian:
         b = rng.normal(size=(dim, dim))
         b = b - b.T
         pf = pfaffian(b)
-        det = determinant(b).real
+        det = np.linalg.det(b)
         assert pf * pf == pytest.approx(det, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -192,27 +191,28 @@ class TestPfaffian:
 
 
 class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(5, dtype=complex)) == pytest.approx(1.0)
+    """The (sign, log|det|) pair correlation_fn reads."""
 
-    def test_diagonal_complex(self):
-        assert determinant(np.diag([2.0, 3.0j])) == pytest.approx(6.0j)
+    def test_identity(self):
+        assert tuple(determinant_signed_log(np.eye(5))) == (1.0, 0.0)
 
     def test_multiplicative(self):
         rng = np.random.default_rng(9)
-        a = _random_complex(rng, (5, 5))
-        b = _random_complex(rng, (5, 5))
-        assert determinant(a @ b) == pytest.approx(
-            determinant(a) * determinant(b), rel=1e-10
-        )
+        a = rng.normal(size=(5, 5))
+        b = rng.normal(size=(5, 5))
+        sa, la = determinant_signed_log(a)
+        sb, lb = determinant_signed_log(b)
+        sab, lab = determinant_signed_log(a @ b)
+        assert sab == sa * sb
+        assert lab == pytest.approx(la + lb, rel=1e-10)
 
     def test_singular(self):
-        m = np.ones((3, 3), dtype=complex)
-        assert determinant(m) == 0.0
+        sign, logabs = determinant_signed_log(np.ones((3, 3)))
+        assert sign == 0.0 and logabs == -math.inf
 
     def test_signed_log_large_scale(self):
         # magnitudes beyond float range survive in log form
-        m = np.diag(np.full(400, 10.0)).astype(complex)
-        phase, logabs = determinant_signed_log(m)
-        assert phase == pytest.approx(1.0)
+        m = np.diag(np.full(400, 10.0))
+        sign, logabs = determinant_signed_log(m)
+        assert sign == 1.0
         assert logabs == pytest.approx(400 * math.log(10.0), rel=1e-12)
