@@ -41,7 +41,7 @@ from math import lgamma as log_gamma
 import numpy as np
 
 from . import linalg
-from .specfun import log_upper_incomplete_gamma, weighted_laguerre
+from .specfun import log_upper_incomplete_gamma, weighted_laguerre, weighted_laguerre_table
 
 __all__ = [
     "ChannelConfig",
@@ -314,7 +314,8 @@ def g_tau(
 
 def _omega_core(x: float, a: float, tau: float, ctrl: SeriesControl) -> float:
     """Weight-stripped one-point companion series (tau > 0)."""
-    return _series(weighted_laguerre(2.0 * a + 1.0, x), a, tau, 0, ctrl, "one-point companion series")
+    ws = weighted_laguerre(2.0 * a + 1.0, x)
+    return _series(ws, a, tau, 0, ctrl, "one-point companion series")
 
 
 def omega_tau(
@@ -500,14 +501,15 @@ def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int)
 def _psi_core(
     j: int, x: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> float:
-    """psi_j / x^{a+1} for tau > 0, read from a row or a stream of x."""
+    """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
     n, a = cfg.n, cfg.a
     pref = math.exp((a + 1.5) * math.log(2.0))
     mu, r = divmod(j, 2)
     if n % 2 == 0:
         la = _log_alpha(a, 2 * mu)
         if r == 1:
-            return pref * math.exp(-2.0 * mu * tau - la) * _row(x, cfg, j)[0][2 * mu]
+            w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
+            return pref * math.exp(-2.0 * mu * tau - la) * w[2 * mu]
         s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
@@ -515,9 +517,10 @@ def _psi_core(
         return -2.0 * _psi_series(x, a, tau, ctrl, mu)
     la = _log_alpha(a, 2 * mu + 1)
     if r == 1:
-        return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * _row(x, cfg, j + 1)[0][j]
+        w = weighted_laguerre_table(2 * mu + 1, 2.0 * a + 1.0, x)
+        return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
     # finite sum over nu = 0..mu of even-order polynomials
-    w = _row(x, cfg, j + 1)[0]
+    w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
     g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
     es = np.exp(-2.0 * tau * np.arange(mu + 1))
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
@@ -627,10 +630,7 @@ def skew_psi(
 
 
 def _s_lue_core(wx: np.ndarray, wy: np.ndarray, cfg: ChannelConfig) -> float:
-    """Finite Christoffel-Darboux-type sum over the rows of x and y,
-
-    stripped of x^a y^{a+1}.
-    """
+    """Finite Christoffel-Darboux-type sum, stripped of x^a y^{a+1}, from the rows of x and y."""
     n, a = cfg.n, cfg.a
     inv = np.array([math.exp(-2.0 * _log_alpha(a, mu)) for mu in range(n)])  # 1/alpha_mu^2
     pref = math.exp((2.0 * a + 2.0) * math.log(2.0))
@@ -762,10 +762,11 @@ def level_density(
     q: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
-    """Exact level density R_1(lambda) = S_N(x, x) / (2 omega) at Hoyt parameter q in [0, 1].
+    """Exact level density R_1(lambda) at Hoyt parameter q in [0, 1].
 
-    The endpoints are kernel_s's closed forms; at q = 0 the density
-    diverges like lambda^{-1/2} at the origin for square arrays.
+    R_1 = S_N(x, x) / (2 omega) with x = lambda / (2 omega), so q = 0 and
+    q = 1 are kernel_s's closed forms.  At q = 0 the density diverges like
+    lambda^{-1/2} at the origin for square arrays.
     """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
