@@ -862,8 +862,8 @@ def correlation_fn(
 
     Computed as the nonnegative square root of the ordinary determinant of
     the doubled kernel matrix (the plain kernel determinant at q = 1); a
-    determinant negative beyond tolerance raises NumericalConsistencyError
-    rather than being clamped.  The S, A and B matrices are built once per
+    determinant negative beyond tolerance, or NaN, raises
+    NumericalConsistencyError rather than being clamped.  The S, A and B matrices are built once per
     point set and interleaved into the doubled matrix; B is summed by the
     same O(1/tau)-row G loop as jpd, so R_n costs about as much as jpd.
 
