@@ -14,14 +14,16 @@ values wt_k(x) = e^{-x} L_k^{(2a+1)}(2x) for k < N from one rescaled
 recurrence (``specfun.weighted_laguerre``), and that point's series read
 on from the same stream.  Every series term is a plain float, wt_k times a
 running coefficient e^{-k tau} gamma_k, stepped by the Gamma-function
-recurrence; nothing is cached.  Sums use Kahan compensation and stop once
-three consecutive terms fall below ``rel_tol`` relative to the running sum.
+recurrence; nothing is cached.  Single sums use Kahan compensation and
+stop once three consecutive terms fall below ``rel_tol`` relative to the
+running sum.
 
-Near q = 0 a series needs O(1/tau) terms.  Double sums carry their inner
-sums as running sums, so they cost O(1/tau) rows too: one loop serves G
-(jpd) and, restricted to the index pairs past the first N (for odd N the
-opposite-parity pairs), the B kernel.
-Correlation functions build their S, A and B matrices once per point set.
+Near q = 0 a series needs O(1/tau) terms.  The double sums (G behind jpd,
+its one-point companion and the B kernel) are products of one term table
+per point set, one stream per point; each point stops on its own and
+shorter rows are zero-padded (see _g_table).  An N-point jpd reads N
+streams, a 4x4 R_4 reads 8.  Correlation functions build their S, A and B
+matrices once per point set.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -118,6 +120,8 @@ class SeriesControl:
     ``rel_tol`` bounds the last three terms relative to the running sum, not
     the error.  Near q = 0 the unsummed remainder is about 1/(2 tau) times
     the last term kept: at the default, ``jpd`` at q = 0.03 is 2.9e-7 off.
+    ``max_terms`` counts terms for the single sums and order pairs per
+    point for the double sums (G, the one-point companion and B).
     """
 
     rel_tol: float = 1e-10
@@ -198,8 +202,8 @@ def _series(ws, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -
     """S(x; k0) = sum_{j >= 0} e^{-2 j tau} gamma_{k0+2j} wt_{k0+2j}(x).
 
     ws is a stream of x already at order k0.  The one single-sum series
-    behind the one-point companion, the dual functions and the S-kernel
-    correction; callers keep their prefactors.
+    behind the dual functions and the S-kernel correction; callers keep
+    their prefactors.
     """
     acc = _Accumulator(ctrl, what, tau)
     decay = math.exp(-2.0 * tau)
@@ -246,17 +250,33 @@ def g_zero(x: float, y: float) -> float:
     return 0.0
 
 
-def _g_core(
-    x: float, y: float, a: float, tau: float, ctrl: SeriesControl, n: int = 0
-) -> float:
-    """Weight-stripped series for the antisymmetric kernel.
+def _coefficient_pairs(a: float, tau: float, n: int):
+    """Yield (e^{-k tau} gamma_k, e^{-(k+1) tau} gamma_{k+1}) for k = n, n+2, ..."""
+    decay = math.exp(-2.0 * tau)
+    c0 = math.exp(-n * tau) * _gamma(a, n)
+    c1 = math.exp(-(n + 1.0) * tau) * _gamma(a, n + 1)
+    h0, h1 = 0.5 * (n + 1), 0.5 * (n + 2)
+    while True:
+        yield c0, c1
+        c0 *= decay * h0 / (h0 + a + 1.0)
+        c1 *= decay * h1 / (h1 + a + 1.0)
+        h0 += 1.0
+        h1 += 1.0
 
-    Returns the double sum over polynomial pairs of opposite parity,
-    2 sum_{i < k} [t_i(x) t_k(y) - t_k(x) t_i(y)] with
-    t_k = e^{-k tau} gamma_k wt_k, built from the e^{-x}-weighted streams;
-    the caller reattaches (x y)^{a+1}.  The outer loop runs over the row
-    order k = n+1, n+3, ...; the inner orders i = n, n+2, ..., k-1 are
-    carried as running sums, so a row costs O(1) and counts as one term.
+
+def _g_table(x, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
+    """Weight-stripped G_n over the point set x, and each point's inner total.
+
+    Row j of the term table holds t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j),
+    k >= n, read from one stream in (k, k + 1) pairs whose coefficients are
+    stepped once for all points.  A point stops after three pairs in a row
+    add at most ``rel_tol`` of its running sums of the two parities, and
+    ``max_terms`` bounds its pairs; shorter rows are zero-padded, so an
+    entry depends only on its own two points.  With C the running sums of
+    the inner orders n, n+2, ... and O the orders n+1, n+3, ...,
+    2 sum_{i < k} [t_i(x_j) t_k(x_l) - t_k(x_j) t_i(x_l)] is 2 (g - g^T),
+    g = C O^T; the caller reattaches (x_j x_l)^{a+1}.  At n = 0 the inner
+    totals are the one-point companion.
 
     n = 0 gives G.  For even N, n = N restricts G to the index pairs past
     the first N, which is minus the psi-pair tail of the N-level B kernel.
@@ -267,29 +287,36 @@ def _g_core(
     odd-order sums of t and G' this double sum over all opposite-order
     pairs: the E O products absorb the parity term.
     """
-    if x == y:
-        return 0.0
-    acc = _Accumulator(ctrl, "crossover kernel series", tau)
-    decay = math.exp(-2.0 * tau)
-    ux = uy = 0.0
-    # e^{-i tau} gamma_i at the inner order i = k - 1, and e^{-k tau} gamma_k
-    c_in = math.exp(-n * tau) * _gamma(a, n)
-    c_row = math.exp(-(n + 1.0) * tau) * _gamma(a, n + 1)
-    h_in, h_row = 0.5 * (n + 1), 0.5 * (n + 2)
-    wxs = itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), n, None)
-    wys = itertools.islice(weighted_laguerre(2.0 * a + 1.0, y), n, None)
-    # each stream is read in (k - 1, k) pairs: zip draws its arguments in order
-    for wx_in, wx_k, wy_in, wy_k in zip(wxs, wxs, wys, wys):
-        # running inner sums U(x) = sum_{i<k} e^{-i tau} gamma_i wt_i(x)
-        ux += c_in * wx_in
-        uy += c_in * wy_in
-        row = 2.0 * c_row * (ux * wy_k - wx_k * uy)
-        if acc.add(row):
-            return acc.total
-        c_in *= decay * h_in / (h_in + a + 1.0)
-        c_row *= decay * h_row / (h_row + a + 1.0)
-        h_in += 1.0
-        h_row += 1.0
+    rows = []
+    spare = _coefficient_pairs(a, tau, n)
+    for u in map(float, x):  # a numpy scalar would slow the recurrence twofold
+        # tee copies share one buffer: each pair is stepped once for all points
+        coefs, spare = itertools.tee(spare)
+        ws = itertools.islice(weighted_laguerre(2.0 * a + 1.0, u), n, None)
+        row = []
+        s0 = s1 = 0.0
+        small = 0
+        # zip draws its arguments in order, so ws is read in (k, k + 1) pairs
+        for (c0, c1), w0, w1 in zip(itertools.islice(coefs, ctrl.max_terms), ws, ws):
+            t0, t1 = c0 * w0, c1 * w1
+            row += (t0, t1)
+            s0 += t0
+            s1 += t1
+            if abs(t0) + abs(t1) <= ctrl.rel_tol * (abs(s0) + abs(s1)):
+                small += 1
+                if small == 3:
+                    break
+            else:
+                small = 0
+        else:
+            raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
+        rows.append(row)
+    t = np.zeros((len(rows), max(map(len, rows))))
+    for j, row in enumerate(rows):
+        t[j, : len(row)] = row
+    inner = np.cumsum(t[:, 0::2], axis=1)
+    g = inner @ t[:, 1::2].T
+    return 2.0 * (g - g.T), inner[:, -1]
 
 
 def g_tau(
@@ -306,16 +333,10 @@ def g_tau(
         raise ValueError("g_tau needs finite tau > 0 (tau = 0 has g_zero)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
-    core = _g_core(x, y, a, tau, ctrl)
+    core = _g_table((x, y), a, tau, ctrl)[0][0, 1]
     if core == 0.0:
         return 0.0
-    return math.exp((a + 1.0) * math.log(x * y)) * core
-
-
-def _omega_core(x: float, a: float, tau: float, ctrl: SeriesControl) -> float:
-    """Weight-stripped one-point companion series (tau > 0)."""
-    ws = weighted_laguerre(2.0 * a + 1.0, x)
-    return _series(ws, a, tau, 0, ctrl, "one-point companion series")
+    return math.exp((a + 1.0) * math.log(x * y)) * float(core)
 
 
 def omega_tau(
@@ -333,7 +354,7 @@ def omega_tau(
     if math.isinf(tau):
         # only the mu = 0 term survives, and wt_0(x) = e^{-x}
         return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
-    return math.exp((a + 1.0) * math.log(x)) * _omega_core(x, a, tau, ctrl)
+    return math.exp((a + 1.0) * math.log(x)) * float(_g_table((x,), a, tau, ctrl)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +405,10 @@ def jpd(
     form diverges as any eigenvalue reaches 0 (returns +inf there).
 
     Near q = 1 it loses relative accuracy as N grows while correlation_fn /
-    N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 1e-3 off
-    at q = 0.99 and hundreds of times too large (or negative) at q = 0.999.
-    At q = 0.95 its error there, 3e-7, is rounding noise: 1-ulp changes of
-    the Gamma ratios move it anywhere between 5e-8 and 7e-7.
+    N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 7e-4 off
+    at q = 0.99 and thousands of times too large (or negative) at q = 0.999.
+    At q = 0.95 its error there, 9e-8, is rounding noise: 1-ulp changes of
+    the seed Gamma ratios move it anywhere between 9e-8 and 4e-7.
     """
     lams = np.asarray(lams, dtype=float)
     n = cfg.n
@@ -425,16 +446,10 @@ def jpd(
     m = (n + 1) // 2
     dim = 2 * m
     f = np.zeros((dim, dim))
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = _g_core(x[j], x[k], a, tau, ctrl)
-            f[j, k] = v
-            f[k, j] = -v
+    f[:n, :n], omega_col = _g_table(x, a, tau, ctrl)
     if dim == n + 1:
-        for j in range(n):
-            v = _omega_core(x[j], a, tau, ctrl)
-            f[j, n] = v
-            f[n, j] = -v
+        f[:n, n] = omega_col
+        f[n, :n] = -omega_col
     pf_sign, pf_log = linalg.pfaffian_signed_log(f)
     if pf_sign == 0:
         return 0.0
@@ -466,28 +481,24 @@ def jpd(
 
 
 def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
-    """phi_j / x^a, read from the row w of x (orders up to j + 1)."""
+    """phi_j / x^a, read from the row w of x (orders up to j + 1).
+
+    Pair mu rests on the base order k = 2 mu + (N mod 2); odd N's last
+    index j = N - 1 has its own form.
+    """
     n, a = cfg.n, cfg.a
-    pref = math.exp((a + 0.5) * math.log(2.0))
-    if n % 2 == 0:
-        mu, r = divmod(j, 2)
-        la = _log_alpha(a, 2 * mu)
-        if r == 0:
-            return pref * math.exp(2.0 * mu * tau - la) * w[2 * mu]
-        t1 = (2 * mu + 1) * math.exp((2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
-        t2 = 0.0
-        if mu > 0:
-            t2 = (2 * mu + 2 * a + 1) * math.exp((2.0 * mu - 1.0) * tau - la) * w[2 * mu - 1]
-        return pref * (t1 - t2)
-    # odd N
-    if j == n - 1:
+    if cfg.c and j == n - 1:
         return 2.0 * math.exp((n - 1.0) * tau) * _r_n(n, a) * w[n - 1]
+    pref = math.exp((a + 0.5) * math.log(2.0))
     mu, r = divmod(j, 2)
-    la = _log_alpha(a, 2 * mu + 1)
+    k = 2 * mu + cfg.c
+    la = _log_alpha(a, k)
     if r == 0:
-        return pref * math.exp((2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
-    t1 = (2 * mu + 2) * math.exp((2.0 * mu + 2.0) * tau - la) * w[2 * mu + 2]
-    t2 = (2 * mu + 2 * a + 2) * math.exp(2.0 * mu * tau - la) * w[2 * mu]
+        return pref * math.exp(k * tau - la) * w[k]
+    t1 = (k + 1) * math.exp((k + 1.0) * tau - la) * w[k + 1]
+    t2 = 0.0
+    if k > 0:
+        t2 = (k + 2 * a + 1) * math.exp((k - 1.0) * tau - la) * w[k - 1]
     return pref * (t1 - t2)
 
 
@@ -503,22 +514,19 @@ def _psi_core(
 ) -> float:
     """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
     n, a = cfg.n, cfg.a
-    pref = math.exp((a + 1.5) * math.log(2.0))
     mu, r = divmod(j, 2)
-    if n % 2 == 0:
-        la = _log_alpha(a, 2 * mu)
-        if r == 1:
-            w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
-            return pref * math.exp(-2.0 * mu * tau - la) * w[2 * mu]
+    if cfg.c and j == n - 1:
+        return -2.0 * _psi_series(x, a, tau, ctrl, mu)
+    pref = math.exp((a + 1.5) * math.log(2.0))
+    k = 2 * mu + cfg.c
+    la = _log_alpha(a, k)
+    if r == 1:
+        w = weighted_laguerre_table(k, 2.0 * a + 1.0, x)
+        return pref * math.exp(-k * tau - la) * w[k]
+    if not cfg.c:
         s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
-    if j == n - 1:
-        return -2.0 * _psi_series(x, a, tau, ctrl, mu)
-    la = _log_alpha(a, 2 * mu + 1)
-    if r == 1:
-        w = weighted_laguerre_table(2 * mu + 1, 2.0 * a + 1.0, x)
-        return pref * math.exp(-(2.0 * mu + 1.0) * tau - la) * w[2 * mu + 1]
     # finite sum over nu = 0..mu of even-order polynomials
     w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
     g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
@@ -557,22 +565,14 @@ def _psi_zero(j: int, x: float, w: np.ndarray, cfg: ChannelConfig) -> float:
     w is the row of x (orders up to j).
     """
     n, a = cfg.n, cfg.a
-    pref_lo = math.exp((a + 0.5) * math.log(2.0))
-    pref_hi = math.exp((a + 1.5) * math.log(2.0))
-    wfac = _edge_pow(x, a + 1.0)
-    if n % 2 == 0:
-        mu, r = divmod(j, 2)
-        la = _log_alpha(a, 2 * mu)
-        if r == 0:
-            return pref_lo * math.exp(-la) * _script_i(2 * mu, x, a)
-        return pref_hi * math.exp(-la) * w[2 * mu] * wfac
-    if j == n - 1:
+    if cfg.c and j == n - 1:
         return 2.0 * _r_n(n, a) * _script_i(n - 1, x, a)
     mu, r = divmod(j, 2)
-    la = _log_alpha(a, 2 * mu + 1)
+    k = 2 * mu + cfg.c
+    la = _log_alpha(a, k)
     if r == 0:
-        return pref_lo * math.exp(-la) * _script_i(2 * mu + 1, x, a)
-    return pref_hi * math.exp(-la) * w[2 * mu + 1] * wfac
+        return math.exp((a + 0.5) * math.log(2.0)) * math.exp(-la) * _script_i(k, x, a)
+    return math.exp((a + 1.5) * math.log(2.0)) * math.exp(-la) * w[k] * _edge_pow(x, a + 1.0)
 
 
 def _check_index(j: int, cfg: ChannelConfig) -> None:
@@ -726,11 +726,11 @@ def kernel_b(
 
     For tau > 0, tail and parity term together are minus the G double
     series restricted to the index pairs past the first N (for odd N the
-    opposite-parity pairs, see _g_core), summed directly in O(1/tau) rows
-    by the loop jpd uses.  That stays accurate at large
-    tau, where the identity B = -G + (finite psi-pair sum) + parity term
-    would cancel e^{2N tau}-fold.  At tau = 0 the identity is used, with
-    the closed-form duals, where every piece is exact.
+    opposite-parity pairs, see _g_table), formed from the term table of
+    [x, y] as jpd forms G.  That stays accurate at large tau, where the
+    identity B = -G + (finite psi-pair sum) + parity term would cancel
+    e^{2N tau}-fold.  At tau = 0 the identity is used, with the
+    closed-form duals, where every piece is exact.
     """
     if math.isinf(tau):
         raise ValueError("B_N vanishes as tau -> inf (q = 1 is determinantal)")
@@ -741,7 +741,7 @@ def kernel_b(
         if x == 0.0 or y == 0.0:
             return 0.0  # carries w_{a+1} in each argument
         pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
-        return -pw * _g_core(x, y, a, tau, ctrl, n)
+        return -pw * float(_g_table((x, y), a, tau, ctrl, n)[0][0, 1])
     total = -g_zero(x, y)
     wx, wy = _row(x, cfg)[0], _row(y, cfg)[0]
     for mu in range((n - c) // 2):
@@ -825,9 +825,9 @@ def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     """The weight-stripped S, A and B over every pair of points, 0 < tau < inf.
 
     Each point's row feeds S and A, and its stream runs on into the S
-    correction series; B takes one restricted G loop per pair of points.
-    A and B are balanced so the growing phi-block and the decaying
-    psi-block stay O(1).
+    correction series; B is minus the restricted G of the point set, from
+    one term-table stream per point.  A and B are balanced so the growing
+    phi-block and the decaying psi-block stay O(1).
     """
     k2 = cfg.n - cfg.c
     bal = math.exp(-(cfg.n - 1.0) * tau)
@@ -837,7 +837,7 @@ def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     s = _s_lue_matrix(rows, cfg) + np.outer(lead, series)
     phi = np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
-    b = _antisymmetric(lambda u, v: -_g_core(u, v, cfg.a, tau, ctrl, cfg.n), x)
+    b = -_g_table(x, cfg.a, tau, ctrl, cfg.n)[0]
     return s, a, b / bal
 
 
@@ -865,7 +865,7 @@ def correlation_fn(
     determinant negative beyond tolerance, or NaN, raises
     NumericalConsistencyError rather than being clamped.  The S, A and B matrices are built once per
     point set and interleaved into the doubled matrix; B is summed by the
-    same O(1/tau)-row G loop as jpd, so R_n costs about as much as jpd.
+    same term table as jpd's G, so R_n costs about as much as jpd.
 
     R_n loses relative accuracy as points close in.  The determinant
     vanishes with the squared gaps while its O(1) entries do not, so it is

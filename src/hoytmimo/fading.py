@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .ensemble import crossover_tau
 from .rng import SplitMix64, gaussian_block
 from .specfun import bessel_i0e
 
@@ -36,16 +37,10 @@ class FadingParams:
 
 def params_from_q(q: float, omega: float) -> FadingParams:
     """Build FadingParams from (q, omega)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    tau = crossover_tau(q)
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if q == 1.0:
-        tau = math.inf
-        e = 0.0
-    else:
-        e = (1.0 - q * q) / (1.0 + q * q)
-        tau = -math.log(e)
+    e = 0.0 if q == 1.0 else (1.0 - q * q) / (1.0 + q * q)  # e^{-tau}
     sigma_x2 = 0.5 * (1.0 + e) * omega
     sigma_y2 = 0.5 * (1.0 - e) * omega
     return FadingParams(q=q, omega=omega, tau=tau, sigma_x2=sigma_x2, sigma_y2=sigma_y2)

@@ -31,13 +31,13 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
     """``ensemble.g_tau`` summed in the transposed order.
 
     The outer loop runs over the even index and each row is an infinite
-    sum over the odd index; ``g_tau``'s outer loop runs over the odd index
-    with finite rows over the even index.  The two differ in truncation
-    shape, and here each Gamma ratio comes from ``lgamma`` where
-    ``g_tau`` steps them by recurrence, so their agreement checks the
-    series.  Every inner term counts against ``max_terms``.  Each point's
-    weighted polynomials are read from one stream into a list as the
-    orders grow.
+    sum over the odd index; ``g_tau`` forms the product of the running
+    even-order sums with the odd-order terms of each point's term table,
+    truncated per point.  The two differ in truncation shape, and here
+    each Gamma ratio comes from ``lgamma`` where ``g_tau`` steps them by
+    recurrence, so their agreement checks the series.  Every inner term
+    counts against ``max_terms``.  Each point's weighted polynomials are
+    read from one stream into a list as the orders grow.
     """
     if x == y or x == 0.0 or y == 0.0:
         return 0.0
@@ -156,7 +156,8 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
     for dim in dims:
         b = rng.normal(size=(dim, dim))
         b = b - b.T
-        pf = linalg.pfaffian(b)
+        sign, logabs = linalg.pfaffian_signed_log(b)  # the Parlett-Reid path jpd takes
+        pf = sign * math.exp(logabs)
         det = np.linalg.det(b)
         worst = max(worst, abs(pf * pf - det) / abs(det))
     checks.append(_check("pfaffian_squared_equals_det", worst, 1e-10))

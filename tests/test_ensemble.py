@@ -305,10 +305,15 @@ class TestLevelDensity:
         kernel_s(0.4, 1.9, ChannelConfig(4, 4), crossover_tau(0.5), CTRL)
         assert sorted(streams) == [0.4, 1.9]
 
-    @pytest.mark.parametrize("q,expect", [(0.5, 4 + 4 * 3), (1.0, 4)])
+    @pytest.mark.parametrize("nt,nr,expect", [(4, 4, 4), (3, 4, 3), (2, 2, 2)])
+    def test_jpd_reads_one_stream_per_point(self, streams, nt, nr, expect):
+        cfg = ChannelConfig(nt, nr)
+        jpd([0.3, 1.1, 2.6, 4.0][: cfg.n], cfg, 0.5, CTRL)
+        assert len(streams) == expect
+
+    @pytest.mark.parametrize("q,expect", [(0.5, 4 + 4), (1.0, 4)])
     def test_correlation_streams(self, streams, q, expect):
-        # one row per point, plus the two streams of each pair's B loop
-        # below q = 1
+        # one row per point, plus one B-table stream per point below q = 1
         correlation_fn([0.3, 1.1, 2.6, 4.0], ChannelConfig(4, 4), q, CTRL)
         assert len(streams) == expect
 
@@ -427,10 +432,11 @@ def test_jpd_near_one_sided_matches_correlation(nt, nr, q):
 
 # Frozen values at the origin, where the edge powers x^a, x^{a+1} and
 # x^{2a+1} decide: level_density(0), jpd([0, 1.3]) and kernel_s(0, 0.7)
-# for the 2 x (3 + 2a) array.
+# for the 2 x (3 + 2a) array.  jpd is pinned at its converged value: the
+# default rel_tol leaves its series a few 1e-12 short.
 ORIGIN_VALUES = [
     (-0.5, 0.0, math.inf, math.inf, math.inf),
-    (-0.5, 0.5, 2.340627309983826, 0.31800098266996596, math.inf),
+    (-0.5, 0.5, 2.340627309983826, 0.3180009826713693, math.inf),
     (-0.5, 1.0, 2.0, 0.23028936511374062, math.inf),
     (0.0, 0.0, 0.9999999999999947, 0.08483243872366515, 1.376780065781566),
     (0.0, 0.5, 0.0, 0.0, 1.9065695405524896),
@@ -446,5 +452,6 @@ def test_origin_edge_values(a, q, density, joint, kernel):
     cfg = ChannelConfig(2, int(3 + 2 * a))
     assert cfg.a == a
     assert level_density(0.0, cfg, q) == pytest.approx(density, rel=1e-12, abs=0.0)
-    assert jpd([0.0, 1.3], cfg, q) == pytest.approx(joint, rel=1e-12, abs=0.0)
+    converged = SeriesControl(rel_tol=1e-16, max_terms=10**6)
+    assert jpd([0.0, 1.3], cfg, q, converged) == pytest.approx(joint, rel=1e-12, abs=0.0)
     assert kernel_s(0.0, 0.7, cfg, crossover_tau(q)) == pytest.approx(kernel, rel=1e-12, abs=0.0)

@@ -81,6 +81,10 @@ class TestParams:
         p = params_from_q(0.0, 1.0)
         assert p.tau == 0.0 and p.sigma_x2 == 1.0 and p.sigma_y2 == 0.0
 
+    def test_one_sided_tau_is_positive_zero(self):
+        # the same tau as ensemble.crossover_tau, which never gives -0.0
+        assert math.copysign(1.0, params_from_q(0.0, 1.0).tau) == 1.0
+
     def test_rayleigh_limit(self):
         p = params_from_q(1.0, 1.0)
         assert math.isinf(p.tau)
