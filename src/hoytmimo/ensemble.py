@@ -14,16 +14,18 @@ values wt_k(x) = e^{-x} L_k^{(2a+1)}(2x) for k < N from one rescaled
 recurrence (``specfun.weighted_laguerre``), and that point's series read
 on from the same stream.  Every series term is a plain float, wt_k times a
 running coefficient e^{-k tau} gamma_k, stepped by the Gamma-function
-recurrence; nothing is cached.  Single sums use Kahan compensation and
-stop once three consecutive terms fall below ``rel_tol`` relative to the
-running sum.
+recurrence; nothing is cached.  Every series keeps a plain running sum.
+A single sum (_series) stops once three consecutive terms fall below
+``rel_tol`` relative to it; ``max_terms`` bounds the order pairs any
+point's series reads.
 
 Near q = 0 a series needs O(1/tau) terms.  The double sums (G behind jpd,
 its one-point companion and the B kernel) are products of one term table
 per point set, one stream per point; each point stops on its own and
-shorter rows are zero-padded (see _g_table).  An N-point jpd reads N
-streams, a 4x4 R_4 reads 8.  Correlation functions build their S, A and B
-matrices once per point set.
+shorter rows are zero-padded (see _g_table).  Correlation functions build
+their S, A and B matrices once per point set, and each point's B row reads
+on from its row stream, so an N-point jpd and a 4x4 R_4 both read N
+streams.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -43,7 +45,7 @@ from math import lgamma as log_gamma
 import numpy as np
 
 from . import linalg
-from .specfun import log_upper_incomplete_gamma, weighted_laguerre, weighted_laguerre_table
+from .specfun import log_upper_incomplete_gamma, weighted_laguerre
 
 __all__ = [
     "ChannelConfig",
@@ -120,8 +122,8 @@ class SeriesControl:
     ``rel_tol`` bounds the last three terms relative to the running sum, not
     the error.  Near q = 0 the unsummed remainder is about 1/(2 tau) times
     the last term kept: at the default, ``jpd`` at q = 0.03 is 2.9e-7 off.
-    ``max_terms`` counts terms for the single sums and order pairs per
-    point for the double sums (G, the one-point companion and B).
+    ``max_terms`` bounds the order pairs each point's series reads: one
+    term per pair in a single sum, both terms of a pair in a double sum.
     """
 
     rel_tol: float = 1e-10
@@ -146,33 +148,6 @@ def crossover_tau(q: float) -> float:
     return 0.0 - math.log((1.0 - q * q) / (1.0 + q * q)) + 0.0
 
 
-class _Accumulator:
-    """Kahan sum with the 3-consecutive-small-terms stopping rule."""
-
-    def __init__(self, ctrl: SeriesControl, what: str, tau: float):
-        self.ctrl = ctrl
-        self.what = what
-        self.tau = tau
-        self.total = 0.0
-        self._comp = 0.0
-        self._small = 0
-        self._terms = 0
-
-    def add(self, term: float) -> bool:
-        self._terms += 1
-        if self._terms > self.ctrl.max_terms:
-            raise SeriesTruncationError(self.what, self.tau, self.ctrl.max_terms)
-        y = term - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-        if abs(term) <= self.ctrl.rel_tol * abs(self.total):
-            self._small += 1
-        else:
-            self._small = 0
-        return self._small >= 3
-
-
 # ---------------------------------------------------------------------------
 # weighted polynomials and Gamma ratios
 #
@@ -193,7 +168,7 @@ def _gamma(a: float, k: int) -> float:
 
 def _row(x: float, cfg: ChannelConfig, size: int = 0):
     """wt_0..wt_{m-1}(x), m = max(N, size), and the stream left at order m."""
-    ws = weighted_laguerre(2.0 * cfg.a + 1.0, x)
+    ws = weighted_laguerre(2.0 * cfg.a + 1.0, float(x))  # a numpy scalar would slow it twofold
     m = max(cfg.n, size)
     return np.fromiter(itertools.islice(ws, m), float, m), ws
 
@@ -203,17 +178,27 @@ def _series(ws, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -
 
     ws is a stream of x already at order k0.  The one single-sum series
     behind the dual functions and the S-kernel correction; callers keep
-    their prefactors.
+    their prefactors.  It stops once three terms in a row add at most
+    ``rel_tol`` of the running sum, and reads at most ``max_terms`` terms,
+    one per order pair.
     """
-    acc = _Accumulator(ctrl, what, tau)
     decay = math.exp(-2.0 * tau)
     coef = _gamma(a, k0)  # e^{-2 j tau} gamma_{k0+2j}
     h = 0.5 * (k0 + 1)
-    for w in itertools.islice(ws, 0, None, 2):
-        if acc.add(coef * w):
-            return acc.total
+    total = 0.0
+    small = 0
+    for w in itertools.islice(ws, 0, 2 * ctrl.max_terms, 2):
+        term = coef * w
+        total += term
+        if abs(term) <= ctrl.rel_tol * abs(total):
+            small += 1
+            if small == 3:
+                return total
+        else:
+            small = 0
         coef *= decay * h / (h + a + 1.0)
         h += 1.0
+    raise SeriesTruncationError(what, tau, ctrl.max_terms)
 
 
 def _edge_log_pow(x: float, p: float) -> float:
@@ -264,19 +249,26 @@ def _coefficient_pairs(a: float, tau: float, n: int):
         h1 += 1.0
 
 
-def _g_table(x, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
-    """Weight-stripped G_n over the point set x, and each point's inner total.
+def _streams(x, a: float, n: int = 0) -> list:
+    """One weighted-Laguerre stream per point of x, each at order n."""
+    return [itertools.islice(weighted_laguerre(2.0 * a + 1.0, float(u)), n, None) for u in x]
 
+
+def _g_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
+    """Weight-stripped G_n over a point set, and each point's two totals.
+
+    streams holds one weighted-Laguerre stream per point x_j, at order n.
     Row j of the term table holds t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j),
-    k >= n, read from one stream in (k, k + 1) pairs whose coefficients are
+    k >= n, read from that stream in (k, k + 1) pairs whose coefficients are
     stepped once for all points.  A point stops after three pairs in a row
     add at most ``rel_tol`` of its running sums of the two parities, and
     ``max_terms`` bounds its pairs; shorter rows are zero-padded, so an
     entry depends only on its own two points.  With C the running sums of
     the inner orders n, n+2, ... and O the orders n+1, n+3, ...,
     2 sum_{i < k} [t_i(x_j) t_k(x_l) - t_k(x_j) t_i(x_l)] is 2 (g - g^T),
-    g = C O^T; the caller reattaches (x_j x_l)^{a+1}.  At n = 0 the inner
-    totals are the one-point companion.
+    g = C O^T; the caller reattaches (x_j x_l)^{a+1}.  Returned with G_n are
+    each point's totals of the orders n, n+2, ... and n+1, n+3, ...; at
+    n = 0 the first are the one-point companion.
 
     n = 0 gives G.  For even N, n = N restricts G to the index pairs past
     the first N, which is minus the psi-pair tail of the N-level B kernel.
@@ -287,12 +279,11 @@ def _g_table(x, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
     odd-order sums of t and G' this double sum over all opposite-order
     pairs: the E O products absorb the parity term.
     """
-    rows = []
+    rows, odd = [], []
     spare = _coefficient_pairs(a, tau, n)
-    for u in map(float, x):  # a numpy scalar would slow the recurrence twofold
+    for ws in streams:
         # tee copies share one buffer: each pair is stepped once for all points
         coefs, spare = itertools.tee(spare)
-        ws = itertools.islice(weighted_laguerre(2.0 * a + 1.0, u), n, None)
         row = []
         s0 = s1 = 0.0
         small = 0
@@ -311,12 +302,13 @@ def _g_table(x, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
         else:
             raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
         rows.append(row)
+        odd.append(s1)
     t = np.zeros((len(rows), max(map(len, rows))))
     for j, row in enumerate(rows):
         t[j, : len(row)] = row
     inner = np.cumsum(t[:, 0::2], axis=1)
     g = inner @ t[:, 1::2].T
-    return 2.0 * (g - g.T), inner[:, -1]
+    return 2.0 * (g - g.T), inner[:, -1], np.array(odd)
 
 
 def g_tau(
@@ -333,7 +325,7 @@ def g_tau(
         raise ValueError("g_tau needs finite tau > 0 (tau = 0 has g_zero)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
-    core = _g_table((x, y), a, tau, ctrl)[0][0, 1]
+    core = _g_table(_streams((x, y), a), a, tau, ctrl)[0][0, 1]
     if core == 0.0:
         return 0.0
     return math.exp((a + 1.0) * math.log(x * y)) * float(core)
@@ -354,7 +346,8 @@ def omega_tau(
     if math.isinf(tau):
         # only the mu = 0 term survives, and wt_0(x) = e^{-x}
         return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
-    return math.exp((a + 1.0) * math.log(x)) * float(_g_table((x,), a, tau, ctrl)[1][0])
+    inner = _g_table(_streams((x,), a), a, tau, ctrl)[1]
+    return math.exp((a + 1.0) * math.log(x)) * float(inner[0])
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +439,7 @@ def jpd(
     m = (n + 1) // 2
     dim = 2 * m
     f = np.zeros((dim, dim))
-    f[:n, :n], omega_col = _g_table(x, a, tau, ctrl)
+    f[:n, :n], omega_col, _ = _g_table(_streams(x, a), a, tau, ctrl)
     if dim == n + 1:
         f[:n, n] = omega_col
         f[n, :n] = -omega_col
@@ -512,7 +505,7 @@ def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int)
 def _psi_core(
     j: int, x: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> float:
-    """psi_j / x^{a+1} for tau > 0, built from e^{-x}-weighted tables."""
+    """psi_j / x^{a+1} for tau > 0, from the row of x or its series."""
     n, a = cfg.n, cfg.a
     mu, r = divmod(j, 2)
     if cfg.c and j == n - 1:
@@ -521,14 +514,13 @@ def _psi_core(
     k = 2 * mu + cfg.c
     la = _log_alpha(a, k)
     if r == 1:
-        w = weighted_laguerre_table(k, 2.0 * a + 1.0, x)
-        return pref * math.exp(-k * tau - la) * w[k]
+        return pref * math.exp(-k * tau - la) * _row(x, cfg, k + 1)[0][k]
     if not cfg.c:
         s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
     # finite sum over nu = 0..mu of even-order polynomials
-    w = weighted_laguerre_table(2 * mu, 2.0 * a + 1.0, x)
+    w = _row(x, cfg, 2 * mu + 1)[0]
     g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
     es = np.exp(-2.0 * tau * np.arange(mu + 1))
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
@@ -643,12 +635,6 @@ def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
     return 2.0 * _r_n(n, a) * wx[n - 1] * math.exp(-2.0 * tau)
 
 
-def _s_corr_series(ys, cfg: ChannelConfig, tau: float, ctrl: SeriesControl) -> float:
-    """The y factor of the S-kernel correction, read on from y's row stream."""
-    next(ys)  # order N; the series starts at N + 1
-    return _series(ys, cfg.a, tau, cfg.n + 1, ctrl, "density correction series")
-
-
 def _d_zero(t: float, cfg: ChannelConfig) -> float:
     """The incomplete-gamma part of the q = 0 closed forms.
 
@@ -687,7 +673,11 @@ def kernel_s(
         bracket = _edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * _d_zero(y, cfg)
         return _edge_pow(x, a) * bracket
     if not math.isinf(tau):
-        core += _s_corr_lead(wx, cfg, tau) * _s_corr_series(ys, cfg, tau, ctrl)
+        # the y factor reads on from y's row stream, past order N
+        ys = itertools.islice(ys, 1, None)
+        core += _s_corr_lead(wx, cfg, tau) * _series(
+            ys, a, tau, cfg.n + 1, ctrl, "density correction series"
+        )
     if x == y:
         # weights combine to x^{2a+1}: finite at 0 exactly for square arrays
         return _edge_pow(x, 2.0 * a + 1.0) * core
@@ -741,7 +731,7 @@ def kernel_b(
         if x == 0.0 or y == 0.0:
             return 0.0  # carries w_{a+1} in each argument
         pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
-        return -pw * float(_g_table((x, y), a, tau, ctrl, n)[0][0, 1])
+        return -pw * float(_g_table(_streams((x, y), a, n), a, tau, ctrl, n)[0][0, 1])
     total = -g_zero(x, y)
     wx, wy = _row(x, cfg)[0], _row(y, cfg)[0]
     for mu in range((n - c) // 2):
@@ -824,21 +814,22 @@ def _s_lue_matrix(rows, cfg: ChannelConfig) -> np.ndarray:
 def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     """The weight-stripped S, A and B over every pair of points, 0 < tau < inf.
 
-    Each point's row feeds S and A, and its stream runs on into the S
-    correction series; B is minus the restricted G of the point set, from
-    one term-table stream per point.  A and B are balanced so the growing
-    phi-block and the decaying psi-block stay O(1).
+    Each point's row feeds S and A, and its stream, left at order N, runs
+    on into the B rows: B is minus the restricted G of the point set.  The
+    S correction's y factor is e^{(N+1) tau} times a B row's total of the
+    orders N+1, N+3, ...  A and B are balanced so the growing phi-block and
+    the decaying psi-block stay O(1).
     """
-    k2 = cfg.n - cfg.c
-    bal = math.exp(-(cfg.n - 1.0) * tau)
+    n = cfg.n
+    k2 = n - cfg.c
+    bal = math.exp(-(n - 1.0) * tau)
     rows, streams = zip(*(_row(u, cfg) for u in x))
     lead = [_s_corr_lead(w, cfg, tau) for w in rows]
-    series = [_s_corr_series(ws, cfg, tau, ctrl) for ws in streams]
-    s = _s_lue_matrix(rows, cfg) + np.outer(lead, series)
+    g, _, odd = _g_table(streams, cfg.a, tau, ctrl, n)
+    s = _s_lue_matrix(rows, cfg) + np.outer(lead, math.exp((n + 1.0) * tau) * odd)
     phi = np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
-    b = -_g_table(x, cfg.a, tau, ctrl, cfg.n)[0]
-    return s, a, b / bal
+    return s, a, -g / bal
 
 
 def _doubled_kernel(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -863,9 +854,11 @@ def correlation_fn(
     Computed as the nonnegative square root of the ordinary determinant of
     the doubled kernel matrix (the plain kernel determinant at q = 1); a
     determinant negative beyond tolerance, or NaN, raises
-    NumericalConsistencyError rather than being clamped.  The S, A and B matrices are built once per
-    point set and interleaved into the doubled matrix; B is summed by the
-    same term table as jpd's G, so R_n costs about as much as jpd.
+    NumericalConsistencyError rather than being clamped.  The S, A and B
+    matrices are built once per point set and interleaved into the doubled
+    matrix; B is summed by the same term table as jpd's G, read on from
+    each point's row stream, and the S correction comes from the B rows,
+    so R_n costs about as much as jpd.
 
     R_n loses relative accuracy as points close in.  The determinant
     vanishes with the squared gaps while its O(1) entries do not, so it is

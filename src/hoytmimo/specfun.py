@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import count, islice
-
-import numpy as np
+from itertools import count
 
 __all__ = [
     "weighted_laguerre",
-    "weighted_laguerre_table",
     "log_upper_incomplete_gamma",
     "bessel_i0e",
 ]
@@ -53,13 +50,6 @@ def weighted_laguerre(alpha: float, x: float) -> Iterator[float]:
             vk *= f
             offset += s
             scale = math.exp(offset - x)
-
-
-def weighted_laguerre_table(nmax: int, alpha: float, x: float) -> np.ndarray:
-    """e^{-x} L_k^{(alpha)}(2x) for k = 0..nmax, read from ``weighted_laguerre``."""
-    if nmax < 0:
-        raise ValueError("weighted_laguerre_table: nmax must be >= 0")
-    return np.fromiter(islice(weighted_laguerre(alpha, x), nmax + 1), float, nmax + 1)
 
 
 def _erfc_cf_factor(x: float) -> float:

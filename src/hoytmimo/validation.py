@@ -36,15 +36,18 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
     truncated per point.  The two differ in truncation shape, and here
     each Gamma ratio comes from ``lgamma`` where ``g_tau`` steps them by
     recurrence, so their agreement checks the series.  Every inner term
-    counts against ``max_terms``.  Each point's weighted polynomials are
-    read from one stream into a list as the orders grow.
+    counts against ``max_terms``, and the row sums stop on their own rule:
+    three rows in a row adding at most ``rel_tol`` of the total.  Each
+    point's weighted polynomials are read from one stream into a list as
+    the orders grow.
     """
     if x == y or x == 0.0 or y == 0.0:
         return 0.0
     x_stream = weighted_laguerre(2.0 * a + 1.0, x)
     y_stream = weighted_laguerre(2.0 * a + 1.0, y)
     wx, wy = [], []
-    acc = ensemble._Accumulator(ctrl, "crossover kernel series", tau)
+    total = 0.0
+    small_rows = 0
     decay = math.exp(-2.0 * tau)
     terms = 0
     mu = 0
@@ -72,7 +75,7 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
             if terms > ctrl.max_terms:
                 raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
             row_acc += term
-            ref = abs(acc.total + row_acc)
+            ref = abs(total + row_acc)
             if abs(term) <= ctrl.rel_tol * ref and ref > 0.0:
                 small += 1
                 if small >= 3:
@@ -81,8 +84,13 @@ def g_tau_transposed(x: float, y: float, a: float, tau: float, ctrl: SeriesContr
                 small = 0
             nu += 1
             eodd *= decay
-        if acc.add(row_acc):
-            return math.exp((a + 1.0) * math.log(x * y)) * acc.total
+        total += row_acc
+        if abs(row_acc) <= ctrl.rel_tol * abs(total):
+            small_rows += 1
+            if small_rows == 3:
+                return math.exp((a + 1.0) * math.log(x * y)) * total
+        else:
+            small_rows = 0
         mu += 1
         ehalf *= decay
 

@@ -268,6 +268,26 @@ class TestLevelDensity:
         assert gaps[1e-4] < 1e-3
         assert gaps[1e-3] / gaps[1e-4] == pytest.approx(10.0, rel=0.15)
 
+    # S_N(x, x) at tau = 0.002 (the level density times 2 omega) with its
+    # correction series summed with 50 significant digits (mpmath, Laguerre
+    # recurrence and a Gamma-function ratio per term, about 21000 terms,
+    # until 50 consecutive terms fell below 1e-40 of the sum); a dps = 70
+    # rerun agreed to all 30 digits kept
+    @pytest.mark.parametrize(
+        "nt,nr,x,expect",
+        [
+            (2, 2, 0.25, 1.18557288267949985199828447728),
+            (2, 2, 1.0, 0.494428085610910846105629735475),
+            (2, 4, 0.25, 0.875489369252904489603746130966),
+            (3, 6, 0.75, 0.831513326442156320082792253206),
+        ],
+    )
+    def test_long_density_series_matches_high_precision_values(self, nt, nr, x, expect):
+        # about 2e4 terms in one plain running sum: rounding must not pile up
+        ctrl = SeriesControl(rel_tol=1e-17, max_terms=10**6)
+        got = kernel_s(x, x, ChannelConfig(nt, nr), 0.002, ctrl)
+        assert got == pytest.approx(expect, rel=3e-13, abs=0.0)
+
     def test_no_memory_held_per_point(self):
         # near q = 0 each point runs a series of thousands of terms; after
         # 40 distinct points nothing of them may stay allocated
@@ -311,9 +331,9 @@ class TestLevelDensity:
         jpd([0.3, 1.1, 2.6, 4.0][: cfg.n], cfg, 0.5, CTRL)
         assert len(streams) == expect
 
-    @pytest.mark.parametrize("q,expect", [(0.5, 4 + 4), (1.0, 4)])
+    @pytest.mark.parametrize("q,expect", [(0.5, 4), (1.0, 4)])
     def test_correlation_streams(self, streams, q, expect):
-        # one row per point, plus one B-table stream per point below q = 1
+        # one stream per point: its row, then its B row and S correction
         correlation_fn([0.3, 1.1, 2.6, 4.0], ChannelConfig(4, 4), q, CTRL)
         assert len(streams) == expect
 
