@@ -124,6 +124,11 @@ class SeriesControl:
     the last term kept: at the default, ``jpd`` at q = 0.03 is 2.9e-7 off.
     ``max_terms`` bounds the order pairs each point's series reads: one
     term per pair in a single sum, both terms of a pair in a double sum.
+
+    The capacity moment series is sized up front instead: its length is the
+    first whose tail bound is at most ``rel_tol`` times the q = 1 capacity,
+    ``max_terms`` also caps that number of moments, and the cap is checked
+    before any moment is integrated (see ``capacity``).
     """
 
     rel_tol: float = 1e-10
@@ -645,6 +650,38 @@ def _d_zero(t: float, cfg: ChannelConfig) -> float:
     n, a = cfg.n, cfg.a
     lk = (2.0 * a + 1.0) * math.log(2.0) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * a + 1.0)
     return cfg.c * _r_n(n, a) - math.exp(lk) * _script_i(n, t, a)
+
+
+def _d_zero_array(t: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """_d_zero over an array of t, its finite sum taken as _script_i takes it.
+
+    The incomplete gammas Gamma(mu + a + 1, t), mu = 0..N, come from one
+    upward recurrence Gamma(s+1, t) = s Gamma(s, t) + t^s e^{-t} in logs,
+    based on the scalar log_upper_incomplete_gamma(a + 1, t) per point.
+    """
+    n, a = cfg.n, cfg.a
+    t = np.asarray(t, dtype=float)
+    lig = np.array([log_upper_incomplete_gamma(a + 1.0, v) for v in t.tolist()])
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t)
+    out = np.zeros_like(t)
+    if n % 2 == 0:
+        out += 0.5 * math.exp(log_gamma(0.5 * n + a + 1.0) - log_gamma(0.5 * n + 1.0))
+    lg_top = log_gamma(n + 2.0 * a + 2.0)
+    s = a + 1.0
+    for mu in range(n + 1):
+        lg = (
+            mu * math.log(2.0)
+            + lg_top
+            - log_gamma(mu + 2.0 * a + 2.0)
+            - log_gamma(n - mu + 1.0)
+            - log_gamma(mu + 1.0)
+        )
+        out -= (-1.0) ** mu * np.exp(lg + lig)
+        lig = np.logaddexp(math.log(s) + lig, s * log_t - t)
+        s += 1.0
+    lk = (2.0 * a + 1.0) * math.log(2.0) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * a + 1.0)
+    return cfg.c * _r_n(n, a) - math.exp(lk) * out
 
 
 def kernel_s(

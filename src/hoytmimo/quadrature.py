@@ -1,6 +1,10 @@
 """Adaptive Gauss-Kronrod (G7/K15) integration.
 
-Node and weight constants are the standard QUADPACK dqk15 values.
+Node and weight constants are the standard QUADPACK dqk15 values.  One
+array rule, ``gk15``, integrates many panels and many integrands sharing
+their nodes in one call.  ``adaptive_gauss_kronrod`` drives it one scalar
+integrand at a time from a heap of panels; ``refine_panels`` bisects a
+whole set of panels for several integrands in batches.
 """
 
 from __future__ import annotations
@@ -8,7 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 
-__all__ = ["QuadratureError", "adaptive_gauss_kronrod"]
+import numpy as np
+
+__all__ = ["QuadratureError", "adaptive_gauss_kronrod", "gk15", "refine_panels"]
 
 
 class QuadratureError(RuntimeError):
@@ -45,36 +51,86 @@ _WG = (
 )
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One G7/K15 panel on [a, b]: (kronrod value, error estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(center)
+# node offsets in units of the half-width: -x_0..-x_6, the center, x_6..x_0
+_X = np.array([-v for v in _XGK[:7]] + [0.0] + list(reversed(_XGK[:7])))
+
+_MAX_PANELS = 4096  # refine_panels' limit over all rows
+
+
+def gk15(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """G7/K15 on every panel [lo_i, hi_i] at once: (kronrod values, error estimates).
+
+    f takes the 1-D array of all panels' nodes and returns their values,
+    the nodes on its last axis; leading axes are rows of integrands sharing
+    the nodes.  Both results have the rows' shape with one entry per panel.
+    The sums run in QUADPACK's order, node pairs symmetric about the center
+    first, and the error is scaled against the integrand's variation as
+    QUADPACK scales it.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = center[:, None] + half[:, None] * _X
+    fv = np.asarray(f(nodes.ravel()), dtype=float)
+    fv = fv.reshape(fv.shape[:-1] + nodes.shape)
+    fc = fv[..., 7]
+    pairs = [(fv[..., i], fv[..., 14 - i]) for i in range(7)]
     resg = _WG[3] * fc
     resk = _WGK[7] * fc
-    fvals = [fc]
-    for i in range(7):
-        x = half * _XGK[i]
-        f1 = f(center - x)
-        f2 = f(center + x)
-        fvals.extend((f1, f2))
-        resk += _WGK[i] * (f1 + f2)
+    for i, (f1, f2) in enumerate(pairs):
+        resk = resk + _WGK[i] * (f1 + f2)
         if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
-    resk *= half
-    resg *= half
-    # QUADPACK-style error scaling against the integrand's variation
-    mean = resk / (b - a)
-    resasc = _WGK[7] * abs(fc - mean)
-    j = 1
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fvals[j] - mean) + abs(fvals[j + 1] - mean))
-        j += 2
-    resasc *= abs(half)
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
+            resg = resg + _WG[i // 2] * (f1 + f2)
+    resk = resk * half
+    resg = resg * half
+    mean = resk / (hi - lo)
+    resasc = _WGK[7] * np.abs(fc - mean)
+    for i, (f1, f2) in enumerate(pairs):
+        resasc = resasc + _WGK[i] * (np.abs(f1 - mean) + np.abs(f2 - mean))
+    resasc = resasc * np.abs(half)
+    err = np.abs(resk - resg)
+    # err -> resasc * min(1, (200 err / resasc)^1.5) where resasc != 0 (err = 0 stays 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, np.power(200.0 * err / resasc, 1.5))
+    return resk, np.where(resasc != 0.0, scaled, err)
+
+
+def refine_panels(
+    f, lo, hi, val, err, rel_tol: float, abs_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect panels until each row's summed error meets its tolerance.
+
+    lo, hi are the panels and val, err their gk15 results, one row per
+    integrand.  Row r's tolerance is max(abs_tol, rel_tol * |row total|) and
+    a panel's normalized error is its largest error over the rows in these
+    units.  Each round bisects, in one gk15 call, every panel within 4x of
+    the largest normalized error.  Returns each row's value and error.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    while True:
+        tol = np.maximum(abs_tol, rel_tol * np.abs(val.sum(axis=1)))
+        if all(e <= t for e, t in zip(err.sum(axis=1).tolist(), tol.tolist())):
+            break
+        score = (err / np.maximum(tol, 1e-300)[:, None]).max(axis=0).tolist()
+        cut = 0.25 * max(score)
+        pick = [i for i, s in enumerate(score) if s >= cut]
+        keep = [i for i, s in enumerate(score) if s < cut]
+        plo, phi = lo[pick], hi[pick]
+        mid = 0.5 * (plo + phi)
+        if any(not a < m < b for a, m, b in zip(plo.tolist(), mid.tolist(), phi.tolist())):
+            break  # a panel at float resolution; stop refining
+        if len(lo) + len(mid) > _MAX_PANELS:
+            raise QuadratureError(
+                f"quadrature failed to converge within {_MAX_PANELS} panels: "
+                f"estimates {val.sum(axis=1)} with errors {err.sum(axis=1)}"
+            )
+        v, e = gk15(f, np.concatenate((plo, mid)), np.concatenate((mid, phi)))
+        lo = np.concatenate((lo[keep], plo, mid))
+        hi = np.concatenate((hi[keep], mid, phi))
+        val = np.concatenate((val[:, keep], v), axis=1)
+        err = np.concatenate((err[:, keep], e), axis=1)
+    return np.array([math.fsum(r) for r in val]), np.array([math.fsum(r) for r in err])
 
 
 def adaptive_gauss_kronrod(
@@ -92,7 +148,13 @@ def adaptive_gauss_kronrod(
     """
     if not b > a:
         raise ValueError("adaptive_gauss_kronrod requires b > a")
-    val, err = _gk15(f, a, b)
+
+    def panels(*edges: float) -> tuple[list, list]:
+        """gk15 on the consecutive panels between the edges, f called node by node."""
+        v, e = gk15(lambda u: [f(t) for t in u.tolist()], edges[:-1], edges[1:])
+        return v.tolist(), e.tolist()
+
+    (val,), (err,) = panels(a, b)
     heap = [(-err, a, b, val, err)]
     total_val = val
     total_err = err
@@ -105,8 +167,7 @@ def adaptive_gauss_kronrod(
             # interval at float resolution; put it back and stop refining
             heapq.heappush(heap, (neg_err, lo, hi, v, e))
             break
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        (v1, v2), (e1, e2) = panels(lo, mid, hi)
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))

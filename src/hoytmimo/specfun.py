@@ -1,9 +1,11 @@
-"""Scalar special functions used by the analytic eigenvalue formulas.
+"""Special functions used by the analytic eigenvalue formulas.
 
 Everything here is pure and thread-safe.  The weighted Laguerre values
 come from one streamed recurrence on rescaled values with a single scale
 factor, so high orders (n up to a few 10^4) never overflow, and from a
 log-space join where that factor would underflow, so large x never does.
+The recurrence runs on one point (``weighted_laguerre``) or on a vector of
+points (``weighted_laguerre_array``) with the same float operations.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import math
 from collections.abc import Iterator
 from itertools import count
 
+import numpy as np
+
 __all__ = [
     "weighted_laguerre",
+    "weighted_laguerre_array",
     "log_upper_incomplete_gamma",
     "bessel_i0e",
 ]
@@ -50,6 +55,53 @@ def weighted_laguerre(alpha: float, x: float) -> Iterator[float]:
             vk *= f
             offset += s
             scale = math.exp(offset - x)
+
+
+def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
+    """Yield e^{-x} L_k^{(alpha)}(2x) over an array of points, k = 0, 1, 2, ...
+
+    The recurrence of ``weighted_laguerre`` run over every point at once:
+    each column keeps its own offset and scale and is rescaled on its own
+    step, with the scalar stream's float operations, so its values are the
+    scalar ones.  Only the log-space join uses numpy's exp and log, which
+    may differ from the math module's in the last few ulp.
+    """
+    x = np.array(x, dtype=float)
+    xs = x.tolist()
+    if xs and min(xs) < 0.0:
+        raise ValueError("weighted_laguerre_array: x must be >= 0")
+    z = 2.0 * x
+    offset = np.zeros_like(x)
+    scale = np.array([math.exp(-t) for t in xs])
+    # a column is joined in log space while its scale is at or below the floor
+    any_joined = bool(xs) and math.exp(-max(xs)) <= _SCALE_FLOOR
+    vkm1, vk = np.zeros_like(x), np.ones_like(x)
+    # bkm1, bk bound |vkm1|, |vk| over every column (the recurrence with each
+    # term at its largest magnitude), so the columns are only searched for a
+    # rescale once the bound passes half the limit
+    z_lo, z_hi = (2.0 * min(xs), 2.0 * max(xs)) if xs else (0.0, 0.0)
+    bkm1, bk = 0.0, 1.0
+    k = 0.0
+    while True:
+        out = vk * scale
+        if any_joined:
+            m = (scale <= _SCALE_FLOOR) & (vk != 0.0)
+            out[m] = np.copysign(np.exp(np.log(np.abs(vk[m])) + offset[m] - x[m]), vk[m])
+        yield out
+        c = 2.0 * k + 1.0 + alpha
+        vkm1, vk = vk, ((c - z) * vk - (k + alpha) * vkm1) / (k + 1.0)
+        bkm1, bk = bk, (max(abs(c - z_lo), abs(c - z_hi)) * bk + abs(k + alpha) * bkm1) / (k + 1.0)
+        k += 1.0
+        if bk > 0.5 * _RESCALE_LIMIT:
+            for i in np.flatnonzero(np.abs(vk) > _RESCALE_LIMIT).tolist():
+                s = math.log(abs(vk[i]))
+                f = math.exp(-s)
+                vkm1[i] *= f
+                vk[i] *= f
+                offset[i] += s
+                scale[i] = math.exp(offset[i] - x[i])
+            any_joined = min(scale.tolist()) <= _SCALE_FLOOR
+            bkm1, bk = float(np.abs(vkm1).max()), float(np.abs(vk).max())
 
 
 def _erfc_cf_factor(x: float) -> float:

@@ -1,6 +1,8 @@
 import math
+import time
 
 import pytest
+from scipy.integrate import quad
 
 from hoytmimo.capacity import (
     capacity_sweep,
@@ -8,11 +10,32 @@ from hoytmimo.capacity import (
     degradation,
     ergodic_capacity,
 )
-from hoytmimo.ensemble import ChannelConfig, SeriesControl, density_mp, mp_support
+from hoytmimo.ensemble import (
+    ChannelConfig,
+    SeriesControl,
+    SeriesTruncationError,
+    density_mp,
+    level_density,
+    mp_support,
+)
 from hoytmimo.montecarlo import mc_capacity
 from hoytmimo.quadrature import adaptive_gauss_kronrod
 
 P15 = db_to_linear(15.0)
+TIGHT = SeriesControl(rel_tol=1e-16, max_terms=10**6)
+
+
+def capacity_oracle(cfg, q, power):
+    """Independent reference: scipy quad in u = sqrt(lambda) of the scalar level density."""
+    snr = power / cfg.nt
+
+    def f(u):
+        return 2.0 * u * math.log2(1.0 + snr * u * u) * level_density(u * u, cfg, q, TIGHT)
+
+    cut = math.sqrt(1.5 * mp_support(cfg)[1])
+    head, _ = quad(f, 0.0, cut, epsabs=0.0, epsrel=1e-13, limit=200)
+    tail, _ = quad(f, cut, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return head + tail
 
 
 class TestErgodicCapacity:
@@ -81,6 +104,41 @@ class TestErgodicCapacity:
             ergodic_capacity(ChannelConfig(2, 2), 1.5, 1.0)
 
 
+class TestErrorEstimate:
+    @pytest.mark.parametrize("q", [0.06, 0.3])
+    @pytest.mark.parametrize("nt,nr,power_db", [(1, 1, 15.0), (2, 2, 15.0), (2, 5, 30.0)])
+    def test_error_estimate_covers_true_error(self, nt, nr, power_db, q):
+        # est_abs_error carries the quadrature error and the truncated
+        # moment series' tail bound
+        cfg = ChannelConfig(nt, nr)
+        power = db_to_linear(power_db)
+        res = ergodic_capacity(cfg, q, power)
+        ref = capacity_oracle(cfg, q, power)
+        assert abs(res.capacity - ref) <= res.est_abs_error + 1e-13 * ref
+
+
+class TestNearOneSided:
+    def test_small_q_finishes_and_is_monotone(self):
+        cfg = ChannelConfig(2, 2)
+        caps = {}
+        for q in (0.05, 0.02):
+            start = time.perf_counter()
+            caps[q] = ergodic_capacity(cfg, q, P15)
+            assert time.perf_counter() - start < 5.0
+        c0 = ergodic_capacity(cfg, 0.0, P15).capacity
+        c10 = ergodic_capacity(cfg, 0.1, P15).capacity
+        assert c0 < caps[0.02].capacity < caps[0.05].capacity < c10
+        ref = capacity_oracle(cfg, 0.05, P15)
+        assert abs(caps[0.05].capacity - ref) <= caps[0.05].est_abs_error
+
+    def test_too_long_series_raises_quickly(self):
+        # q = 0.01 needs more moments than max_terms allows
+        start = time.perf_counter()
+        with pytest.raises(SeriesTruncationError):
+            ergodic_capacity(ChannelConfig(2, 2), 0.01, P15)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestCapacitySweep:
     def test_row_ordering_and_monotonicity(self):
         cfg = ChannelConfig(2, 2)
@@ -117,3 +175,17 @@ class TestCapacitySweep:
         asym, _ = adaptive_gauss_kronrod(f, 0.0, math.pi, rel_tol=1e-9)
         exact = ergodic_capacity(cfg, 1.0, P15, SeriesControl()).capacity
         assert asym == pytest.approx(exact, rel=0.01)
+
+    def test_sweep_matches_single_calls(self):
+        cfg = ChannelConfig(3, 3)
+        qs, powers = [0.0, 0.3, 0.8, 1.0], [5.0, 20.0]
+        for row in capacity_sweep(cfg, qs, powers):
+            single = ergodic_capacity(cfg, row.q, db_to_linear(row.power_db))
+            tol = max(row.est_abs_error, single.est_abs_error)
+            assert abs(row.capacity - single.capacity) <= tol
+
+    def test_degradation_matches_single_calls(self):
+        cfg = ChannelConfig(2, 3)
+        c0 = ergodic_capacity(cfg, 0.0, P15).capacity
+        c1 = ergodic_capacity(cfg, 1.0, P15).capacity
+        assert degradation(cfg, P15) == pytest.approx(1.0 - c0 / c1, rel=0.0, abs=1e-12)

@@ -475,3 +475,14 @@ def test_origin_edge_values(a, q, density, joint, kernel):
     converged = SeriesControl(rel_tol=1e-16, max_terms=10**6)
     assert jpd([0.0, 1.3], cfg, q, converged) == pytest.approx(joint, rel=1e-12, abs=0.0)
     assert kernel_s(0.0, 0.7, cfg, crossover_tau(q)) == pytest.approx(kernel, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4), (8, 8), (4, 15)])
+def test_d_zero_array_matches_scalar(nt, nr):
+    # the q = 0 capacity row takes D over all nodes from one incomplete-gamma
+    # recurrence; the kernels keep the scalar form
+    cfg = ChannelConfig(nt, nr)
+    t = np.array([0.3, 5.0])
+    got = ensemble._d_zero_array(t, cfg)
+    for value, tt in zip(got, t):
+        assert value == pytest.approx(ensemble._d_zero(float(tt), cfg), rel=1e-12, abs=0.0)

@@ -12,6 +12,7 @@ from hoytmimo.specfun import (
     bessel_i0e,
     log_upper_incomplete_gamma,
     weighted_laguerre,
+    weighted_laguerre_array,
 )
 
 # high-precision reference evaluated once with a 30-digit series/product
@@ -128,6 +129,26 @@ class TestLaguerreWeighted:
         assert np.array_equal(got == 0.0, ref == 0.0)
         nz = ref != 0.0
         assert np.all(np.abs(got[nz] - ref[nz]) <= 1e-11 * np.abs(ref[nz]))
+
+
+class TestLaguerreWeightedArray:
+    XS = (0.0, 1e-3, 0.37, 1.9, 6.5, 50.0, 700.0, 2000.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0, 11.0])
+    def test_matches_scalar_stream(self, alpha):
+        # bit-identical while no column is joined in log space; above that
+        # only numpy's exp and log in the join may differ from math's
+        got = np.array(list(islice(weighted_laguerre_array(alpha, self.XS), 5000)))
+        for j, x in enumerate(self.XS):
+            ref = stream_table(4999, alpha, x)
+            if x <= 50.0:
+                assert np.array_equal(got[:, j], ref)
+            else:
+                assert np.all(np.abs(got[:, j] - ref) <= 4.0 * np.spacing(np.abs(ref)))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            next(weighted_laguerre_array(0.0, [1.0, -0.5]))
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
