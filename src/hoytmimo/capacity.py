@@ -44,8 +44,8 @@ from .ensemble import (
     SeriesTruncationError,
     _d_zero_array,
     _gamma,
-    _log_alpha,
     _r_n,
+    _s_lue_core,
     crossover_tau,
     mp_support,
 )
@@ -79,14 +79,15 @@ def _nodes(u: np.ndarray, cfg: ChannelConfig, snr: float):
     """What every row needs at the nodes u = sqrt(lambda).
 
     Returns x, the weight (the Jacobian du times log2(1 + snr lambda) /
-    (2 omega)), the weight times x^{2a+1}, the row wt_0..wt_{N-1}(x) and
-    the weighted Laguerre stream of the nodes, left at order N.
+    (2 omega)), the weight times x^{2a+1}, the row wt_0..wt_{N-1}(x) with
+    the orders on its first axis and the weighted Laguerre stream of the
+    nodes, left at order N.
     """
     lam = u * u
     x = lam / (2.0 * cfg.omega)
     weight = (u / cfg.omega) * (np.log(1.0 + snr * lam) / math.log(2.0))
     ws = weighted_laguerre_array(2.0 * cfg.a + 1.0, x)
-    row = list(itertools.islice(ws, cfg.n))
+    row = np.array(list(itertools.islice(ws, cfg.n)))
     return x, weight, weight * _node_pow(x, 2.0 * cfg.a + 1.0), row, ws
 
 
@@ -95,17 +96,10 @@ def _node_pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.exp(p * np.log(x))
 
 
-def _lue_core(row, cfg: ChannelConfig) -> np.ndarray:
-    """kernel_s's LUE core on the diagonal (ensemble._s_lue_core), over the nodes."""
-    a = cfg.a
-    pref = math.exp((2.0 * a + 2.0) * math.log(2.0))
-    return pref * sum(math.exp(-2.0 * _log_alpha(a, mu)) * w * w for mu, w in enumerate(row))
-
-
 def _bound_rows(u: np.ndarray, cfg: ChannelConfig, snr: float) -> np.ndarray:
     """The q = 1 integrand and the integrand of A, the moments' common bound."""
     _, _, factor, row, _ = _nodes(u, cfg, snr)
-    return np.array([factor * _lue_core(row, cfg), np.abs(factor * row[-1])])
+    return np.array([factor * _s_lue_core(row, row, cfg), np.abs(factor * row[-1])])
 
 
 def _binomial(k: int, alpha: float) -> float:
@@ -164,7 +158,7 @@ def _integrand(cfg: ChannelConfig, snr: float, taus: list[float], terms: int):
     def f(u: np.ndarray) -> np.ndarray:
         x, weight, factor, row, ws = _nodes(u, cfg, snr)
         out = np.empty((len(taus), len(u)))
-        out[:] = factor * _lue_core(row, cfg)
+        out[:] = factor * _s_lue_core(row, row, cfg)
         if zero:
             out[zero] += weight * _node_pow(x, a) * row[-1] * _d_zero_array(x, cfg)
         if coefs is not None:

@@ -626,12 +626,18 @@ def skew_psi(
 # two-point kernels
 
 
-def _s_lue_core(wx: np.ndarray, wy: np.ndarray, cfg: ChannelConfig) -> float:
-    """Finite Christoffel-Darboux-type sum, stripped of x^a y^{a+1}, from the rows of x and y."""
+def _s_lue_core(wx: np.ndarray, wy: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """Finite Christoffel-Darboux-type sum, stripped of x^a y^{a+1}, from the rows of x and y.
+
+    The rows hold the orders on their first axis, and the sum broadcasts
+    over the rest: a pair of points, the nodes of a quadrature, or every
+    pair of a point set.  The transposes put the orders last for np.dot,
+    which sums 1-D rows in one dot product, and the points back in order.
+    """
     n, a = cfg.n, cfg.a
     inv = np.array([math.exp(-2.0 * _log_alpha(a, mu)) for mu in range(n)])  # 1/alpha_mu^2
     pref = math.exp((2.0 * a + 2.0) * math.log(2.0))
-    return pref * float(np.dot(inv, wx * wy))
+    return pref * np.dot((wx * wy).T, inv).T
 
 
 def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
@@ -699,7 +705,7 @@ def kernel_s(
     a = cfg.a
     wx, xs = _row(x, cfg)
     wy, ys = (wx, xs) if y == x else _row(y, cfg)
-    core = _s_lue_core(wx, wy, cfg)
+    core = float(_s_lue_core(wx, wy, cfg))
     if tau == 0.0:
         # S = x^a [y^{a+1} S_lue-core + wt_{N-1}(x) D(y)]: the whole bracket
         # shares the bare x^a edge factor
@@ -843,11 +849,6 @@ def _antisymmetric(f, x) -> np.ndarray:
     return upper - upper.T
 
 
-def _s_lue_matrix(rows, cfg: ChannelConfig) -> np.ndarray:
-    """_s_lue_core over every pair of the points' rows."""
-    return np.array([[_s_lue_core(u, v, cfg) for v in rows] for u in rows])
-
-
 def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     """The weight-stripped S, A and B over every pair of points, 0 < tau < inf.
 
@@ -863,7 +864,9 @@ def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     rows, streams = zip(*(_row(u, cfg) for u in x))
     lead = [_s_corr_lead(w, cfg, tau) for w in rows]
     g, _, odd = _g_table(streams, cfg.a, tau, ctrl, n)
-    s = _s_lue_matrix(rows, cfg) + np.outer(lead, math.exp((n + 1.0) * tau) * odd)
+    w = np.array(rows).T
+    s = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
+    s += np.outer(lead, math.exp((n + 1.0) * tau) * odd)
     phi = np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
     return s, a, -g / bal
@@ -923,7 +926,8 @@ def correlation_fn(
         if log_scale == -math.inf:
             return 0.0
     if q == 1.0:
-        mat = _s_lue_matrix([_row(u, cfg)[0] for u in x], cfg)
+        w = np.array([_row(u, cfg)[0] for u in x]).T
+        mat = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
     elif q == 0.0:
         mat = _doubled_kernel(
             np.array([[kernel_s(u, v, cfg, 0.0) for v in x] for u in x]),

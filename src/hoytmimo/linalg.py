@@ -1,8 +1,10 @@
 """Minimal dense linear algebra on numpy arrays.
 
-Antisymmetric matrices are real square ndarrays with B^T = -B.  Hermitian
-spectra come from the batched ``numpy.linalg.eigvalsh`` wrapper below; the
-tests pin it to an independent Jacobi solver.
+Antisymmetric matrices are real square ndarrays with B^T = -B; their one
+Pfaffian routine returns (sign, log|Pf|) by Parlett-Reid elimination, so a
+value never under- or overflows.  Hermitian spectra come from the batched
+``numpy.linalg.eigvalsh`` wrapper below; the tests pin it to an
+independent Jacobi solver.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "hermitian_eigenvalues_batch",
-    "pfaffian",
+    "pfaffian_signed_log",
     "determinant_signed_log",
 ]
 
@@ -66,24 +68,6 @@ def pfaffian_signed_log(b: np.ndarray) -> tuple[int, float]:
             u = a[k + 2 :, k + 1]
             a[k + 2 :, k + 2 :] += np.outer(t, u) - np.outer(u, t)
     return sign, logabs
-
-
-def pfaffian(b: np.ndarray) -> float:
-    """Pfaffian of a real antisymmetric even-dimensional matrix."""
-    a = _validate_antisymmetric(b)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    if n == 2:
-        return float(a[0, 1])
-    if n == 4:
-        return float(
-            a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-        )
-    sign, logabs = pfaffian_signed_log(a)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(logabs)
 
 
 def determinant_signed_log(m: np.ndarray) -> tuple[float, float]:

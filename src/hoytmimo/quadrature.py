@@ -2,19 +2,18 @@
 
 Node and weight constants are the standard QUADPACK dqk15 values.  One
 array rule, ``gk15``, integrates many panels and many integrands sharing
-their nodes in one call.  ``adaptive_gauss_kronrod`` drives it one scalar
-integrand at a time from a heap of panels; ``refine_panels`` bisects a
-whole set of panels for several integrands in batches.
+their nodes in one call, and one driver, ``refine_panels``, bisects a
+whole set of panels for those integrands in batches.  A single integrand
+is a one-row integrand on one starting panel.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_gauss_kronrod", "gk15", "refine_panels"]
+__all__ = ["QuadratureError", "gk15", "refine_panels"]
 
 
 class QuadratureError(RuntimeError):
@@ -131,54 +130,3 @@ def refine_panels(
         val = np.concatenate((val[:, keep], v), axis=1)
         err = np.concatenate((err[:, keep], e), axis=1)
     return np.array([math.fsum(r) for r in val]), np.array([math.fsum(r) for r in err])
-
-
-def adaptive_gauss_kronrod(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_intervals: int = 2048,
-) -> tuple[float, float]:
-    """Integrate f over [a, b]; returns (value, error estimate).
-
-    Bisects the interval with the largest error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |integral|).
-    """
-    if not b > a:
-        raise ValueError("adaptive_gauss_kronrod requires b > a")
-
-    def panels(*edges: float) -> tuple[list, list]:
-        """gk15 on the consecutive panels between the edges, f called node by node."""
-        v, e = gk15(lambda u: [f(t) for t in u.tolist()], edges[:-1], edges[1:])
-        return v.tolist(), e.tolist()
-
-    (val,), (err,) = panels(a, b)
-    heap = [(-err, a, b, val, err)]
-    total_val = val
-    total_err = err
-    while len(heap) < max_intervals:
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            break
-        neg_err, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at float resolution; put it back and stop refining
-            heapq.heappush(heap, (neg_err, lo, hi, v, e))
-            break
-        (v1, v2), (e1, e2) = panels(lo, mid, hi)
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    else:
-        if total_err > max(abs_tol, rel_tol * abs(total_val), 1e-300):
-            raise QuadratureError(
-                f"quadrature failed to converge on [{a}, {b}]: "
-                f"estimate {total_val} with error {total_err}"
-            )
-    # final recomputed sums reduce drift from the incremental updates
-    total_val = math.fsum(item[3] for item in heap)
-    total_err = math.fsum(item[4] for item in heap)
-    return total_val, total_err

@@ -6,6 +6,9 @@ factor, so high orders (n up to a few 10^4) never overflow, and from a
 log-space join where that factor would underflow, so large x never does.
 The recurrence runs on one point (``weighted_laguerre``) or on a vector of
 points (``weighted_laguerre_array``) with the same float operations.
+The log upper incomplete gamma runs its recurrence in logs from
+Gamma(1, x) or Gamma(1/2, x); the latter is libm's erfc, or its asymptotic
+series (DLMF 7.12.1) where erfc would leave the normal floats.
 """
 
 from __future__ import annotations
@@ -104,30 +107,6 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
             bkm1, bk = float(np.abs(vkm1).max()), float(np.abs(vk).max())
 
 
-def _erfc_cf_factor(x: float) -> float:
-    """F(x) = erfc(x) * exp(x^2) * sqrt(pi), continued fraction for x >= 1.5.
-
-    F(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))), modified Lentz.
-    """
-    tiny = 1e-300
-    f = c = x
-    d = 0.0
-    for k in range(1, 300):
-        ak = 0.5 * k
-        d = x + ak * d
-        if d == 0.0:
-            d = tiny
-        c = x + ak / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    raise RuntimeError("erfc continued fraction failed to converge")
-
-
 def log_upper_incomplete_gamma(s: float, x: float) -> float:
     """ln of the upper incomplete gamma Gamma(s, x), s a positive
 
@@ -150,13 +129,21 @@ def log_upper_incomplete_gamma(s: float, x: float) -> float:
     half = round(two_s) % 2 == 1
     if half:
         base = 0.5
-        # Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)); past sqrt(x) = 1.5 it is
-        # e^{-x} F(sqrt(x)), kept in logs so the erfc underflow never bites
+        # Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), from libm while erfc is a
+        # normal float (>= 5.5e-296 below sqrt(x) = 26); past that, DLMF
+        # 7.12.1 in logs: e^{-x} x^{-1/2} sum_m (-1)^m (2m-1)!! / (2x)^m,
+        # whose terms reach 1e-17 by m = 8
         rx = math.sqrt(x)
-        if rx < 1.5:
+        if rx < 26.0:
             cur = 0.5 * math.log(math.pi) + math.log(math.erfc(rx))
         else:
-            cur = math.log(_erfc_cf_factor(rx)) - x
+            total = term = 1.0
+            m = 0.0
+            while abs(term) > 1e-17:
+                m += 1.0
+                term *= (1.0 - 2.0 * m) / (2.0 * x)
+                total += term
+            cur = math.log(total / rx) - x
     else:
         base = 1.0
         cur = -x  # Gamma(1, x) = e^{-x}

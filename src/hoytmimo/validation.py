@@ -21,7 +21,7 @@ from .ensemble import (
     jpd,
     kernel_s,
 )
-from .quadrature import adaptive_gauss_kronrod
+from .quadrature import gk15, refine_panels
 from .specfun import weighted_laguerre
 
 __all__ = ["run_checks", "g_tau_transposed", "jpd_normalization_n2", "jpd_normalization_n3"]
@@ -204,19 +204,19 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
         worst = max(worst, abs(r2 - p2) / abs(p2))
     checks.append(_check("r2_vs_jpd_n2", worst, 1e-4))
 
-    # kernel integral = N
+    # kernel integral = N: one integrand row in u = sqrt(lambda), one starting panel
     taus = (0.7,) if quick else (0.0, 0.7, math.inf)
     sizes = ((2, 2), (3, 4)) if quick else ((2, 2), (3, 4), (4, 5), (5, 6))
+    lo, hi = np.array([0.0]), np.array([math.sqrt(45.0)])
     for nt, nr in sizes:
         cfg = ChannelConfig(nt, nr)
         for tau in taus:
-            val, _ = adaptive_gauss_kronrod(
-                lambda u: 2.0 * u * kernel_s(u * u, u * u, cfg, tau, ctrl),
-                0.0,
-                math.sqrt(45.0),
-                rel_tol=1e-9,
-            )
+
+            def f(u):
+                return [[2.0 * t * kernel_s(t * t, t * t, cfg, tau, ctrl) for t in u.tolist()]]
+
+            (val,), _ = refine_panels(f, lo, hi, *gk15(f, lo, hi), 1e-9, 0.0)
             checks.append(
-                _check(f"kernel_s_integral_n{cfg.n}_tau{tau:g}", val, 1e-6, target=cfg.n)
+                _check(f"kernel_s_integral_n{cfg.n}_tau{tau:g}", float(val), 1e-6, target=cfg.n)
             )
     return checks

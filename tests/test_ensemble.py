@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from hoytmimo import ensemble, specfun
 from hoytmimo.ensemble import (
@@ -22,7 +23,6 @@ from hoytmimo.ensemble import (
     mp_support,
     omega_tau,
 )
-from hoytmimo.quadrature import adaptive_gauss_kronrod
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2
 from test_specfun import laguerre
 
@@ -177,8 +177,13 @@ class TestJpd:
     def test_normalization_n1_all_q(self):
         cfg = ChannelConfig(1, 1)
         for q in (0.0, 0.3, 0.7, 1.0):
-            val, _ = adaptive_gauss_kronrod(
-                lambda u: 2.0 * u * jpd([u * u], cfg, q, CTRL), 0.0, 7.0, rel_tol=1e-9
+            val, _ = quad(
+                lambda u: 2.0 * u * jpd([u * u], cfg, q, CTRL),
+                0.0,
+                7.0,
+                epsabs=0.0,
+                epsrel=1e-9,
+                limit=200,
             )
             assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -234,11 +239,13 @@ class TestLevelDensity:
     def test_normalization(self, nt, nr, q):
         cfg = ChannelConfig(nt, nr)
         hi = math.sqrt(2.0 * mp_support(cfg)[1] + 30.0)
-        val, _ = adaptive_gauss_kronrod(
+        val, _ = quad(
             lambda u: 2.0 * u * level_density(u * u, cfg, q, CTRL),
             0.0,
             hi,
-            rel_tol=1e-9,
+            epsabs=0.0,
+            epsrel=1e-9,
+            limit=200,
         )
         assert val == pytest.approx(cfg.n, abs=1e-6)
 
@@ -399,7 +406,7 @@ class TestDensityMp:
             lam = mid - halfw * math.cos(t)
             return density_mp(lam, cfg) * halfw * math.sin(t)
 
-        val, _ = adaptive_gauss_kronrod(f, 0.0, math.pi, rel_tol=1e-9)
+        val, _ = quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-9, limit=200)
         assert val == pytest.approx(cfg.n, rel=1e-6)
 
     def test_large_n_matches_exact(self):

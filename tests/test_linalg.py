@@ -9,7 +9,6 @@ from hoytmimo.ensemble import ChannelConfig
 from hoytmimo.linalg import (
     determinant_signed_log,
     hermitian_eigenvalues_batch,
-    pfaffian,
     pfaffian_signed_log,
 )
 from hoytmimo.montecarlo import _spectra, sample_channel, sample_spectrum
@@ -134,10 +133,35 @@ class TestEigenvalues:
             hermitian_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
 
 
+def pfaffian_expansion(b: np.ndarray) -> float:
+    """Reference: Pf(B) = sum_j (-1)^{j+1} b_0j Pf(B without rows/columns 0, j).
+
+    The expansion along the first row, summed over every perfect matching;
+    independent of the library's Parlett-Reid elimination.
+    """
+    n = len(b)
+    if n == 0:
+        return 1.0
+    rest = list(range(1, n))
+    total = 0.0
+    for pos, j in enumerate(rest):
+        keep = [k for k in rest if k != j]
+        total += (-1.0) ** pos * b[0, j] * pfaffian_expansion(b[np.ix_(keep, keep)])
+    return total
+
+
+def pfaffian(b: np.ndarray) -> float:
+    sign, logabs = pfaffian_signed_log(b)
+    return sign * math.exp(logabs)
+
+
 class TestPfaffian:
+    """The one Pfaffian routine, (sign, log|Pf|) by Parlett-Reid elimination."""
+
     def test_dim_two(self):
+        # one pivot and no elimination: the entry itself
         b = np.array([[0.0, 3.7], [-3.7, 0.0]])
-        assert pfaffian(b) == 3.7
+        assert pfaffian_signed_log(b) == (1, math.log(3.7))
 
     def test_dim_four_expansion(self):
         rng = np.random.default_rng(5)
@@ -172,22 +196,23 @@ class TestPfaffian:
         b = b - b.T
         b[3, :] = 0.0
         b[:, 3] = 0.0
-        assert pfaffian(b) == 0.0
+        assert pfaffian_signed_log(b) == (0, -math.inf)
 
     def test_signed_log_matches(self):
+        # sign included, which the determinant cannot check
         rng = np.random.default_rng(8)
         b = rng.normal(size=(8, 8))
         b = b - b.T
         s, lg = pfaffian_signed_log(b)
-        assert s * math.exp(lg) == pytest.approx(pfaffian(b), rel=1e-12)
+        assert s * math.exp(lg) == pytest.approx(pfaffian_expansion(b), rel=1e-12)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            pfaffian(np.zeros((3, 3)))
+            pfaffian_signed_log(np.zeros((3, 3)))
 
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
-            pfaffian(np.eye(4))
+            pfaffian_signed_log(np.eye(4))
 
 
 class TestDeterminant:

@@ -157,7 +157,7 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
 
 def erfc(x: float) -> float:
     # Gamma(1/2, x^2) = sqrt(pi) erfc(x): the start of the half-integer
-    # recurrence, math.erfc below x = 1.5 and a continued fraction above
+    # recurrence, math.erfc below x = 26 and its asymptotic series above
     return upper_incomplete_gamma(0.5, x * x) / math.sqrt(math.pi)
 
 
@@ -177,6 +177,28 @@ class TestIncompleteGamma:
         # defining integral, adaptive quadrature as the independent oracle
         ref, _ = quad(lambda y: y ** (s - 1.0) * math.exp(-y), x, np.inf)
         assert upper_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-10)
+
+    # ln Gamma(s, x) by 40-digit mpmath at the float x, frozen here.  The
+    # half-integer start Gamma(1/2, x) comes from libm's erfc below
+    # x = 26^2 = 676 and from its asymptotic series above, so these points
+    # sit on both sides of the switch.
+    @pytest.mark.parametrize(
+        "s,x,ref",
+        [
+            (0.5, 2.25, -2.812127146626852633251),
+            (0.5, 675.9, -679.1587609593297731477),
+            (0.5, 676.1, -679.3589086702999864464),
+            (0.5, 769.2, -772.5233244798956792892),
+            (0.5, 3000.0, -3004.00335038110437637),
+            (3.5, 2.25, 0.8734652530824040525515),
+            (3.5, 675.9, -659.606187027051890159),
+            (3.5, 676.1, -659.8054484770282180286),
+            (3.5, 769.2, -752.5833712844062563216),
+            (3.5, 3000.0, -2979.98324767818146935),
+        ],
+    )
+    def test_erfc_switch_high_precision(self, s, x, ref):
+        assert log_upper_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_log_form_far_tail(self):
         # log form stays finite where erfc(sqrt(x)) underflows
