@@ -9,7 +9,8 @@ on q (kernel_s on the diagonal), so for 0 < q < 1
 
 where C_1 is the q = 1 capacity (the same integral over the LUE core) and
 the moments M_j do not depend on q.  At q = 0 the series is replaced by the
-tau = 0 bracket of kernel_s, x^a wt_{N-1}(x) D(x).  So one node set in
+tau = 0 bracket of kernel_s, x^a wt_{N-1}(x) D(x), with D from the nodes'
+half-range integrals (ensemble._half_range).  So one node set in
 u = sqrt(lambda) serves every q of a call: the integrand has one row per q,
 the weighted Laguerre values stream through all nodes at once, and each
 moment is folded into every q's row as it is read; no moment table is kept.
@@ -42,8 +43,9 @@ from .ensemble import (
     ChannelConfig,
     SeriesControl,
     SeriesTruncationError,
-    _d_zero_array,
+    _d_zero,
     _gamma,
+    _half_range,
     _r_n,
     _s_lue_core,
     crossover_tau,
@@ -160,7 +162,8 @@ def _integrand(cfg: ChannelConfig, snr: float, taus: list[float], terms: int):
         out = np.empty((len(taus), len(u)))
         out[:] = factor * _s_lue_core(row, row, cfg)
         if zero:
-            out[zero] += weight * _node_pow(x, a) * row[-1] * _d_zero_array(x, cfg)
+            d = _d_zero(_half_range(row, x, cfg)[n], cfg)
+            out[zero] += weight * _node_pow(x, a) * row[-1] * d
         if coefs is not None:
             acc = np.zeros((len(mid), len(u)))
             for c, w in zip(coefs, itertools.islice(ws, 1, None, 2)):  # orders N+1, N+3, ...

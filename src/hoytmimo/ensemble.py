@@ -19,13 +19,17 @@ A single sum (_series) stops once three consecutive terms fall below
 ``rel_tol`` relative to it; ``max_terms`` bounds the order pairs any
 point's series reads.
 
-Near q = 0 a series needs O(1/tau) terms.  The double sums (G behind jpd,
-its one-point companion and the B kernel) are products of one term table
-per point set, one stream per point; each point stops on its own and
-shorter rows are zero-padded (see _g_table).  Correlation functions build
-their S, A and B matrices once per point set, and each point's B row reads
-on from its row stream, so an N-point jpd and a 4x4 R_4 both read N
-streams.
+At tau = 0 the kernels and dual functions rest on the half-range
+integrals I_k(x) = (1/2) int_0^inf sgn(x - y) y^a wt_k(y) dy, which one
+exact recurrence over a point's row gives for every order (_half_range).
+
+Near but not at q = 0 a series needs O(1/tau) terms.  The double sums (G
+behind jpd, its one-point companion and the B kernel) are products of one
+term table per point set, one stream per point; each point stops on its
+own and shorter rows are zero-padded (see _g_table).  Correlation
+functions build their S, A and B matrices once per point set (see
+_blocks), and each point's B row reads on from its row stream, so an
+N-point jpd and a 4x4 R_4 both read N streams.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -45,7 +49,7 @@ from math import lgamma as log_gamma
 import numpy as np
 
 from . import linalg
-from .specfun import log_upper_incomplete_gamma, weighted_laguerre
+from .specfun import lower_incomplete_gamma, weighted_laguerre
 
 __all__ = [
     "ChannelConfig",
@@ -532,44 +536,44 @@ def _psi_core(
     return pref * fac * float(np.dot(es * g, w[0 : 2 * mu + 1 : 2]))
 
 
-def _script_i(nn: int, x: float, a: float) -> float:
-    """Half-range signed integral of the weighted polynomial of order nn.
+def _half_range(w: np.ndarray, x, cfg: ChannelConfig) -> np.ndarray:
+    """I_0..I_m at x from the row w = wt_0..wt_{m-1}(x), orders on its first axis.
 
-    I(x) = (1/2) int_0^inf sgn(x - y) w_a(y) L_nn^{(2a+1)}(2y) dy, reduced
-    to the finite incomplete-gamma sum.
+    I_k(x) = (1/2) int_0^inf sgn(x - y) y^a wt_k(y) dy = J_k(x) - F_k/2, with
+    J_k(x) = int_0^x y^a wt_k(y) dy and F_k = J_k(inf) = Gamma(k/2 + a + 1) /
+    Gamma(k/2 + 1) for even k, 0 for odd k.  Integrating d/dy [y^{a+1} wt_mu]
+    = (1/2) y^a [(mu + 1) wt_{mu+1} - (mu + 2a + 1) wt_{mu-1}] from 0 to x
+    (a + 1 > 0) gives J_{mu+1} = [2 x^{a+1} wt_mu(x) + (mu + 2a + 1) J_{mu-1}]
+    / (mu + 1) from J_{-1} = 0 and J_0 = gamma(a + 1, x).  Like _s_lue_core
+    it broadcasts over the rest of w: one point, or the nodes of a quadrature.
     """
-    even = nn % 2 == 0
-    out = 0.0
-    if even:
-        out = 0.5 * math.exp(log_gamma(0.5 * nn + a + 1.0) - log_gamma(0.5 * nn + 1.0))
-    lg_top = log_gamma(nn + 2.0 * a + 2.0)
-    for mu in range(nn + 1):
-        lg = (
-            mu * math.log(2.0)
-            + lg_top
-            - log_gamma(mu + 2.0 * a + 2.0)
-            - log_gamma(nn - mu + 1.0)
-            - log_gamma(mu + 1.0)
-            + log_upper_incomplete_gamma(mu + a + 1.0, x)
-        )
-        out -= (-1.0) ** mu * math.exp(lg)
+    a = cfg.a
+    x = np.asarray(x, dtype=float)
+    edge = 2.0 * x ** (a + 1.0)
+    j = [lower_incomplete_gamma(a + 1.0, x)]
+    prev = 0.0  # J_{mu-1}
+    for mu, wt in enumerate(w):
+        j.append((edge * wt + (mu + 2.0 * a + 1.0) * prev) / (mu + 1.0))
+        prev = j[mu]
+    out = np.array(j)
+    half = 0.5 * math.exp(log_gamma(a + 1.0))  # F_k / 2, stepped over even k
+    for k in range(0, len(out), 2):
+        out[k] -= half
+        half *= (0.5 * k + a + 1.0) / (0.5 * k + 1.0)
     return out
 
 
-def _psi_zero(j: int, x: float, w: np.ndarray, cfg: ChannelConfig) -> float:
-    """psi_j at tau = 0 via the incomplete-gamma closed forms (full weights).
-
-    w is the row of x (orders up to j).
-    """
+def _psi_zero(j: int, w: np.ndarray, i: np.ndarray, p, cfg: ChannelConfig):
+    """psi_j at tau = 0 (full weights) from the row w, half-range table i and p = x^{a+1}."""
     n, a = cfg.n, cfg.a
     if cfg.c and j == n - 1:
-        return 2.0 * _r_n(n, a) * _script_i(n - 1, x, a)
+        return 2.0 * _r_n(n, a) * i[n - 1]
     mu, r = divmod(j, 2)
     k = 2 * mu + cfg.c
     la = _log_alpha(a, k)
     if r == 0:
-        return math.exp((a + 0.5) * math.log(2.0)) * math.exp(-la) * _script_i(k, x, a)
-    return math.exp((a + 1.5) * math.log(2.0)) * math.exp(-la) * w[k] * _edge_pow(x, a + 1.0)
+        return math.exp((a + 0.5) * math.log(2.0)) * math.exp(-la) * i[k]
+    return math.exp((a + 1.5) * math.log(2.0)) * math.exp(-la) * w[k] * p
 
 
 def _check_index(j: int, cfg: ChannelConfig) -> None:
@@ -581,17 +585,6 @@ def _check_index(j: int, cfg: ChannelConfig) -> None:
         )
 
 
-def _skew_phis(k: int, x: float, cfg: ChannelConfig, tau: float) -> list[float]:
-    """phi_0..phi_{k-1} at x, read from one row of x."""
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    edge = _edge_pow(x, cfg.a)
-    if x == 0.0 and cfg.a != 0.0:
-        return [edge] * k  # the edge factor alone decides
-    w = _row(x, cfg, k + 1)[0]
-    return [edge * _phi_core(j, w, cfg, tau) for j in range(k)]
-
-
 def skew_phi(
     j: int, x: float, cfg: ChannelConfig, tau: float
 ) -> float:
@@ -599,7 +592,7 @@ def skew_phi(
     _check_index(j, cfg)
     if math.isinf(tau):
         raise ValueError("phi diverges at tau = inf; use the q = 1 closed forms")
-    return _skew_phis(j + 1, x, cfg, tau)[j]
+    return _edge_pow(x, cfg.a) * _phi_core(j, _row(x, cfg, j + 2)[0], cfg, tau)
 
 
 def skew_psi(
@@ -616,7 +609,8 @@ def skew_psi(
     if x < 0.0:
         raise ValueError("x must be >= 0")
     if tau == 0.0:
-        return _psi_zero(j, x, _row(x, cfg, j + 1)[0], cfg)
+        w = _row(x, cfg, j + 1)[0]
+        return float(_psi_zero(j, w, _half_range(w, x, cfg), _edge_pow(x, cfg.a + 1.0), cfg))
     if x == 0.0:
         return 0.0  # psi carries the w_{a+1} weight
     return math.exp((cfg.a + 1.0) * math.log(x)) * _psi_core(j, x, cfg, tau, ctrl)
@@ -646,48 +640,14 @@ def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
     return 2.0 * _r_n(n, a) * wx[n - 1] * math.exp(-2.0 * tau)
 
 
-def _d_zero(t: float, cfg: ChannelConfig) -> float:
-    """The incomplete-gamma part of the q = 0 closed forms.
+def _d_zero(i_n, cfg: ChannelConfig):
+    """D = c r_N - 2^{2a+1} Gamma(N+1)/Gamma(N+2a+1) I_N, from the half-range I_N.
 
-    D(t) = c r_N - 2^{2a+1} Gamma(N+1)/Gamma(N+2a+1) I_N(t): D's finite
-    sum is I_N's, rescaled, and for even N D's constant term is I_N's
-    half-range constant, rescaled.
+    The y factor beside wt_{N-1}(x) in the tau = 0 bracket of S (see kernel_s).
     """
     n, a = cfg.n, cfg.a
     lk = (2.0 * a + 1.0) * math.log(2.0) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * a + 1.0)
-    return cfg.c * _r_n(n, a) - math.exp(lk) * _script_i(n, t, a)
-
-
-def _d_zero_array(t: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
-    """_d_zero over an array of t, its finite sum taken as _script_i takes it.
-
-    The incomplete gammas Gamma(mu + a + 1, t), mu = 0..N, come from one
-    upward recurrence Gamma(s+1, t) = s Gamma(s, t) + t^s e^{-t} in logs,
-    based on the scalar log_upper_incomplete_gamma(a + 1, t) per point.
-    """
-    n, a = cfg.n, cfg.a
-    t = np.asarray(t, dtype=float)
-    lig = np.array([log_upper_incomplete_gamma(a + 1.0, v) for v in t.tolist()])
-    with np.errstate(divide="ignore"):
-        log_t = np.log(t)
-    out = np.zeros_like(t)
-    if n % 2 == 0:
-        out += 0.5 * math.exp(log_gamma(0.5 * n + a + 1.0) - log_gamma(0.5 * n + 1.0))
-    lg_top = log_gamma(n + 2.0 * a + 2.0)
-    s = a + 1.0
-    for mu in range(n + 1):
-        lg = (
-            mu * math.log(2.0)
-            + lg_top
-            - log_gamma(mu + 2.0 * a + 2.0)
-            - log_gamma(n - mu + 1.0)
-            - log_gamma(mu + 1.0)
-        )
-        out -= (-1.0) ** mu * np.exp(lg + lig)
-        lig = np.logaddexp(math.log(s) + lig, s * log_t - t)
-        s += 1.0
-    lk = (2.0 * a + 1.0) * math.log(2.0) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * a + 1.0)
-    return cfg.c * _r_n(n, a) - math.exp(lk) * out
+    return cfg.c * _r_n(n, a) - math.exp(lk) * i_n
 
 
 def kernel_s(
@@ -709,11 +669,12 @@ def kernel_s(
     if tau == 0.0:
         # S = x^a [y^{a+1} S_lue-core + wt_{N-1}(x) D(y)]: the whole bracket
         # shares the bare x^a edge factor
+        d = float(_d_zero(_half_range(wy, y, cfg)[cfg.n], cfg))
         if x == 0.0 and y == 0.0:
             # diagonal origin: the LUE piece recombines to x^{2a+1}
             lue = _edge_pow(0.0, 2.0 * a + 1.0) * core
-            return lue + _edge_pow(0.0, a) * wx[cfg.n - 1] * _d_zero(0.0, cfg)
-        bracket = _edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * _d_zero(y, cfg)
+            return lue + _edge_pow(0.0, a) * wx[cfg.n - 1] * d
+        bracket = _edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * d
         return _edge_pow(x, a) * bracket
     if not math.isinf(tau):
         # the y factor reads on from y's row stream, past order N
@@ -734,18 +695,24 @@ def kernel_a(
     tau: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
-    """Antisymmetric kernel A_N(x, y): finite sum over phi pairs."""
+    """Antisymmetric kernel A_N(x, y): x^a y^a times a finite sum over stripped phi pairs.
+
+    So at x = 0 of a square array A is a signed infinity.
+    """
     if math.isinf(tau):
         raise ValueError("A_N diverges as tau -> inf (q = 1 is determinantal)")
+    if x < 0.0 or y < 0.0:
+        raise ValueError("arguments must be >= 0")
     k2 = cfg.n - cfg.c
-    if k2 == 0:
-        return 0.0  # N = 1 has no phi pair
-    px, py = _skew_phis(k2, x, cfg, tau), _skew_phis(k2, y, cfg, tau)
+    if k2 == 0 or x == y:
+        return 0.0  # N = 1 has no phi pair, and A vanishes on the diagonal
+    wx, wy = _row(x, cfg, k2 + 1)[0], _row(y, cfg, k2 + 1)[0]
+    px, py = ([_phi_core(j, w, cfg, tau) for j in range(k2)] for w in (wx, wy))
     total = 0.0
     for mu in range(k2 // 2):
         total += px[2 * mu + 1] * py[2 * mu]
         total -= px[2 * mu] * py[2 * mu + 1]
-    return total
+    return _edge_pow(x, cfg.a) * _edge_pow(y, cfg.a) * total
 
 
 def kernel_b(
@@ -763,26 +730,19 @@ def kernel_b(
     [x, y] as jpd forms G.  That stays accurate at large tau, where the
     identity B = -G + (finite psi-pair sum) + parity term would cancel
     e^{2N tau}-fold.  At tau = 0 the identity is used, with the
-    closed-form duals, where every piece is exact.
+    closed-form duals, where every piece is exact (see _blocks).
     """
     if math.isinf(tau):
         raise ValueError("B_N vanishes as tau -> inf (q = 1 is determinantal)")
     if x < 0.0 or y < 0.0:
         raise ValueError("arguments must be >= 0")
-    n, a, c = cfg.n, cfg.a, cfg.c
+    n, a = cfg.n, cfg.a
     if tau > 0.0:
         if x == 0.0 or y == 0.0:
             return 0.0  # carries w_{a+1} in each argument
         pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
         return -pw * float(_g_table(_streams((x, y), a, n), a, tau, ctrl, n)[0][0, 1])
-    total = -g_zero(x, y)
-    wx, wy = _row(x, cfg)[0], _row(y, cfg)[0]
-    for mu in range((n - c) // 2):
-        total += _psi_zero(2 * mu, x, wx, cfg) * _psi_zero(2 * mu + 1, y, wy, cfg)
-        total -= _psi_zero(2 * mu + 1, x, wx, cfg) * _psi_zero(2 * mu, y, wy, cfg)
-    if c:
-        total += 0.5 * (_psi_zero(n - 1, x, wx, cfg) - _psi_zero(n - 1, y, wy, cfg))
-    return total
+    return float(_blocks(np.array([x, y]), cfg, 0.0, ctrl)[2][0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -841,34 +801,37 @@ def _pair_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return upper - upper.T
 
 
-def _antisymmetric(f, x) -> np.ndarray:
-    """f(x_j, x_k) above the diagonal, its negative below and 0 on it."""
-    upper = np.zeros((len(x), len(x)))
-    for j, k in itertools.combinations(range(len(x)), 2):
-        upper[j, k] = f(x[j], x[k])
-    return upper - upper.T
+def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
+    """The weight-stripped S, A and B over every pair of points, 0 <= tau < inf.
 
-
-def _crossover_blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
-    """The weight-stripped S, A and B over every pair of points, 0 < tau < inf.
-
-    Each point's row feeds S and A, and its stream, left at order N, runs
-    on into the B rows: B is minus the restricted G of the point set.  The
-    S correction's y factor is e^{(N+1) tau} times a B row's total of the
-    orders N+1, N+3, ...  A and B are balanced so the growing phi-block and
-    the decaying psi-block stay O(1).
+    Each point's row feeds S and A.  At tau = 0 its half-range table gives
+    D and the duals: row j of S and of A drops x_j^a, column k of A drops
+    x_k^a, and B = -sgn(x_j - x_k)/2 + psi-pair sum (+ parity term for odd
+    N) carries no weight.  For tau > 0 the row's stream, left at order N,
+    runs on into the B rows: B is minus the restricted G of the point set.
+    The S correction's y factor is e^{(N+1) tau} times a B row's total of
+    the orders N+1, N+3, ...  A and B are balanced so the growing phi-block
+    and the decaying psi-block stay O(1).
     """
     n = cfg.n
     k2 = n - cfg.c
     bal = math.exp(-(n - 1.0) * tau)
     rows, streams = zip(*(_row(u, cfg) for u in x))
-    lead = [_s_corr_lead(w, cfg, tau) for w in rows]
-    g, _, odd = _g_table(streams, cfg.a, tau, ctrl, n)
     w = np.array(rows).T
     s = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
-    s += np.outer(lead, math.exp((n + 1.0) * tau) * odd)
-    phi = np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
+    phi = np.array([[_phi_core(j, wj, cfg, tau) for j in range(k2)] for wj in rows])
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
+    if tau == 0.0:
+        i = _half_range(w, x, cfg)
+        p = x ** (cfg.a + 1.0)
+        psi = np.array([_psi_zero(j, w, i, p, cfg) for j in range(n)]).T
+        b = _pair_matrix(psi[:, 0:k2:2], psi[:, 1:k2:2]) - 0.5 * np.sign(np.subtract.outer(x, x))
+        if cfg.c:
+            b += 0.5 * np.subtract.outer(psi[:, n - 1], psi[:, n - 1])
+        return s * p + np.outer(w[n - 1], _d_zero(i[n], cfg)), a, b
+    lead = [_s_corr_lead(wj, cfg, tau) for wj in rows]
+    g, _, odd = _g_table(streams, cfg.a, tau, ctrl, n)
+    s += np.outer(lead, math.exp((n + 1.0) * tau) * odd)
     return s, a, -g / bal
 
 
@@ -895,10 +858,10 @@ def correlation_fn(
     the doubled kernel matrix (the plain kernel determinant at q = 1); a
     determinant negative beyond tolerance, or NaN, raises
     NumericalConsistencyError rather than being clamped.  The S, A and B
-    matrices are built once per point set and interleaved into the doubled
-    matrix; B is summed by the same term table as jpd's G, read on from
-    each point's row stream, and the S correction comes from the B rows,
-    so R_n costs about as much as jpd.
+    matrices are built once per point set (_blocks) and interleaved into
+    the doubled matrix; for q > 0 B is summed by the term table of jpd's G
+    and the S correction comes from the B rows, so R_n costs about as much
+    as jpd.
 
     R_n loses relative accuracy as points close in.  The determinant
     vanishes with the squared gaps while its O(1) entries do not, so it is
@@ -918,24 +881,19 @@ def correlation_fn(
     omega, a = cfg.omega, cfg.a
     x = pts / (2.0 * omega)
 
-    # the stripped kernels (q > 0) leave the weights x^{2a+1} to reattach
+    # the stripped kernels leave the weights x^a (q = 0) or x^{2a+1}
+    # (q > 0) to reattach
     log_scale = 0.0
-    if q > 0.0:
-        for xi in x:
-            log_scale += _edge_log_pow(xi, 2.0 * a + 1.0)
-        if log_scale == -math.inf:
-            return 0.0
+    power = a if q == 0.0 else 2.0 * a + 1.0
+    for xi in x:
+        log_scale += _edge_log_pow(xi, power)
+    if log_scale == -math.inf:
+        return 0.0
     if q == 1.0:
         w = np.array([_row(u, cfg)[0] for u in x]).T
         mat = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
-    elif q == 0.0:
-        mat = _doubled_kernel(
-            np.array([[kernel_s(u, v, cfg, 0.0) for v in x] for u in x]),
-            _antisymmetric(lambda u, v: kernel_a(u, v, cfg, 0.0), x),
-            _antisymmetric(lambda u, v: kernel_b(u, v, cfg, 0.0), x),
-        )
     else:
-        mat = _doubled_kernel(*_crossover_blocks(x, cfg, crossover_tau(q), ctrl))
+        mat = _doubled_kernel(*_blocks(x, cfg, crossover_tau(q), ctrl))
     sign, logdet = linalg.determinant_signed_log(mat)
     if math.isnan(logdet):
         raise NumericalConsistencyError("correlation determinant is undefined (NaN kernel entry)")

@@ -101,14 +101,17 @@ def refine_panels(
     """Bisect panels until each row's summed error meets its tolerance.
 
     lo, hi are the panels and val, err their gk15 results, one row per
-    integrand.  Row r's tolerance is max(abs_tol, rel_tol * |row total|) and
-    a panel's normalized error is its largest error over the rows in these
+    integrand.  Row r's tolerance is max(abs_tol, rel_tol * |row total|),
+    floored at 50 eps times the sum of |panel values|, which rounding keeps
+    the total from meeting when the integral is 0 and abs_tol is too.  A
+    panel's normalized error is its largest error over the rows in these
     units.  Each round bisects, in one gk15 call, every panel within 4x of
     the largest normalized error.  Returns each row's value and error.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     while True:
         tol = np.maximum(abs_tol, rel_tol * np.abs(val.sum(axis=1)))
+        tol = np.maximum(tol, 50.0 * np.finfo(float).eps * np.abs(val).sum(axis=1))
         if all(e <= t for e, t in zip(err.sum(axis=1).tolist(), tol.tolist())):
             break
         score = (err / np.maximum(tol, 1e-300)[:, None]).max(axis=0).tolist()

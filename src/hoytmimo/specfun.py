@@ -6,9 +6,9 @@ factor, so high orders (n up to a few 10^4) never overflow, and from a
 log-space join where that factor would underflow, so large x never does.
 The recurrence runs on one point (``weighted_laguerre``) or on a vector of
 points (``weighted_laguerre_array``) with the same float operations.
-The log upper incomplete gamma runs its recurrence in logs from
-Gamma(1, x) or Gamma(1/2, x); the latter is libm's erfc, or its asymptotic
-series (DLMF 7.12.1) where erfc would leave the normal floats.
+The lower incomplete gamma steps up from gamma(1, x) or gamma(1/2, x),
+which libm's expm1 and erf give; it seeds the half-range integrals of the
+q = 0 closed forms (see ``ensemble._half_range``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "weighted_laguerre",
     "weighted_laguerre_array",
-    "log_upper_incomplete_gamma",
+    "lower_incomplete_gamma",
     "bessel_i0e",
 ]
 
@@ -107,59 +107,35 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
             bkm1, bk = float(np.abs(vkm1).max()), float(np.abs(vk).max())
 
 
-def log_upper_incomplete_gamma(s: float, x: float) -> float:
-    """ln of the upper incomplete gamma Gamma(s, x), s a positive
+def lower_incomplete_gamma(s: float, x):
+    """gamma(s, x) = int_0^x y^{s-1} e^{-y} dy for s a positive integer or half-integer.
 
-    integer or half-integer, x >= 0.  Runs the upward recurrence
-    Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x} entirely in log space so
-    large s and x never overflow.
+    x >= 0 is a float or an array, and the result has its shape.  From
+    gamma(1, x) = -expm1(-x) or gamma(1/2, x) = sqrt(pi) erf(sqrt(x)) (libm)
+    it steps up by gamma(k+1, x) = k gamma(k, x) - x^k e^{-x} (DLMF 8.8.1).
+    The error stays a few ulp of Gamma(s), also where gamma(s, x) is far
+    smaller (x well below s).
     """
     two_s = 2.0 * s
-    if s <= 0.0 or abs(two_s - round(two_s)) > 1e-12:
-        raise ValueError(
-            f"upper incomplete gamma: s must be a positive integer or "
-            f"half-integer, got {s}"
-        )
-    if x < 0.0:
-        raise ValueError("upper incomplete gamma: x must be >= 0")
-    if x == 0.0:
-        return math.lgamma(s)
-
-    log_x = math.log(x)
-    half = round(two_s) % 2 == 1
-    if half:
-        base = 0.5
-        # Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), from libm while erfc is a
-        # normal float (>= 5.5e-296 below sqrt(x) = 26); past that, DLMF
-        # 7.12.1 in logs: e^{-x} x^{-1/2} sum_m (-1)^m (2m-1)!! / (2x)^m,
-        # whose terms reach 1e-17 by m = 8
-        rx = math.sqrt(x)
-        if rx < 26.0:
-            cur = 0.5 * math.log(math.pi) + math.log(math.erfc(rx))
-        else:
-            total = term = 1.0
-            m = 0.0
-            while abs(term) > 1e-17:
-                m += 1.0
-                term *= (1.0 - 2.0 * m) / (2.0 * x)
-                total += term
-            cur = math.log(total / rx) - x
+    if s <= 0.0 or two_s != round(two_s):
+        raise ValueError(f"lower incomplete gamma: s must be a positive (half-)integer, got {s}")
+    x = np.asarray(x, dtype=float)
+    xs = x.ravel().tolist()
+    if xs and min(xs) < 0.0:
+        raise ValueError("lower incomplete gamma: x must be >= 0")
+    if round(two_s) % 2:
+        k = 0.5
+        out = math.sqrt(math.pi) * np.array([math.erf(math.sqrt(v)) for v in xs]).reshape(x.shape)
+        term = np.sqrt(x) * np.exp(-x)
     else:
-        base = 1.0
-        cur = -x  # Gamma(1, x) = e^{-x}
-    k = base
-    while k < s - 0.5:
-        cur = _logaddexp(math.log(k) + cur, k * log_x - x)
+        k = 1.0
+        out = -np.expm1(-x)
+        term = x * np.exp(-x)
+    while k < s:
+        out = k * out - term
+        term = term * x
         k += 1.0
-    return cur
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if b == -math.inf:
-        return a
-    return a + math.log1p(math.exp(b - a))
+    return out
 
 
 _I0_SERIES_CUTOFF = 30.0

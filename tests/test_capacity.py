@@ -138,6 +138,25 @@ class TestNearOneSided:
         assert time.perf_counter() - start < 1.0
 
 
+class TestLargeArraysAtQZero:
+    """q = 0 at 24x24 and 32x32, where the incomplete-gamma sums once failed."""
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_capacity_and_degradation_finish(self, n):
+        cfg = ChannelConfig(n, n)
+        res = ergodic_capacity(cfg, 0.0, P15)
+        c1 = ergodic_capacity(cfg, 1.0, P15).capacity
+        assert 0.0 < res.capacity < c1
+        assert res.est_abs_error < 1e-9 * res.capacity
+        assert degradation(cfg, P15) == pytest.approx(1.0 - res.capacity / c1, rel=1e-6)
+
+    def test_monte_carlo_cross_check_24x24(self):
+        cfg = ChannelConfig(24, 24)
+        mean, se = mc_capacity(cfg, 0.0, P15, samples=20000, seed=1)
+        exact = ergodic_capacity(cfg, 0.0, P15).capacity
+        assert abs(mean - exact) < 4.0 * se
+
+
 class TestCapacitySweep:
     def test_row_ordering_and_monotonicity(self):
         cfg = ChannelConfig(2, 2)

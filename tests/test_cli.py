@@ -270,6 +270,15 @@ class TestCorrelationsCommand:
                 level_density(row["points"][0], cfg, 0.5), rel=1e-10
             )
 
+    def test_point_at_origin_q0(self):
+        # a square array's density edge at lambda = 0: R_2 is +inf, not a failure
+        code, text = run_cli(
+            ["correlations", "--nt", "2", "--nr", "2", "--q", "0",
+             "--points", "0,1", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(text)["rows"][0]["r_n"] == math.inf
+
     def test_rejects_order_above_n(self):
         code, _ = run_cli(
             ["correlations", "--nt", "2", "--nr", "2", "--q", "0.5",

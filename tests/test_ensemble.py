@@ -486,10 +486,102 @@ def test_origin_edge_values(a, q, density, joint, kernel):
 
 @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4), (8, 8), (4, 15)])
 def test_d_zero_array_matches_scalar(nt, nr):
-    # the q = 0 capacity row takes D over all nodes from one incomplete-gamma
-    # recurrence; the kernels keep the scalar form
+    # the q = 0 capacity row takes D over all its nodes from one half-range
+    # table, the kernels from one table per point: the same function
     cfg = ChannelConfig(nt, nr)
-    t = np.array([0.3, 5.0])
-    got = ensemble._d_zero_array(t, cfg)
-    for value, tt in zip(got, t):
-        assert value == pytest.approx(ensemble._d_zero(float(tt), cfg), rel=1e-12, abs=0.0)
+    t = np.array([0.0, 0.3, 5.0, 60.0])
+    rows = np.array([ensemble._row(u, cfg)[0] for u in t]).T
+    got = ensemble._d_zero(ensemble._half_range(rows, t, cfg)[cfg.n], cfg)
+    for value, tt, w in zip(got, t, rows.T):
+        d = ensemble._d_zero(ensemble._half_range(w, tt, cfg)[cfg.n], cfg)
+        assert value == pytest.approx(float(d), rel=1e-13, abs=0.0)
+
+
+# I_k(x) = (1/2) int_0^inf sgn(x - y) y^a wt_k(y) dy at orders N - 1 and N,
+# frozen from 50-digit mpmath quadrature of the one-sided integral on the
+# side where it does not cancel (int_0^x, or int_x^inf past the bulk); the
+# difference of the two half integrals loses the tiny odd-order values
+HALF_RANGE_REFS = [
+    (16, 16, 0.3, 15, 0.12916881489057205),
+    (16, 16, 0.3, 16, -0.042077006328567744),
+    (16, 16, 5.0, 15, 0.14721069080803505),
+    (16, 16, 5.0, 16, -0.024316706454514293),
+    (16, 16, 20.0, 15, 0.14454566355264534),
+    (16, 16, 20.0, 16, 0.029169499082989762),
+    (16, 16, 60.0, 15, 2.1182486384790026e-9),
+    (16, 16, 60.0, 16, 0.1740377770377267),
+    (24, 24, 0.3, 23, 0.1605081543609942),
+    (24, 24, 0.3, 24, 0.02012111756144799),
+    (24, 24, 5.0, 23, 0.12622835345583565),
+    (24, 24, 5.0, 24, -0.021902906593275013),
+    (24, 24, 20.0, 23, 0.13170840907321341),
+    (24, 24, 20.0, 24, 0.014061291376796495),
+    (24, 24, 60.0, 23, 1.9171841137257668e-4),
+    (24, 24, 60.0, 24, 0.14228794643361404),
+    (32, 32, 0.3, 31, 0.15985195570933375),
+    (32, 32, 0.3, 32, 0.032868456856471184),
+    (32, 32, 5.0, 31, 0.13188305337731021),
+    (32, 32, 5.0, 32, -0.0040096586257176482),
+    (32, 32, 20.0, 31, 0.12161351755458456),
+    (32, 32, 20.0, 32, -0.015258387913095677),
+    (32, 32, 60.0, 31, 0.084409408830859658),
+    (32, 32, 60.0, 32, 0.0070617953554850129),
+    (8, 40, 0.3, 7, 0.001467654080568322),
+    (8, 40, 0.3, 8, -1.1263006213198073e16),
+    (8, 40, 5.0, 7, 2.7487138025126941e14),
+    (8, 40, 5.0, 8, -1.0301901690707273e16),
+    (8, 40, 20.0, 7, 4.9476344989853745e15),
+    (8, 40, 20.0, 8, 1.9942394748161149e15),
+    (8, 40, 60.0, 7, 2.1949574243508616e11),
+    (8, 40, 60.0, 8, 1.1261009626465256e16),
+]
+
+
+@pytest.mark.parametrize("nt,nr,x,k,ref", HALF_RANGE_REFS)
+def test_half_range_frozen_references(nt, nr, x, k, ref):
+    # the two-term recurrence is exact, so no order or point loses digits:
+    # the incomplete-gamma sum it replaced was 2e2 off at 32x32, x = 5
+    cfg = ChannelConfig(nt, nr)
+    w = ensemble._row(x, cfg)[0]
+    assert ensemble._half_range(w, x, cfg)[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_q0_large_array_counts_levels(n):
+    # int R_1 dlambda = N at q = 0, in u = sqrt(lambda) past the square
+    # array's lambda^{-1/2} edge; R_1 is below 1e-25 past lambda = 400
+    cfg = ChannelConfig(n, n)
+    edges = np.linspace(0.0, 20.0, 41)
+    total = math.fsum(
+        quad(lambda u: 2.0 * u * level_density(u * u, cfg, 0.0), lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    assert total == pytest.approx(n, rel=0.0, abs=1e-10)
+
+
+# R_n(eps, 1, 2, ...) sqrt(eps) as eps -> 0 at q = 0, square arrays (omega = 1),
+# extrapolated from eps = 1e-10 and 1e-12, where R_n is finite
+ORIGIN_LIMITS = [(2, 0.151632664928158), (3, 0.0314719280327718), (4, 0.00381102854032272)]
+
+
+@pytest.mark.parametrize("n,limit", ORIGIN_LIMITS)
+def test_correlation_at_origin_q0(n, limit):
+    # a square array's x^{-1/2} edge is factored out of the doubled kernel
+    # matrix, so a point at lambda = 0 gives +inf, as level_density does
+    cfg = ChannelConfig(n, n)
+    rest = [float(k) for k in range(1, n)]
+    assert correlation_fn([0.0] + rest, cfg, 0.0) == math.inf
+    eps = 1e-12
+    assert correlation_fn([eps] + rest, cfg, 0.0) * math.sqrt(eps) == pytest.approx(limit, rel=1e-9)
+
+
+@pytest.mark.parametrize("nt,nr", [(2, 2), (3, 3), (4, 4), (5, 5)])
+def test_kernel_a_origin_is_signed_infinity(nt, nr):
+    # A = x^a y^a times the stripped phi-pair sum: +-inf at x = 0, with the
+    # sign the sum has just off the origin
+    cfg = ChannelConfig(nt, nr)
+    for y in (0.37, 1.9):
+        value = ensemble.kernel_a(0.0, y, cfg, 0.0)
+        assert math.isinf(value)
+        assert math.copysign(1.0, value) == math.copysign(1.0, ensemble.kernel_a(1e-12, y, cfg, 0.0))
+    assert ensemble.kernel_a(0.0, 0.0, cfg, 0.0) == 0.0

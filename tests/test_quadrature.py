@@ -34,6 +34,14 @@ def test_oscillatory():
     assert val == pytest.approx((1.0 - math.cos(10.0 * math.pi)) / 10.0, abs=1e-10)
 
 
+def test_zero_integral_without_abs_tol():
+    # rel_tol * |total| cannot be met on an integral that is 0; the floor of
+    # 50 eps times the summed panel magnitudes is, at rounding level
+    val, err = integrate(lambda x: math.sin(10.0 * x), 0.0, math.pi, rel_tol=1e-11, abs_tol=0.0)
+    assert abs(val) < 1e-15
+    assert err < 1e-17
+
+
 def test_integrable_sqrt_singularity_via_substitution():
     # 1/sqrt(x) on (0, 1]: integrate 2 du after x = u^2
     val, _ = integrate(lambda u: 2.0, 0.0, 1.0)

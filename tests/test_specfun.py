@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from hoytmimo.specfun import (
     bessel_i0e,
-    log_upper_incomplete_gamma,
+    lower_incomplete_gamma,
     weighted_laguerre,
     weighted_laguerre_array,
 )
@@ -18,7 +19,6 @@ from hoytmimo.specfun import (
 # high-precision reference evaluated once with a 30-digit series/product
 # oracle and frozen here
 GAMMA_2_5_AT_1_3 = 1.01211360070320342941420928868
-ERFC_0_7 = 0.322198806162581527024371190756
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:
@@ -152,13 +152,9 @@ class TestLaguerreWeightedArray:
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
-    return math.exp(log_upper_incomplete_gamma(s, x))
-
-
-def erfc(x: float) -> float:
-    # Gamma(1/2, x^2) = sqrt(pi) erfc(x): the start of the half-integer
-    # recurrence, math.erfc below x = 26 and its asymptotic series above
-    return upper_incomplete_gamma(0.5, x * x) / math.sqrt(math.pi)
+    # Gamma(s, x) = Gamma(s) - gamma(s, x): accurate where Gamma(s, x) is not
+    # small against Gamma(s)
+    return math.gamma(s) - float(lower_incomplete_gamma(s, x))
 
 
 class TestIncompleteGamma:
@@ -178,41 +174,31 @@ class TestIncompleteGamma:
         ref, _ = quad(lambda y: y ** (s - 1.0) * math.exp(-y), x, np.inf)
         assert upper_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-10)
 
-    # ln Gamma(s, x) by 40-digit mpmath at the float x, frozen here.  The
-    # half-integer start Gamma(1/2, x) comes from libm's erfc below
-    # x = 26^2 = 676 and from its asymptotic series above, so these points
-    # sit on both sides of the switch.
-    @pytest.mark.parametrize(
-        "s,x,ref",
-        [
-            (0.5, 2.25, -2.812127146626852633251),
-            (0.5, 675.9, -679.1587609593297731477),
-            (0.5, 676.1, -679.3589086702999864464),
-            (0.5, 769.2, -772.5233244798956792892),
-            (0.5, 3000.0, -3004.00335038110437637),
-            (3.5, 2.25, 0.8734652530824040525515),
-            (3.5, 675.9, -659.606187027051890159),
-            (3.5, 676.1, -659.8054484770282180286),
-            (3.5, 769.2, -752.5833712844062563216),
-            (3.5, 3000.0, -2979.98324767818146935),
-        ],
-    )
-    def test_erfc_switch_high_precision(self, s, x, ref):
-        assert log_upper_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 8.5, 16.5])
+    def test_against_scipy(self, s):
+        # the upward recurrence keeps its error small against Gamma(s), also
+        # where gamma(s, x) is far smaller (x well below s)
+        x = np.array([0.0, 1e-8, 0.3, 5.0, 60.0, 800.0])
+        got = lower_incomplete_gamma(s, x)
+        ref = gammainc(s, x) * math.gamma(s)
+        assert np.all(np.abs(got - ref) <= 1e-14 * math.gamma(s))
 
-    def test_log_form_far_tail(self):
-        # log form stays finite where erfc(sqrt(x)) underflows
-        lg = log_upper_incomplete_gamma(0.5, 3000.0)
-        # Gamma(1/2, x) ~ x^{-1/2} e^{-x} for large x
-        assert lg == pytest.approx(-3000.0 - 0.5 * math.log(3000.0), abs=1e-3)
+    def test_shapes(self):
+        # a float gives a scalar, an array its own shape
+        assert np.shape(lower_incomplete_gamma(1.5, 2.0)) == ()
+        grid = np.array([[0.5, 1.0], [2.0, 4.0]])
+        got = lower_incomplete_gamma(3.5, grid)
+        assert got.shape == grid.shape
+        for value, x in zip(got.ravel(), grid.ravel()):
+            assert value == pytest.approx(lower_incomplete_gamma(3.5, float(x)), rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(0.3, 1.0)
+            lower_incomplete_gamma(0.3, 1.0)
         with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(2.0, -1.0)
+            lower_incomplete_gamma(2.0, -1.0)
         with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(-0.5, 1.0)
+            lower_incomplete_gamma(-0.5, 1.0)
 
 
 def _i0_series(x: float) -> float:
@@ -245,26 +231,6 @@ class TestBesselI0:
         u = 1.0 / (8.0 * 800.0)
         expect = (1.0 + u + 4.5 * u * u) / math.sqrt(2.0 * math.pi * 800.0)
         assert bessel_i0e(800.0) == pytest.approx(expect, rel=1e-9)
-
-
-class TestErfc:
-    """erfc as the library evaluates it, through Gamma(1/2, x^2)."""
-
-    def test_at_zero(self):
-        # erfc(0) = 1 is Gamma(1/2, 0) = Gamma(1/2), returned exactly
-        assert log_upper_incomplete_gamma(0.5, 0.0) == math.lgamma(0.5)
-
-    def test_monotone_to_zero(self):
-        vals = [erfc(x) for x in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0)]
-        assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
-
-    def test_frozen_reference(self):
-        assert erfc(0.7) == pytest.approx(ERFC_0_7, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.3, 1.2, 1.5, 2.5, 6.0])
-    def test_against_quadrature(self, x):
-        ref, _ = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), x, np.inf)
-        assert erfc(x) == pytest.approx(ref, rel=1e-11)
 
 
 class TestWeightDerivativeIdentity:
