@@ -94,7 +94,7 @@ def _nodes(u: np.ndarray, cfg: ChannelConfig, snr: float):
 
 
 def _node_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """x^p over the nodes (all x > 0) as e^{p ln x}, the form ensemble._edge_pow takes."""
+    """x^p over the nodes (all x > 0) as e^{p ln x}, the form specfun.edge_pow takes."""
     return np.exp(p * np.log(x))
 
 

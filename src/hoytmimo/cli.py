@@ -2,7 +2,9 @@
 
 Subcommands: density, capacity, degradation, simulate, validate,
 correlations.  Outputs are plot-ready CSV (RFC-4180, '.' decimals) or
-JSON with a ``schema_version`` field; no plotting here.
+strict JSON (RFC 8259) with a ``schema_version`` field; a non-finite
+number, such as tau at q = 1, is written there as the string "inf", "-inf"
+or "nan".  No plotting here.
 
 Power flags are always dB (P = 10^(dB/10)); ``--power-linear`` switches
 the given values to linear units.  Exit codes: 0 success, 1 validation
@@ -117,12 +119,31 @@ def _control(args) -> SeriesControl:
     return SeriesControl(rel_tol=args.rel_tol, max_terms=args.max_terms)
 
 
+def _finite_json(value):
+    """value with every non-finite float, however deep, as the string "inf", "-inf" or "nan".
+
+    RFC 8259 has no token for them (Python's ``Infinity`` is not JSON);
+    ``float()`` reads the strings back.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
+def _json_text(doc) -> str:
+    """doc as strict JSON; a non-finite number that slipped past _finite_json raises."""
+    return json.dumps(_finite_json(doc), indent=2, allow_nan=False)
+
+
 def _write_rows(args, fieldnames: list[str], rows: list[dict], meta: dict) -> None:
     """Emit rows as CSV (with sidecar metadata) or as one JSON document."""
     meta = {"schema_version": SCHEMA_VERSION, **meta}
     if args.format == "json":
-        doc = {**meta, "rows": rows}
-        text = json.dumps(doc, indent=2)
+        text = _json_text({**meta, "rows": rows})
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")
@@ -139,8 +160,7 @@ def _write_rows(args, fieldnames: list[str], rows: list[dict], meta: dict) -> No
             out.close()
     if args.output:
         with open(args.output + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(meta) + "\n")
 
 
 def _meta_config(cfg: ChannelConfig, q: float | None = None) -> dict:
@@ -330,7 +350,7 @@ def cmd_validate(args) -> int:
         "passed": passed,
         "checks": checks,
     }
-    text = json.dumps(doc, indent=2)
+    text = _json_text(doc)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

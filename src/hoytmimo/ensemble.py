@@ -29,7 +29,10 @@ term table per point set, one stream per point; each point stops on its
 own and shorter rows are zero-padded (see _g_table).  Correlation
 functions build their S, A and B matrices once per point set (see
 _blocks), and each point's B row reads on from its row stream, so an
-N-point jpd and a 4x4 R_4 both read N streams.
+N-point jpd and a 4x4 R_4 both read N streams.  jpd also takes a stack of
+point sets: a block of them reads one array stream
+(``specfun.weighted_laguerre_array``) into one table, and the joint module
+assembles the density of every set from it, with stacked Pfaffians.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -48,8 +51,14 @@ from math import lgamma as log_gamma
 
 import numpy as np
 
-from . import linalg
-from .specfun import lower_incomplete_gamma, weighted_laguerre
+from . import joint, linalg
+from .specfun import (
+    edge_log_pow,
+    edge_pow,
+    lower_incomplete_gamma,
+    weighted_laguerre,
+    weighted_laguerre_array,
+)
 
 __all__ = [
     "ChannelConfig",
@@ -210,18 +219,6 @@ def _series(ws, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -
     raise SeriesTruncationError(what, tau, ctrl.max_terms)
 
 
-def _edge_log_pow(x: float, p: float) -> float:
-    """ln(x^p) for x >= 0; at x = 0 it is -inf (p > 0), 0 (p = 0) or +inf (p < 0)."""
-    if x == 0.0:
-        return -math.inf if p > 0.0 else (math.inf if p < 0.0 else 0.0)
-    return p * math.log(x)
-
-
-def _edge_pow(x: float, p: float) -> float:
-    """x^p for x >= 0; at x = 0 it is 0 (p > 0), 1 (p = 0) or +inf (p < 0)."""
-    return math.exp(_edge_log_pow(x, p))
-
-
 def _r_n(n: int, a: float) -> float:
     # r_N = Gamma((N+1)/2) / Gamma((N+2a+1)/2)
     return math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
@@ -263,32 +260,17 @@ def _streams(x, a: float, n: int = 0) -> list:
     return [itertools.islice(weighted_laguerre(2.0 * a + 1.0, float(u)), n, None) for u in x]
 
 
-def _g_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
-    """Weight-stripped G_n over a point set, and each point's two totals.
+def _term_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) -> np.ndarray:
+    """Term table of a point set, one weighted-Laguerre stream per point.
 
-    streams holds one weighted-Laguerre stream per point x_j, at order n.
-    Row j of the term table holds t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j),
-    k >= n, read from that stream in (k, k + 1) pairs whose coefficients are
-    stepped once for all points.  A point stops after three pairs in a row
-    add at most ``rel_tol`` of its running sums of the two parities, and
-    ``max_terms`` bounds its pairs; shorter rows are zero-padded, so an
-    entry depends only on its own two points.  With C the running sums of
-    the inner orders n, n+2, ... and O the orders n+1, n+3, ...,
-    2 sum_{i < k} [t_i(x_j) t_k(x_l) - t_k(x_j) t_i(x_l)] is 2 (g - g^T),
-    g = C O^T; the caller reattaches (x_j x_l)^{a+1}.  Returned with G_n are
-    each point's totals of the orders n, n+2, ... and n+1, n+3, ...; at
-    n = 0 the first are the one-point companion.
-
-    n = 0 gives G.  For even N, n = N restricts G to the index pairs past
-    the first N, which is minus the psi-pair tail of the N-level B kernel.
-    For odd N the rows have even order and the inner sums odd order, so
-    n = N sums the opposite-order pairs (odd i >= N, even k > i), which G
-    does not contain.  It is still minus tail plus parity term, by
-    G = 2 [E(x) O(y) - O(x) E(y)] + G', with E and O the even- and
-    odd-order sums of t and G' this double sum over all opposite-order
-    pairs: the E O products absorb the parity term.
+    streams holds one stream per point x_j, at order n.  Row j holds
+    t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j), k >= n, read from that stream in
+    (k, k + 1) pairs whose coefficients are stepped once for all points.  A
+    point stops after three pairs in a row add at most ``rel_tol`` of its
+    running sums of the two parities, and ``max_terms`` bounds its pairs;
+    shorter rows are zero-padded, so a row depends only on its own point.
     """
-    rows, odd = [], []
+    rows = []
     spare = _coefficient_pairs(a, tau, n)
     for ws in streams:
         # tee copies share one buffer: each pair is stepped once for all points
@@ -311,13 +293,70 @@ def _g_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
         else:
             raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
         rows.append(row)
-        odd.append(s1)
     t = np.zeros((len(rows), max(map(len, rows))))
     for j, row in enumerate(rows):
         t[j, : len(row)] = row
+    return t
+
+
+def _term_table_array(x: np.ndarray, a: float, tau: float, ctrl: SeriesControl) -> np.ndarray:
+    """The term table of _term_table at n = 0, over many points from one array stream.
+
+    Every point keeps its own running sums and its own count of small pairs,
+    and stops by _term_table's rule; its later terms are written as zeros.
+    So a row depends only on its own point, and it is _term_table's row
+    but where the stream joins in log space (see weighted_laguerre_array).
+    The rows are written pair by pair into one buffer, which doubles when
+    it is full.
+    """
+    ws = weighted_laguerre_array(2.0 * a + 1.0, x)
+    buf = np.empty((len(x), 64))
+    s0, s1 = np.zeros(len(x)), np.zeros(len(x))
+    small = np.zeros(len(x), dtype=int)
+    live = np.ones(len(x), dtype=bool)
+    for k, (c0, c1) in zip(
+        range(0, 2 * ctrl.max_terms, 2), _coefficient_pairs(a, tau, 0)
+    ):
+        if k == buf.shape[1]:
+            buf = np.concatenate((buf, np.empty_like(buf)), axis=1)
+        t0 = np.where(live, c0 * next(ws), 0.0)
+        t1 = np.where(live, c1 * next(ws), 0.0)
+        buf[:, k], buf[:, k + 1] = t0, t1
+        s0 += t0
+        s1 += t1
+        quiet = np.abs(t0) + np.abs(t1) <= ctrl.rel_tol * (np.abs(s0) + np.abs(s1))
+        small = np.where(quiet, small + 1, 0)
+        live &= small < 3
+        if not live.any():
+            return buf[:, : k + 2]
+    raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
+
+
+def _g_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
+    """Weight-stripped G_n over a point set, and each point's two totals.
+
+    streams holds one weighted-Laguerre stream per point x_j, at order n,
+    read into the term table t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j), k >= n
+    (see _term_table).  With C the running sums of the inner orders n, n+2,
+    ... and O the orders n+1, n+3, ..., 2 sum_{i < k} [t_i(x_j) t_k(x_l) -
+    t_k(x_j) t_i(x_l)] is 2 (g - g^T), g = C O^T; the caller reattaches
+    (x_j x_l)^{a+1}.  Returned with G_n are each point's totals of the
+    orders n, n+2, ... and n+1, n+3, ...; at n = 0 the first are the
+    one-point companion.
+
+    n = 0 gives G.  For even N, n = N restricts G to the index pairs past
+    the first N, which is minus the psi-pair tail of the N-level B kernel.
+    For odd N the rows have even order and the inner sums odd order, so
+    n = N sums the opposite-order pairs (odd i >= N, even k > i), which G
+    does not contain.  It is still minus tail plus parity term, by
+    G = 2 [E(x) O(y) - O(x) E(y)] + G', with E and O the even- and
+    odd-order sums of t and G' this double sum over all opposite-order
+    pairs: the E O products absorb the parity term.
+    """
+    t = _term_table(streams, a, tau, ctrl, n)
     inner = np.cumsum(t[:, 0::2], axis=1)
     g = inner @ t[:, 1::2].T
-    return 2.0 * (g - g.T), inner[:, -1], np.array(odd)
+    return 2.0 * (g - g.T), inner[:, -1], np.cumsum(t[:, 1::2], axis=1)[:, -1]
 
 
 def g_tau(
@@ -362,36 +401,7 @@ def omega_tau(
 # ---------------------------------------------------------------------------
 # joint eigenvalue density
 
-
-def _log_c0(cfg: ChannelConfig) -> float:
-    n, a = cfg.n, cfg.a
-    out = 0.5 * n * math.log(math.pi) - n * math.log(2.0)
-    for k in range(1, n + 1):
-        out -= log_gamma(0.5 * k + 1.0) + log_gamma(0.5 * k + a + 0.5)
-    return out
-
-
-def _log_cinf(cfg: ChannelConfig) -> float:
-    n, a = cfg.n, cfg.a
-    out = 0.0
-    for k in range(1, n + 1):
-        out -= log_gamma(k + 1.0) + log_gamma(k + 2.0 * a + 1.0)
-    return out
-
-
-def _log_vandermonde(lams: np.ndarray) -> tuple[int, float]:
-    sign = 1
-    logabs = 0.0
-    n = len(lams)
-    for j in range(n):
-        for k in range(j + 1, n):
-            d = lams[j] - lams[k]
-            if d == 0.0:
-                return 0, -math.inf
-            if d < 0.0:
-                sign = -sign
-            logabs += math.log(abs(d))
-    return sign, logabs
+_STACK_POINTS = 256  # points per block of a stacked jpd: bounds its term table
 
 
 def jpd(
@@ -399,12 +409,20 @@ def jpd(
     cfg: ChannelConfig,
     q: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
+) -> float | np.ndarray:
     """Joint probability density of all N eigenvalues at Hoyt parameter q.
 
-    Dispatches to the closed endpoint forms at q = 0 and q = 1; otherwise
-    assembles the Pfaffian representation.  For square arrays the q = 0
-    form diverges as any eigenvalue reaches 0 (returns +inf there).
+    lams is one point set, shape (N,), and gives a float; or a stack of m
+    sets, shape (m, N), and gives an array of m values.  Dispatches to the
+    closed endpoint forms at q = 0 and q = 1; otherwise assembles the
+    Pfaffian representation (see the joint module).  For square arrays the
+    q = 0 form diverges as any eigenvalue reaches 0 (returns +inf there).
+
+    One set reads a scalar weighted-Laguerre stream per point.  A stack is
+    taken _STACK_POINTS points at a time, each block from one array stream;
+    every point stops its series on its own sums, so a set's value does not
+    depend on the stack it came in, and it matches the single call to
+    rounding.
 
     Near q = 1 it loses relative accuracy as N grows while correlation_fn /
     N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 7e-4 off
@@ -413,65 +431,32 @@ def jpd(
     the seed Gamma ratios move it anywhere between 9e-8 and 4e-7.
     """
     lams = np.asarray(lams, dtype=float)
-    n = cfg.n
-    if lams.shape != (n,):
-        raise ValueError(f"need exactly {n} eigenvalues, got shape {lams.shape}")
-    if np.any(lams < 0.0):
+    n, a = cfg.n, cfg.a
+    if lams.ndim not in (1, 2) or lams.shape[-1] != n:
+        raise ValueError(f"need sets of exactly {n} eigenvalues, got shape {lams.shape}")
+    if (lams < 0.0).any():
         raise ValueError("eigenvalues must be >= 0")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    a = cfg.a
-    omega = cfg.omega
-
-    if q == 0.0:
-        x = lams / (2.0 * omega)
-        _, logdelta = _log_vandermonde(lams)
-        if logdelta == -math.inf:
-            return 0.0
-        logp = _log_c0(cfg) - 0.5 * n * (n + 1) * math.log(2.0 * omega) + logdelta
-        for xi in x:
-            logp += _edge_log_pow(xi, a) - xi
-        return math.exp(logp)
-
-    if q == 1.0:
-        y = lams / omega
-        _, logdelta = _log_vandermonde(lams)
-        if logdelta == -math.inf:
-            return 0.0
-        logp = _log_cinf(cfg) - n * n * math.log(omega) + 2.0 * logdelta
-        for yi in y:
-            logp += _edge_log_pow(yi, 2.0 * a + 1.0) - yi
-        return math.exp(logp)
-
     tau = crossover_tau(q)
-    x = lams / (2.0 * omega)
-    m = (n + 1) // 2
-    dim = 2 * m
-    f = np.zeros((dim, dim))
-    f[:n, :n], omega_col, _ = _g_table(_streams(x, a), a, tau, ctrl)
-    if dim == n + 1:
-        f[:n, n] = omega_col
-        f[n, :n] = -omega_col
-    pf_sign, pf_log = linalg.pfaffian_signed_log(f)
-    if pf_sign == 0:
-        return 0.0
-    dl_sign, logdelta = _log_vandermonde(lams)
-    if logdelta == -math.inf:
-        return 0.0
-    logp = (
-        m * math.log(2.0)
-        + 0.5 * n * (n - 1) * tau
-        - 0.5 * n * (n + 1) * math.log(2.0 * omega)
-        + _log_c0(cfg)
-        + logdelta
-        + pf_log
-    )
-    for xi in x:
-        # the weight and Pfaffian factors combine to x^{2a+1}
-        logp += _edge_log_pow(xi, 2.0 * a + 1.0) - xi
-    if logp == -math.inf:
-        return 0.0
-    return pf_sign * dl_sign * math.exp(logp)
+    series = 0.0 < q < 1.0
+    if lams.ndim == 1:
+        lams = lams.tolist()
+        t = None
+        if series:
+            x = [lam / (2.0 * cfg.omega) for lam in lams]
+            t = _term_table(_streams(x, a), a, tau, ctrl)
+        return joint.density(lams, cfg, tau, t)
+    out = np.empty(len(lams))
+    step = max(1, _STACK_POINTS // n)
+    for lo in range(0, len(lams), step):
+        sets = lams[lo : lo + step]
+        t = None
+        if series:
+            t = _term_table_array((sets / (2.0 * cfg.omega)).ravel(), a, tau, ctrl)
+            t = t.reshape(sets.shape + (-1,))
+        out[lo : lo + step] = joint.densities(sets, cfg, tau, t)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +577,7 @@ def skew_phi(
     _check_index(j, cfg)
     if math.isinf(tau):
         raise ValueError("phi diverges at tau = inf; use the q = 1 closed forms")
-    return _edge_pow(x, cfg.a) * _phi_core(j, _row(x, cfg, j + 2)[0], cfg, tau)
+    return edge_pow(x, cfg.a) * _phi_core(j, _row(x, cfg, j + 2)[0], cfg, tau)
 
 
 def skew_psi(
@@ -610,7 +595,7 @@ def skew_psi(
         raise ValueError("x must be >= 0")
     if tau == 0.0:
         w = _row(x, cfg, j + 1)[0]
-        return float(_psi_zero(j, w, _half_range(w, x, cfg), _edge_pow(x, cfg.a + 1.0), cfg))
+        return float(_psi_zero(j, w, _half_range(w, x, cfg), edge_pow(x, cfg.a + 1.0), cfg))
     if x == 0.0:
         return 0.0  # psi carries the w_{a+1} weight
     return math.exp((cfg.a + 1.0) * math.log(x)) * _psi_core(j, x, cfg, tau, ctrl)
@@ -672,10 +657,10 @@ def kernel_s(
         d = float(_d_zero(_half_range(wy, y, cfg)[cfg.n], cfg))
         if x == 0.0 and y == 0.0:
             # diagonal origin: the LUE piece recombines to x^{2a+1}
-            lue = _edge_pow(0.0, 2.0 * a + 1.0) * core
-            return lue + _edge_pow(0.0, a) * wx[cfg.n - 1] * d
-        bracket = _edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * d
-        return _edge_pow(x, a) * bracket
+            lue = edge_pow(0.0, 2.0 * a + 1.0) * core
+            return lue + edge_pow(0.0, a) * wx[cfg.n - 1] * d
+        bracket = edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * d
+        return edge_pow(x, a) * bracket
     if not math.isinf(tau):
         # the y factor reads on from y's row stream, past order N
         ys = itertools.islice(ys, 1, None)
@@ -684,8 +669,8 @@ def kernel_s(
         )
     if x == y:
         # weights combine to x^{2a+1}: finite at 0 exactly for square arrays
-        return _edge_pow(x, 2.0 * a + 1.0) * core
-    return _edge_pow(x, a) * _edge_pow(y, a + 1.0) * core
+        return edge_pow(x, 2.0 * a + 1.0) * core
+    return edge_pow(x, a) * edge_pow(y, a + 1.0) * core
 
 
 def kernel_a(
@@ -712,7 +697,7 @@ def kernel_a(
     for mu in range(k2 // 2):
         total += px[2 * mu + 1] * py[2 * mu]
         total -= px[2 * mu] * py[2 * mu + 1]
-    return _edge_pow(x, cfg.a) * _edge_pow(y, cfg.a) * total
+    return edge_pow(x, cfg.a) * edge_pow(y, cfg.a) * total
 
 
 def kernel_b(
@@ -886,7 +871,7 @@ def correlation_fn(
     log_scale = 0.0
     power = a if q == 0.0 else 2.0 * a + 1.0
     for xi in x:
-        log_scale += _edge_log_pow(xi, power)
+        log_scale += edge_log_pow(xi, power)
     if log_scale == -math.inf:
         return 0.0
     if q == 1.0:

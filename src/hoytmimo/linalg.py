@@ -1,10 +1,11 @@
 """Minimal dense linear algebra on numpy arrays.
 
-Antisymmetric matrices are real square ndarrays with B^T = -B; their one
-Pfaffian routine returns (sign, log|Pf|) by Parlett-Reid elimination, so a
-value never under- or overflows.  Hermitian spectra come from the batched
-``numpy.linalg.eigvalsh`` wrapper below; the tests pin it to an
-independent Jacobi solver.
+Antisymmetric matrices are real ndarrays with B^T = -B over their last two
+axes.  The one Pfaffian routine takes one matrix or a stack of them and
+returns (sign, log|Pf|) per matrix by Parlett-Reid elimination, stepped
+once for the whole stack, so a value never under- or overflows.  Hermitian
+spectra come from the batched ``numpy.linalg.eigvalsh`` wrapper below; the
+tests pin it to an independent Jacobi solver.
 """
 
 from __future__ import annotations
@@ -26,48 +27,65 @@ def hermitian_eigenvalues_batch(ws: np.ndarray) -> np.ndarray:
 
 
 def _validate_antisymmetric(b: np.ndarray) -> np.ndarray:
+    """b as a float stack (m, d, d), antisymmetrized, after checking each member."""
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if b.shape != (n, n):
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ValueError("matrix must be square")
+    n = b.shape[-1]
     if n % 2 != 0:
         raise ValueError("pfaffian needs even dimension")
-    scale = float(np.max(np.abs(b))) if n else 0.0
-    if n and np.max(np.abs(b + b.T)) > 1e-12 * max(1.0, scale):
-        raise ValueError("matrix is not antisymmetric within 1e-12")
-    return 0.5 * (b - b.T)
+    b = b.reshape(math.prod(b.shape[:-2]), n, n)
+    bt = b.transpose(0, 2, 1)
+    sym = b + bt
+    if sym.any():  # exact antisymmetry, the common case, needs no scale
+        scale = np.maximum(np.abs(b).max(axis=(1, 2)), 1.0)
+        if (np.abs(sym).max(axis=(1, 2)) > 1e-12 * scale).any():
+            raise ValueError("matrix is not antisymmetric within 1e-12")
+    return 0.5 * (b - bt)
 
 
-def pfaffian_signed_log(b: np.ndarray) -> tuple[int, float]:
-    """(sign, log|Pf|) by Parlett-Reid elimination with pivoting.
+def pfaffian_signed_log(b: np.ndarray):
+    """(sign, log|Pf|) by Parlett-Reid elimination with pivoting, per matrix.
 
-    Returning logs keeps the value usable when the Pfaffian itself would
-    under- or overflow (large matrices, strongly decaying entries).
+    b is one antisymmetric matrix (d, d) or a stack (..., d, d), d even.
+    One matrix gives a Python (int, float) pair; a stack gives two arrays of
+    its leading shape, the signs as floats.  Each elimination step runs
+    over the whole stack, but a member's pivots and row swaps are its own,
+    so every member gets the value it gets alone.  A singular member gives
+    (0, -inf) and leaves the others unchanged.  Returning logs keeps a
+    value usable when the Pfaffian itself would under- or overflow (large
+    matrices, strongly decaying entries).
     """
-    a = _validate_antisymmetric(b).copy()
-    n = a.shape[0]
-    if n == 0:
-        return 1, 0.0
-    sign = 1
-    logabs = 0.0
-    for k in range(0, n - 1, 2):
-        col = np.abs(a[k + 1 :, k])
-        kp = k + 1 + int(np.argmax(col))
-        piv = a[kp, k]
-        if piv == 0.0:
-            return 0, -math.inf
-        if kp != k + 1:
-            a[[k + 1, kp], :] = a[[kp, k + 1], :]
-            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            sign = -sign
-        piv = a[k, k + 1]
-        sign *= 1 if piv > 0 else -1
-        logabs += math.log(abs(piv))
-        if k + 2 < n:
-            t = a[k, k + 2 :] / piv
-            u = a[k + 2 :, k + 1]
-            a[k + 2 :, k + 2 :] += np.outer(t, u) - np.outer(u, t)
-    return sign, logabs
+    lead = np.shape(b)[:-2]
+    a = _validate_antisymmetric(b)
+    n = a.shape[-1]
+    sign = np.ones(len(a))
+    pivots = np.ones((len(a), max(n // 2, 1)))  # an empty matrix has Pf = 1
+    for k in range(0, n - 2, 2):
+        kp = np.abs(a[:, k + 1 :, k]).argmax(axis=1) + (k + 1)
+        moved = kp != k + 1
+        if moved.any():
+            # exchange row and column k + 1 with the pivot's (a no-op where kp = k + 1)
+            mats = np.arange(len(a))
+            perm = np.tile(np.arange(n), (len(a), 1))
+            perm[:, k + 1] = kp
+            perm[mats, kp] = k + 1
+            a = a[mats[:, None, None], perm[:, :, None], perm[:, None, :]]
+            sign = np.where(moved, -sign, sign)
+        pivots[:, k // 2] = piv = a[:, k, k + 1]
+        # a zero pivot leaves a zero row: divided by 1 it eliminates nothing
+        t = a[:, k, k + 2 :] / np.where(piv == 0.0, 1.0, piv)[:, None]
+        w = t[:, :, None] * a[:, None, k + 2 :, k + 1]
+        a[:, k + 2 :, k + 2 :] += w - w.transpose(0, 2, 1)
+    if n:
+        pivots[:, -1] = a[:, n - 2, n - 1]
+    sign *= np.sign(pivots).prod(axis=1)
+    with np.errstate(divide="ignore"):
+        # pivot by pivot, as a running sum; a zero pivot gives -inf
+        logabs = np.log(np.abs(pivots)).cumsum(axis=1)[:, -1]
+    if not lead:
+        return int(sign[0]), float(logabs[0])
+    return sign.reshape(lead), logabs.reshape(lead)
 
 
 def determinant_signed_log(m: np.ndarray) -> tuple[float, float]:

@@ -20,11 +20,25 @@ from itertools import count
 import numpy as np
 
 __all__ = [
+    "edge_log_pow",
+    "edge_pow",
     "weighted_laguerre",
     "weighted_laguerre_array",
     "lower_incomplete_gamma",
     "bessel_i0e",
 ]
+
+
+def edge_log_pow(x: float, p: float) -> float:
+    """ln(x^p) for x >= 0; at x = 0 it is -inf (p > 0), 0 (p = 0) or +inf (p < 0)."""
+    if x == 0.0:
+        return -math.inf if p > 0.0 else (math.inf if p < 0.0 else 0.0)
+    return p * math.log(x)
+
+
+def edge_pow(x: float, p: float) -> float:
+    """x^p for x >= 0; at x = 0 it is 0 (p > 0), 1 (p = 0) or +inf (p < 0)."""
+    return math.exp(edge_log_pow(x, p))
 
 
 _RESCALE_LIMIT = 1e270

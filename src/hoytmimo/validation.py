@@ -101,45 +101,37 @@ def jpd_normalization_n2(
     """2-D normalization integral over the ordered region, times 2!.
 
     Both variables run on u = sqrt(lambda) grids so the square-array edge
-    and the |lambda_1 - lambda_2| crease stay away from the quadrature.
+    and the |lambda_1 - lambda_2| crease stay away from the quadrature.  The
+    whole grid is one stack of point sets, so ``jpd`` is called once.
     """
     nodes, wts = leggauss(points)
     half = 0.5 * (nodes + 1.0)
     v = math.sqrt(lam_hi) * half
     wv = math.sqrt(lam_hi) * 0.5 * wts
-    total = 0.0
-    for i2 in range(points):
-        u = v[i2] * half
-        wu = v[i2] * 0.5 * wts
-        row = sum(
-            wu[i1] * 2.0 * u[i1] * jpd([u[i1] ** 2, v[i2] ** 2], cfg, q, ctrl)
-            for i1 in range(points)
-        )
-        total += wv[i2] * 2.0 * v[i2] * row
-    return 2.0 * total
+    u = v[:, None] * half  # u[i2, i1] runs below v[i2]
+    wu = v[:, None] * 0.5 * wts
+    sets = np.stack(np.broadcast_arrays(u**2, v[:, None] ** 2), axis=-1)
+    p = jpd(sets.reshape(-1, 2), cfg, q, ctrl).reshape(u.shape)
+    row = (wu * 2.0 * u * p).sum(axis=1)
+    return 2.0 * float((wv * 2.0 * v * row).sum())
 
 
 def jpd_normalization_n3(
     cfg: ChannelConfig, q: float, ctrl: SeriesControl, points: int = 40, lam_hi: float = 30.0
 ) -> float:
-    """3-D normalization integral over the ordered region, times 3!."""
+    """3-D normalization integral over the ordered region, times 3!, from one stacked ``jpd`` call."""
     nodes, wts = leggauss(points)
     half = 0.5 * (nodes + 1.0)
-    total = 0.0
     x3 = lam_hi * half
     w3 = lam_hi * 0.5 * wts
-    for i3 in range(points):
-        x2 = x3[i3] * half
-        w2 = x3[i3] * 0.5 * wts
-        for i2 in range(points):
-            x1 = x2[i2] * half
-            w1 = x2[i2] * 0.5 * wts
-            row = sum(
-                w1[i1] * jpd([x1[i1], x2[i2], x3[i3]], cfg, q, ctrl)
-                for i1 in range(points)
-            )
-            total += w3[i3] * w2[i2] * row
-    return 6.0 * total
+    x2 = x3[:, None] * half  # x2[i3, i2] runs below x3[i3]
+    w2 = x3[:, None] * 0.5 * wts
+    x1 = x2[:, :, None] * half  # x1[i3, i2, i1] runs below x2[i3, i2]
+    w1 = x2[:, :, None] * 0.5 * wts
+    sets = np.stack(np.broadcast_arrays(x1, x2[:, :, None], x3[:, None, None]), axis=-1)
+    p = jpd(sets.reshape(-1, 3), cfg, q, ctrl).reshape(x1.shape)
+    row = (w1 * p).sum(axis=2)
+    return 6.0 * float((w3[:, None] * w2 * row).sum())
 
 
 def _check(name, value, tolerance, target=0.0, detail=""):
@@ -196,12 +188,10 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
             checks.append(_check(f"jpd_normalization_n3_q{q:g}", total, 1e-3, target=1.0))
 
     # R2 vs 2 * JPD at N = 2
-    worst = 0.0
-    for _ in range(5):
-        pts = rng.uniform(0.05, 8.0, size=2)
-        r2 = correlation_fn(pts, cfg2, 0.5, ctrl)
-        p2 = 2.0 * jpd(pts, cfg2, 0.5, ctrl)
-        worst = max(worst, abs(r2 - p2) / abs(p2))
+    sets = rng.uniform(0.05, 8.0, size=(5, 2))
+    p2 = 2.0 * jpd(sets, cfg2, 0.5, ctrl)
+    r2 = np.array([correlation_fn(pts, cfg2, 0.5, ctrl) for pts in sets])
+    worst = float(np.max(np.abs(r2 - p2) / np.abs(p2)))
     checks.append(_check("r2_vs_jpd_n2", worst, 1e-4))
 
     # kernel integral = N: one integrand row in u = sqrt(lambda), one starting panel

@@ -134,6 +134,7 @@ def test_criterion_3_large_n_asymptotics():
 
 
 def test_criterion_4_jpd_normalization():
+    t0 = time.time()
     ok = True
     details = []
     for q in (0.0, 0.5, 1.0):
@@ -144,9 +145,11 @@ def test_criterion_4_jpd_normalization():
         v3 = jpd_normalization_n3(ChannelConfig(3, 4), q, CTRL)
         ok = ok and abs(v3 - 1.0) <= 1e-3
         details.append(f"N=3 q={q}: {v3:.5f}")
+    elapsed = time.time() - t0
+    details.append(f"runtime {elapsed:.1f}s")
     _report(
         "criterion 4: JPD normalization (N=2 within 1e-4, N=3 within 1e-3)",
-        ok,
+        ok and elapsed < 10.0,
         "; ".join(details),
     )
 

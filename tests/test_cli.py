@@ -277,7 +277,7 @@ class TestCorrelationsCommand:
              "--points", "0,1", "--format", "json"]
         )
         assert code == 0
-        assert json.loads(text)["rows"][0]["r_n"] == math.inf
+        assert float(json.loads(text)["rows"][0]["r_n"]) == math.inf
 
     def test_rejects_order_above_n(self):
         code, _ = run_cli(
@@ -285,6 +285,67 @@ class TestCorrelationsCommand:
              "--points", "1.0,2.0,3.0"]
         )
         assert code == 2
+
+
+def strict_json(text):
+    """Parse as RFC 8259 does: Infinity, -Infinity and NaN are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every JSON document the CLI writes parses with a strict parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--nt", "2", "--nr", "2", "--q", "1", "--grid", "0.5:1:2"],
+            ["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "10"],
+            ["degradation", "--nt", "2", "--nr", "2", "--power-db", "10"],
+            ["simulate", "--nt", "2", "--nr", "2", "--q", "1", "--samples", "200",
+             "--bins", "4", "--seed", "3"],
+            ["correlations", "--nt", "2", "--nr", "2", "--q", "1", "--points", "0.5,1.5"],
+        ],
+    )
+    def test_q1_documents(self, argv):
+        code, text = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        doc = strict_json(text)
+        if "q" in doc["config"]:
+            assert float(doc["config"]["tau"]) == math.inf
+
+    def test_q1_sidecar(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli(["density", "--nt", "2", "--nr", "2", "--q", "1", "--grid", "0.5:1:2",
+                        "--output", str(out)])[0] == 0
+        meta = strict_json((tmp_path / "d.csv.meta.json").read_text())
+        assert meta["config"]["tau"] == "inf"
+
+    def test_infinite_value(self):
+        # a square array's R_2 with a point at lambda = 0 is +inf at q = 0
+        code, text = run_cli(
+            ["correlations", "--nt", "2", "--nr", "2", "--q", "0",
+             "--points", "0,1", "--format", "json"]
+        )
+        assert code == 0
+        assert strict_json(text)["rows"][0]["r_n"] == "inf"
+
+    def test_validate_document(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert run_cli(["validate", "--quick", "--output", str(out)])[0] == 0
+        assert strict_json(out.read_text())["passed"] is True
+
+    def test_finite_values_unchanged(self):
+        from hoytmimo.cli import _json_text
+
+        doc = {"a": [1.5, -0.0, 2, None, True], "b": {"c": math.inf, "d": -math.inf}}
+        assert strict_json(_json_text(doc)) == {
+            "a": [1.5, -0.0, 2, None, True], "b": {"c": "inf", "d": "-inf"}
+        }
+        assert strict_json(_json_text([math.nan]))[0] == "nan"
 
 
 class TestCliContract:

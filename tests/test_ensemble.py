@@ -212,6 +212,74 @@ class TestJpd:
             jpd([1.0], ChannelConfig(2, 2), 0.5, CTRL)
 
 
+class TestJpdStack:
+    """jpd over a stack of point sets, shape (m, N): one value per set."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.06, 0.35, 0.75, 0.95, 1.0])
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4), (5, 5)])
+    def test_matches_single_calls(self, nt, nr, q):
+        cfg = ChannelConfig(nt, nr)
+        sets = np.random.default_rng(nt * 10 + nr).uniform(0.05, 2.0 * cfg.m_dim, (5, cfg.n))
+        got = jpd(sets, cfg, q, CTRL)
+        assert got.shape == (5,)
+        for value, pts in zip(got, sets):
+            assert value == pytest.approx(jpd(pts, cfg, q, CTRL), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.35, 0.75])
+    def test_value_independent_of_batch(self, q):
+        # the far point takes many more orders, joined in log space
+        # (x = 900); the other sets' points still stop on their own sums
+        cfg = ChannelConfig(2, 2, omega=0.5)
+        sets = np.array([[0.4, 1.7], [2.2, 0.9]])
+        alone = jpd(sets, cfg, q, CTRL)
+        mixed = jpd(np.vstack((sets[:1], [[0.3, 900.0]], sets[1:])), cfg, q, CTRL)
+        assert mixed[0] == alone[0] and mixed[2] == alone[1]
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_edge_sets_match_single_calls(self, q):
+        cfg = ChannelConfig(2, 2)
+        sets = np.array([[0.0, 1.3], [1.3, 1.3], [0.0, 0.0], [0.8, 2.1]])
+        got = jpd(sets, cfg, q, CTRL)
+        for value, pts in zip(got, sets):
+            assert value == pytest.approx(jpd(pts, cfg, q, CTRL), rel=1e-12, abs=0.0)
+        assert got[1] == 0.0 and got[2] == 0.0
+
+    def test_more_sets_than_one_block(self):
+        cfg = ChannelConfig(3, 4)
+        sets = np.random.default_rng(4).uniform(0.1, 9.0, (2 * ensemble._STACK_POINTS // 3 + 5, 3))
+        got = jpd(sets, cfg, 0.5, CTRL)
+        for i in (0, len(sets) // 2, len(sets) - 1):
+            assert got[i] == pytest.approx(jpd(sets[i], cfg, 0.5, CTRL), rel=1e-12, abs=0.0)
+
+    def test_empty_stack(self):
+        assert jpd(np.empty((0, 2)), ChannelConfig(2, 2), 0.5, CTRL).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "lams",
+        [np.ones((3, 3)), np.ones((2, 3, 2)), np.array([[1.0, 2.0], [0.5, -1e-9]]), 1.0],
+    )
+    def test_rejects_bad_input(self, lams):
+        with pytest.raises(ValueError):
+            jpd(lams, ChannelConfig(2, 2), 0.5, CTRL)
+
+    def test_truncating_stack_raises(self):
+        with pytest.raises(SeriesTruncationError):
+            jpd(np.array([[0.5, 1.5], [2.0, 3.0]]), ChannelConfig(2, 2), 0.3, SeriesControl(max_terms=5))
+
+    def test_stack_reads_one_array_stream(self, monkeypatch):
+        opened = []
+        inner = specfun.weighted_laguerre_array
+
+        def counted(alpha, x):
+            opened.append(len(x))
+            return inner(alpha, x)
+
+        monkeypatch.setattr(ensemble, "weighted_laguerre_array", counted)
+        monkeypatch.setattr(ensemble, "weighted_laguerre", None)  # no scalar stream
+        jpd(np.array([[0.3, 1.1], [2.6, 4.0], [0.9, 5.0]]), ChannelConfig(2, 2), 0.5, CTRL)
+        assert opened == [6]
+
+
 class TestLevelDensity:
     def test_lue_single_antenna_exponential(self):
         cfg = ChannelConfig(1, 1)

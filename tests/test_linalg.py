@@ -215,6 +215,57 @@ class TestPfaffian:
             pfaffian_signed_log(np.eye(4))
 
 
+def antisymmetric_stack(rng, m, dim):
+    b = rng.normal(size=(m, dim, dim))
+    return b - np.swapaxes(b, 1, 2)
+
+
+class TestPfaffianStack:
+    """One Parlett-Reid elimination over a stack (..., d, d): a value per matrix."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10, 12])
+    def test_squares_to_determinant(self, dim):
+        b = antisymmetric_stack(np.random.default_rng(dim + 40), 20, dim)
+        sign, logabs = pfaffian_signed_log(b)
+        assert sign.shape == logabs.shape == (20,)
+        np.testing.assert_allclose(np.exp(2.0 * logabs), np.abs(np.linalg.det(b)), rtol=1e-10)
+        assert np.all(sign != 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10, 12])
+    def test_members_equal_single_matrices(self, dim):
+        b = antisymmetric_stack(np.random.default_rng(dim + 50), 12, dim)
+        if dim > 2:
+            # member 0 keeps its pivot in place, member 1 must swap it in
+            b[0, 1, 0], b[0, 0, 1] = 50.0, -50.0
+            b[1, 1, 0], b[1, 0, 1] = 1e-3, -1e-3
+        sign, logabs = pfaffian_signed_log(b)
+        for s, lg, member in zip(sign, logabs, b):
+            assert (s, lg) == pfaffian_signed_log(member)
+
+    def test_singular_member(self):
+        b = antisymmetric_stack(np.random.default_rng(60), 4, 6)
+        before = pfaffian_signed_log(b)
+        b[2, 3, :] = 0.0
+        b[2, :, 3] = 0.0
+        sign, logabs = pfaffian_signed_log(b)
+        assert (sign[2], logabs[2]) == (0.0, -math.inf)
+        keep = [0, 1, 3]
+        assert np.array_equal(sign[keep], before[0][keep])
+        assert np.array_equal(logabs[keep], before[1][keep])
+
+    def test_leading_shape(self):
+        b = antisymmetric_stack(np.random.default_rng(61), 6, 4).reshape(2, 3, 4, 4)
+        sign, logabs = pfaffian_signed_log(b)
+        assert sign.shape == logabs.shape == (2, 3)
+        assert (sign[1, 2], logabs[1, 2]) == pfaffian_signed_log(b[1, 2])
+
+    def test_rejects_one_bad_member(self):
+        b = antisymmetric_stack(np.random.default_rng(62), 3, 4)
+        b[1, 0, 2] += 1e-6
+        with pytest.raises(ValueError):
+            pfaffian_signed_log(b)
+
+
 class TestDeterminant:
     """The (sign, log|det|) pair correlation_fn reads."""
 
