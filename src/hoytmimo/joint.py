@@ -113,7 +113,10 @@ def density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
         logp += edge_log_pow(x, p) - x
     if logp == -math.inf:
         return 0.0
-    return sign * math.exp(logp)
+    try:
+        return sign * math.exp(logp)
+    except OverflowError:  # past the float range: inf, as densities gives
+        return sign * math.inf
 
 
 def densities(sets: np.ndarray, cfg, tau: float, t: np.ndarray | None) -> np.ndarray:

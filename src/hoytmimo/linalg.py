@@ -4,8 +4,9 @@ Antisymmetric matrices are real ndarrays with B^T = -B over their last two
 axes.  The one Pfaffian routine takes one matrix or a stack of them and
 returns (sign, log|Pf|) per matrix by Parlett-Reid elimination, stepped
 once for the whole stack, so a value never under- or overflows.  Hermitian
-spectra come from the batched ``numpy.linalg.eigvalsh`` wrapper below; the
-tests pin it to an independent Jacobi solver.
+spectra of a stack come from one routine: 2 x 2 matrices in closed form,
+larger ones from the batched ``numpy.linalg.eigvalsh``; the tests pin both
+to an independent Jacobi solver.
 """
 
 from __future__ import annotations
@@ -22,8 +23,23 @@ __all__ = [
 
 
 def hermitian_eigenvalues_batch(ws: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues for a stack of Hermitian matrices (LAPACK)."""
-    return np.linalg.eigvalsh(ws)
+    """Ascending eigenvalues for a stack of Hermitian matrices.
+
+    A 2 x 2 member [[a, b*], [b, c]] gives mid -+ hypot((a - c)/2, |b|),
+    mid = a/2 + c/2, halved before the sum and the difference so neither
+    overflows; it reads the lower triangle, as LAPACK does for larger ones.
+    """
+    ws = np.asarray(ws)
+    if ws.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(ws)
+    a = ws[..., 0, 0].real
+    c = ws[..., 1, 1].real
+    mid = 0.5 * a + 0.5 * c
+    rad = np.hypot(0.5 * a - 0.5 * c, np.abs(ws[..., 1, 0]))
+    out = np.empty(ws.shape[:-1])
+    np.subtract(mid, rad, out=out[..., 0])
+    np.add(mid, rad, out=out[..., 1])
+    return out
 
 
 def _validate_antisymmetric(b: np.ndarray) -> np.ndarray:

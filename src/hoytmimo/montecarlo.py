@@ -8,6 +8,12 @@ gaussian stream is consumed sample by sample: first nr*nt values fill the
 real part row-major, the next nr*nt the imaginary part.  Results are
 therefore bit-identical for a given seed regardless of how chunks are
 scheduled.  The single-draw samplers read the same helpers with m = 1.
+
+Each chunk is reduced where it is drawn (``_chunks``), so a chunk's
+channels and gram matrices are freed before the next chunk's draw.  The
+gram matrix is one matmul, H^dag H (or H H^dag when nr < nt).  The
+histogram reads its eigenvalues; the capacity reads none, taking
+log2 det(I + snr W) from the pivots of its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -55,12 +61,18 @@ class SpectralSample:
 def _channels(cfg: ChannelConfig, q: float, stream: SplitMix64, m: int) -> np.ndarray:
     """m consecutive channel draws H = H_X + j H_Y, shape (m, nr, nt)."""
     p = params_from_q(q, cfg.omega)
-    sx = math.sqrt(p.sigma_x2)
-    sy = math.sqrt(p.sigma_y2)
     nr, nt = cfg.nr, cfg.nt
-    k = nr * nt
-    g = gaussian_block(stream, m * 2 * k).reshape(m, 2 * k)
-    return sx * g[:, :k].reshape(m, nr, nt) + 1j * sy * g[:, k:].reshape(m, nr, nt)
+    g = gaussian_block(stream, m * 2 * nr * nt).reshape(m, 2, nr, nt)
+    h = np.empty((m, nr, nt), dtype=complex)
+    np.multiply(g[:, 0], math.sqrt(p.sigma_x2), out=h.real)
+    np.multiply(g[:, 1], math.sqrt(p.sigma_y2), out=h.imag)
+    return h
+
+
+def _gram(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
+    """The N x N gram matrices of a channel stack: H^dag H, or H H^dag if nr < nt."""
+    hh = np.conj(np.swapaxes(h, 1, 2))
+    return hh @ h if cfg.nr >= cfg.nt else h @ hh
 
 
 def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
@@ -69,11 +81,7 @@ def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
     Values below zero by round-off are clamped to 0; anything further
     below is a solver fault and raises.
     """
-    if cfg.nr >= cfg.nt:
-        w = np.einsum("sij,sik->sjk", h.conj(), h)
-    else:
-        w = np.einsum("sij,skj->sik", h, h.conj())
-    vals = hermitian_eigenvalues_batch(w)
+    vals = hermitian_eigenvalues_batch(_gram(cfg, h))
     scale = float(np.max(np.abs(vals))) if vals.size else 1.0
     floor = -_CLAMP_FACTOR * max(scale, 1e-300)
     if np.any(vals < floor):
@@ -82,6 +90,31 @@ def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
             "this indicates a solver fault"
         )
     return np.maximum(vals, 0.0)
+
+
+def _capacities(cfg: ChannelConfig, h: np.ndarray, snr: float) -> np.ndarray:
+    """log2 det(I + snr W) per channel of the stack, from the Cholesky factor L of I + snr W.
+
+    det is the product of the pivots l_jj^2 = 1 + snr w_jj - sum_{k<j} |l_jk|^2.
+    Each enters as log1p of its excess over 1, formed without the 1, so a
+    small capacity keeps its relative accuracy; log2 l_jj would round the
+    pivot near 1, and its square root, with a bias.  w_jj is read from H
+    once the factor exists: a small array held across the large ones
+    raises the process's peak RSS by about the size of one of them.
+    """
+    a = _gram(cfg, h)
+    a *= snr
+    i = np.arange(cfg.n)
+    a[:, i, i] += 1.0
+    low = np.linalg.cholesky(a)
+    del a
+    low[:, i, i] = 0.0  # keep the l_jk, k < j
+    parts = low.view(np.float64)  # real and imaginary parts side by side
+    norms = "sij,sij->sj" if cfg.nr >= cfg.nt else "sij,sij->si"  # w_jj: column or row norms of H
+    excess = np.einsum(norms, h.real, h.real) + np.einsum(norms, h.imag, h.imag)
+    excess *= snr
+    excess -= np.einsum("sjk,sjk->sj", parts, parts)
+    return np.sum(np.log1p(excess), axis=1) / math.log(2.0)
 
 
 def sample_channel(cfg: ChannelConfig, q: float, stream: SplitMix64) -> np.ndarray:
@@ -94,14 +127,18 @@ def sample_spectrum(cfg: ChannelConfig, q: float, stream: SplitMix64) -> Spectra
     return SpectralSample(eigenvalues=_spectra(cfg, _channels(cfg, q, stream, 1))[0])
 
 
-def _spectra_chunks(cfg: ChannelConfig, q: float, samples: int, seed: int):
-    """Yield chunk eigenvalue arrays of shape (m, N), deterministically."""
+def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
+    """Yield reduce(H) for each chunk's channel stack H, deterministically.
+
+    Reducing inside the generator frees each chunk's H, and what reduce
+    built from it, before the next chunk is drawn.
+    """
     done = 0
     chunk_index = 0
     while done < samples:
         m = min(CHUNK_SAMPLES, samples - done)
         stream = SplitMix64(derive_stream_seed(seed, chunk_index))
-        yield _spectra(cfg, _channels(cfg, q, stream, m))
+        yield reduce(_channels(cfg, q, stream, m))
         done += m
         chunk_index += 1
 
@@ -125,7 +162,7 @@ def empirical_density(
     edges = np.linspace(value_range[0], value_range[1], bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     eigen_sum = 0.0
-    for vals in _spectra_chunks(cfg, q, samples, seed):
+    for vals in _chunks(cfg, q, samples, seed, lambda h: _spectra(cfg, h)):
         c, _ = np.histogram(vals.ravel(), bins=edges)
         counts += c
         eigen_sum += float(np.sum(vals))
@@ -159,8 +196,7 @@ def mc_capacity(
     snr = power / cfg.nt
     total = 0.0
     total_sq = 0.0
-    for vals in _spectra_chunks(cfg, q, samples, seed):
-        cap = np.sum(np.log2(1.0 + snr * vals), axis=1)
+    for cap in _chunks(cfg, q, samples, seed, lambda h: _capacities(cfg, h, snr)):
         total += float(np.sum(cap))
         total_sq += float(np.sum(cap * cap))
     mean = total / samples

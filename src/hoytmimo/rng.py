@@ -15,7 +15,11 @@ streams bit-exactly at the integer level (see README, "Random numbers"):
   ``mix64((mix64(s) + k * 0x9E3779B97F4A7C15) mod 2^64)``.
 
 Because outputs depend only on the counter, blocks of any size can be
-generated vectorized without changing the stream.
+generated vectorized without changing the stream.  One vectorized mixer,
+``_mix64_block``, serves every block: it mixes the states of an
+arithmetic progression in place, with one scratch array.  A Box-Muller
+block draws u1 and u2 through it as two contiguous every-other-output
+streams and takes log and sqrt in place.
 """
 
 from __future__ import annotations
@@ -40,12 +44,28 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    m1 = np.uint64(_M1)
-    m2 = np.uint64(_M2)
-    z = (z ^ (z >> np.uint64(30))) * m1
-    z = (z ^ (z >> np.uint64(27))) * m2
-    return z ^ (z >> np.uint64(31))
+def _mix64_block(first: int, step: int, n: int) -> np.ndarray:
+    """mix64 of the n states first + i * step (mod 2^64), mixed in place."""
+    z = np.arange(n, dtype=np.uint64)
+    z *= np.uint64(step & _MASK)
+    z += np.uint64(first & _MASK)
+    t = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def _unit_doubles(x: np.ndarray) -> np.ndarray:
+    """Uniforms ((x >> 11) + 1) * 2^-53 of the outputs x, which it overwrites."""
+    x >>= np.uint64(11)
+    x += np.uint64(1)
+    u = x.astype(np.float64)
+    u *= _TWO53_INV
+    return u
 
 
 def derive_stream_seed(seed: int, index: int) -> int:
@@ -65,27 +85,34 @@ class SplitMix64:
 
     def next_uint64_block(self, n: int) -> np.ndarray:
         """The next n outputs, as one vectorized draw (stream-identical)."""
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + idx * np.uint64(_GAMMA)
+        x = _mix64_block(self._state + _GAMMA, _GAMMA, n)
         self._state = (self._state + n * _GAMMA) & _MASK
-        return _mix64_np(states)
+        return x
 
     def next_double_block(self, n: int) -> np.ndarray:
         """n uniforms in (0, 1]."""
-        x = self.next_uint64_block(n)
-        return ((x >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _TWO53_INV
+        return _unit_doubles(self.next_uint64_block(n))
 
 
 def gaussian_block(stream: SplitMix64, n: int) -> np.ndarray:
-    """The next n standard-normal variates of the documented stream."""
-    npairs = (n + 1) // 2
-    u = stream.next_double_block(2 * npairs)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * math.pi) * u2
-    out = np.empty(2 * npairs)
-    out[0::2] = r * np.cos(ang)
-    out[1::2] = r * np.sin(ang)
-    return out[:n]
+    """The next n standard-normal variates of the documented stream.
 
+    Output 2i+1 (state s + (2i+1) gamma) gives u1 and output 2i+2 gives u2
+    of pair i; each is drawn as its own contiguous stream and never held
+    beside the other, so a block peaks at twice the size of its result.
+    """
+    npairs = (n + 1) // 2
+    s = stream._state
+    stream._state = (s + 2 * npairs * _GAMMA) & _MASK
+    out = np.empty((npairs, 2))
+    ang = _unit_doubles(_mix64_block(s + 2 * _GAMMA, 2 * _GAMMA, npairs))
+    ang *= 2.0 * math.pi
+    np.cos(ang, out=out[:, 0])
+    np.sin(ang, out=out[:, 1])
+    del ang
+    r = _unit_doubles(_mix64_block(s + _GAMMA, 2 * _GAMMA, npairs))
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    out *= r[:, None]
+    return out.reshape(-1)[:n]

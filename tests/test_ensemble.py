@@ -244,6 +244,15 @@ class TestJpdStack:
             assert value == pytest.approx(jpd(pts, cfg, q, CTRL), rel=1e-12, abs=0.0)
         assert got[1] == 0.0 and got[2] == 0.0
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_density_past_float_range_is_inf_in_both_shapes(self, q):
+        # at tiny omega the density exceeds the float range: one set gives
+        # inf, as the stack does, and raises no OverflowError
+        cfg = ChannelConfig(2, 2, omega=1e-160)
+        pts = [1e-161, 3e-161]
+        assert jpd(pts, cfg, q, CTRL) == math.inf
+        assert jpd(np.array([pts]), cfg, q, CTRL).tolist() == [math.inf]
+
     def test_more_sets_than_one_block(self):
         cfg = ChannelConfig(3, 4)
         sets = np.random.default_rng(4).uniform(0.1, 9.0, (2 * ensemble._STACK_POINTS // 3 + 5, 3))

@@ -287,7 +287,7 @@ class TestCorrelationAgainstSimulation:
         # expected cell count is samples * integral of R2 over the cell
         from numpy.polynomial.legendre import leggauss
 
-        from hoytmimo.montecarlo import _spectra_chunks
+        from hoytmimo.montecarlo import _chunks, _spectra
 
         cfg = ChannelConfig(2, 2)
         q = 0.5
@@ -295,7 +295,7 @@ class TestCorrelationAgainstSimulation:
         edges = np.array([0.3, 1.2, 2.4, 4.2])
         nb = len(edges) - 1
         counts = np.zeros((nb, nb))
-        for vals in _spectra_chunks(cfg, q, samples, seed=314):
+        for vals in _chunks(cfg, q, samples, 314, lambda h: _spectra(cfg, h)):
             ia = np.digitize(vals[:, 0], edges) - 1
             ib = np.digitize(vals[:, 1], edges) - 1
             ok = (ia >= 0) & (ia < nb) & (ib >= 0) & (ib < nb)

@@ -133,6 +133,66 @@ class TestEigenvalues:
             hermitian_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
 
 
+def _hermitian_2x2_stack(rng, m):
+    a = _random_complex(rng, (m, 2, 2))
+    return 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+class TestTwoByTwo:
+    """The closed form the batch takes for 2 x 2 members, against Jacobi."""
+
+    @staticmethod
+    def check(ws, scale=1.0):
+        # ws at unit size; the closed form runs on scale * ws
+        ws = np.asarray(ws)
+        got = hermitian_eigenvalues_batch(scale * ws)
+        assert got.shape == ws.shape[:-1]
+        assert np.all(np.isfinite(got))
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        # against 40-digit values the oracle is within about 6 eps of the
+        # spectral scale, the closed form within 1.4 eps
+        flat = ws.reshape(-1, 2, 2)
+        for w, vals in zip(flat, got.reshape(-1, 2)):
+            ref = hermitian_eigenvalues(w)
+            atol = 16.0 * np.finfo(float).eps * scale * float(np.max(np.abs(ref)))
+            np.testing.assert_allclose(vals, scale * ref, rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_random_complex_stack(self, scale):
+        self.check(_hermitian_2x2_stack(np.random.default_rng(11), 200), scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_special_members(self, scale):
+        ws = np.array(
+            [
+                np.diag([3.0, -1.0]),  # b = 0
+                np.diag([-2.0, 5.0]),
+                np.diag([1.5, 1.5]),  # repeated eigenvalue
+                [[0.7, 0.0], [0.0, 0.7]],
+                np.zeros((2, 2)),
+                [[1.0, 2 - 1j], [2 + 1j, 1.0]],
+                [[1.0, 1e-9j], [-1e-9j, 1.0]],  # nearly repeated
+                [[1.0, 1.0], [1.0, 1.0]],  # singular
+            ],
+            dtype=complex,
+        )
+        self.check(ws, scale)
+        got = hermitian_eigenvalues_batch(scale * ws)
+        assert np.array_equal(got[4], [0.0, 0.0])
+        assert got[2, 0] == got[2, 1] == scale * 1.5
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_real_input(self, scale):
+        a = np.random.default_rng(12).normal(size=(50, 2, 2))
+        self.check(0.5 * (a + np.swapaxes(a, 1, 2)), scale)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2), (7, 2, 2), (3, 4, 2, 2)])
+    def test_shapes(self, shape):
+        ws = _hermitian_2x2_stack(np.random.default_rng(13), math.prod(shape[:-2])).reshape(shape)
+        self.check(ws)
+        assert hermitian_eigenvalues_batch(ws).shape == np.linalg.eigvalsh(ws).shape
+
+
 def pfaffian_expansion(b: np.ndarray) -> float:
     """Reference: Pf(B) = sum_j (-1)^{j+1} b_0j Pf(B without rows/columns 0, j).
 

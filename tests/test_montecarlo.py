@@ -7,7 +7,9 @@ from scipy.integrate import quad
 from hoytmimo.ensemble import ChannelConfig, level_density, mp_support
 from hoytmimo.montecarlo import (
     CHUNK_SAMPLES,
+    _capacities,
     _channels,
+    _chunks,
     _spectra,
     empirical_density,
     mc_capacity,
@@ -137,6 +139,30 @@ class TestMcCapacity:
         r1 = mc_capacity(cfg, 0.4, power=20.0, samples=30000, seed=5)
         r2 = mc_capacity(cfg, 0.4, power=20.0, samples=30000, seed=5)
         assert r1 == r2
+
+    @pytest.mark.parametrize("power", [1e-12, 10.0, 1e6])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nt,nr", [(1, 1), (2, 3), (3, 2), (4, 4), (8, 8)])
+    def test_cholesky_matches_eigenvalues(self, nt, nr, q, power):
+        # log2 det(I + snr W) from the Cholesky pivots against the sum of
+        # log2(1 + snr lambda), taken with log1p so that tiny capacities
+        # keep their digits.  Both are backward stable: each perturbs W by
+        # about eps lambda_max, which moves term i by snr eps lambda_max
+        # over 1 + snr lambda_i.  That bound is wider than 1e-12 relative
+        # only for nearly singular W at high power (real channels, q = 0).
+        cfg = ChannelConfig(nt, nr)
+        snr = power / nt
+        h = _channels(cfg, q, SplitMix64(nt * 31 + nr), 2000)
+        lam = _spectra(cfg, h)
+        ref = np.sum(np.log1p(snr * lam), axis=1) / math.log(2.0)
+        spread = np.sum(snr * lam[:, -1:] / (1.0 + snr * lam), axis=1)
+        tol = 1e-12 * ref + 8.0 * np.finfo(float).eps / math.log(2.0) * spread
+        assert np.all(np.abs(_capacities(cfg, h, snr) - ref) <= tol)
+        # and the estimate over whole chunks
+        mean, _ = mc_capacity(cfg, q, power, 3000, seed=7)
+        eig = _chunks(cfg, q, 3000, 7, lambda h: np.log1p(snr * _spectra(cfg, h)))
+        eig_mean = sum(float(np.sum(v)) for v in eig) / math.log(2.0) / 3000
+        assert mean == pytest.approx(eig_mean, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         cfg = ChannelConfig(2, 2)

@@ -25,6 +25,34 @@ def _signals(p, seed, n):
     return z
 
 
+def _box_muller_reference(seed, n):
+    """The first n gaussians of SplitMix64(seed), one scalar at a time (README, "Random numbers").
+
+    Integers and uniforms follow the spec in Python ints.  ln is numpy's: its
+    float64 log is not libm's and differs from math.log in the last bit for
+    about 0.3% of inputs, and the stream is defined by the library's log.
+    """
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = []
+
+    def uniform():
+        nonlocal state
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        return ((z >> 11) + 1) * 2.0**-53
+
+    while len(out) < n:
+        u1 = uniform()
+        u2 = uniform()
+        r = math.sqrt(-2.0 * float(np.log(np.float64(u1))))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:n]
+
+
 class TestSplitMix64:
     def test_block_matches_scalar(self):
         s1 = SplitMix64(12345)
@@ -69,6 +97,19 @@ class TestSplitMix64:
         # the block helper the sampling tests use draws the same values
         stream = SplitMix64(7)
         np.testing.assert_array_equal(_signals(p, 7, 5), [sample_signal(p, stream) for _ in range(5)])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2 * 8192 * 3 + 1])
+    def test_gaussian_block_matches_scalar_box_muller(self, n):
+        seed = 0xFEDCBA9876543210
+        stream = SplitMix64(seed)
+        g = gaussian_block(stream, n)
+        assert g.shape == (n,)
+        assert g.tobytes() == np.array(_box_muller_reference(seed, n)).tobytes()
+        # a block consumes whole pairs: 2 ceil(n / 2) outputs
+        scalar = SplitMix64(seed)
+        for _ in range(2 * ((n + 1) // 2)):
+            scalar.next_uint64()
+        assert stream.next_uint64() == scalar.next_uint64()
 
     def test_gaussian_moments(self):
         g = gaussian_block(SplitMix64(5), 200000)
