@@ -198,7 +198,7 @@ def cmd_density(args) -> int:
         lam = grid
 
     n = cfg.n
-    rho = [level_density(float(v), cfg, q, ctrl) / n for v in lam]
+    rho = (level_density(lam, cfg, q, ctrl) / n).tolist()
     fieldnames = ["lambda", "rho_analytic"]
     rows = [{"lambda": float(v), "rho_analytic": r} for v, r in zip(lam, rho)]
     if args.asymptotic:

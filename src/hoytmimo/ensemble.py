@@ -33,6 +33,9 @@ N-point jpd and a 4x4 R_4 both read N streams.  jpd also takes a stack of
 point sets: a block of them reads one array stream
 (``specfun.weighted_laguerre_array``) into one table, and the joint module
 assembles the density of every set from it, with stacked Pfaffians.
+level_density likewise takes an array of lambda: one array stream runs
+over all of it, and every point keeps _series's own sum and stop (see the
+diagonal module), so each value is the scalar call's.
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -51,7 +54,7 @@ from math import lgamma as log_gamma
 
 import numpy as np
 
-from . import joint, linalg
+from . import diagonal, joint, linalg
 from .specfun import (
     edge_log_pow,
     edge_pow,
@@ -735,21 +738,29 @@ def kernel_b(
 
 
 def level_density(
-    lam: float,
+    lam,
     cfg: ChannelConfig,
     q: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
+) -> float | np.ndarray:
     """Exact level density R_1(lambda) at Hoyt parameter q in [0, 1].
 
     R_1 = S_N(x, x) / (2 omega) with x = lambda / (2 omega), so q = 0 and
     q = 1 are kernel_s's closed forms.  At q = 0 the density diverges like
-    lambda^{-1/2} at the origin for square arrays.
+    lambda^{-1/2} at the origin for square arrays.  lam is a float and
+    gives a float, from kernel_s; or a 1-D array and gives an array, from
+    one array stream (see the diagonal module), bit for bit the same values.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
+    if np.ndim(lam) == 0:
+        if lam < 0.0:
+            raise ValueError("lambda must be >= 0")
+        x = lam / (2.0 * cfg.omega)
+        return float(kernel_s(x, x, cfg, crossover_tau(q), ctrl)) / (2.0 * cfg.omega)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or (lam < 0.0).any():
+        raise ValueError(f"lambda must be >= 0, in a float or a 1-D array (got shape {lam.shape})")
     x = lam / (2.0 * cfg.omega)
-    return kernel_s(x, x, cfg, crossover_tau(q), ctrl) / (2.0 * cfg.omega)
+    return diagonal.kernel_s_diagonal(x, cfg, crossover_tau(q), ctrl) / (2.0 * cfg.omega)
 
 
 def mp_support(cfg: ChannelConfig) -> tuple[float, float]:

@@ -19,8 +19,8 @@ from .ensemble import (
     SeriesTruncationError,
     correlation_fn,
     jpd,
-    kernel_s,
 )
+from .diagonal import kernel_s_diagonal
 from .quadrature import gk15, refine_panels
 from .specfun import weighted_laguerre
 
@@ -194,7 +194,8 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
     worst = float(np.max(np.abs(r2 - p2) / np.abs(p2)))
     checks.append(_check("r2_vs_jpd_n2", worst, 1e-4))
 
-    # kernel integral = N: one integrand row in u = sqrt(lambda), one starting panel
+    # kernel integral = N: one integrand row in u = sqrt(lambda), one starting
+    # panel, and S_N on the diagonal at all of a gk15 call's nodes at once
     taus = (0.7,) if quick else (0.0, 0.7, math.inf)
     sizes = ((2, 2), (3, 4)) if quick else ((2, 2), (3, 4), (4, 5), (5, 6))
     lo, hi = np.array([0.0]), np.array([math.sqrt(45.0)])
@@ -203,7 +204,7 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
         for tau in taus:
 
             def f(u):
-                return [[2.0 * t * kernel_s(t * t, t * t, cfg, tau, ctrl) for t in u.tolist()]]
+                return [2.0 * u * kernel_s_diagonal(u * u, cfg, tau, ctrl)]
 
             (val,), _ = refine_panels(f, lo, hi, *gk15(f, lo, hi), 1e-9, 0.0)
             checks.append(

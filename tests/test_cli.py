@@ -100,6 +100,28 @@ class TestDensityCommand:
         assert meta["schema_version"] == 1
         assert meta["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "extra,points", [([], 41), (["--simulate", "--samples", "200", "--seed", "1"], 40)]
+    )
+    def test_one_density_call_per_grid(self, monkeypatch, extra, points):
+        # the whole grid, or every bin centre, goes to one array evaluation
+        import hoytmimo.cli as cli
+
+        shapes = []
+        inner = cli.level_density
+
+        def counted(lam, *args):
+            shapes.append(np.shape(lam))
+            return inner(lam, *args)
+
+        monkeypatch.setattr(cli, "level_density", counted)
+        code, _ = run_cli(
+            ["density", "--nt", "2", "--nr", "2", "--q", "0.5", "--grid", "0:8:41", "--format", "json"]
+            + extra
+        )
+        assert code == 0
+        assert shapes == [(points,)]
+
     def test_json_format(self):
         code, text = run_cli(
             ["density", "--nt", "2", "--nr", "3", "--q", "0.3", "--grid", "0:5:11",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hoytmimo import ensemble, specfun
+from hoytmimo import diagonal, ensemble, specfun
 from hoytmimo.ensemble import (
     ChannelConfig,
     SeriesControl,
@@ -457,6 +457,83 @@ class TestLevelDensity:
         bulk_cap = 2.0 * max(curves[0].max(), curves[-1].max())
         for c in curves[1:-1]:
             assert c.max() <= bulk_cap
+
+
+class TestLevelDensityArray:
+    """level_density over a 1-D array of lambda: one value per point, from one array stream."""
+
+    GRID = [0.0, 1e-3, 0.37, 1.9, 6.5, 13.0, 40.0, 900.0]
+
+    @pytest.mark.parametrize("q", [0.0, 0.06, 0.3, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize(
+        "nt,nr", [(1, 1), (2, 2), (2, 3), (3, 3), (2, 5), (3, 6), (4, 4), (8, 8)]
+    )
+    def test_matches_scalar_calls_bit_for_bit(self, nt, nr, q):
+        cfg = ChannelConfig(nt, nr, omega=1.3)
+        got = level_density(np.array(self.GRID), cfg, q, CTRL)
+        assert got.tolist() == [level_density(v, cfg, q, CTRL) for v in self.GRID]
+
+    @pytest.mark.parametrize("q", [0.0, 0.06, 0.5, 1.0])
+    @pytest.mark.parametrize("nt,nr", [(1, 1), (2, 2), (2, 3), (4, 4), (8, 8)])
+    def test_log_space_join_within_rounding(self, nt, nr, q):
+        # x = 750 and 1000: the array stream joins these in numpy's log and exp
+        cfg = ChannelConfig(nt, nr)
+        got = level_density(np.array([1500.0, 2000.0]), cfg, q, CTRL)
+        for value, lam in zip(got.tolist(), (1500.0, 2000.0)):
+            assert value == pytest.approx(level_density(lam, cfg, q, CTRL), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "nt,nr,q,edge",
+        [(2, 2, 0.0, math.inf), (2, 3, 0.0, 1.0), (3, 5, 0.0, 0.0), (3, 5, 0.5, 0.0), (3, 5, 1.0, 0.0)],
+    )
+    def test_origin(self, nt, nr, q, edge):
+        got = level_density(np.array([0.0, 1.0]), ChannelConfig(nt, nr), q, CTRL)
+        assert got[0] == pytest.approx(edge, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_float_gives_float(self, q):
+        cfg = ChannelConfig(2, 2)
+        assert type(level_density(0.0, cfg, q)) is float
+        assert type(level_density(1.3, cfg, q)) is float
+        assert level_density(0.0, cfg, 0.0) == math.inf
+
+    def test_shapes(self):
+        cfg = ChannelConfig(2, 2)
+        assert level_density(np.linspace(0.1, 3.0, 7), cfg, 0.5, CTRL).shape == (7,)
+        assert level_density([0.4, 1.2], cfg, 0.5, CTRL).shape == (2,)
+        assert level_density(np.empty(0), cfg, 0.5, CTRL).shape == (0,)
+
+    @pytest.mark.parametrize("lam", [np.ones((2, 3)), np.array([0.5, -1e-9, 2.0])])
+    def test_rejects_bad_input(self, lam):
+        with pytest.raises(ValueError):
+            level_density(lam, ChannelConfig(2, 2), 0.5, CTRL)
+
+    @pytest.mark.parametrize("q", [0.06, 0.35])
+    def test_value_independent_of_batch(self, q):
+        # the far point's series runs for many more orders than the others';
+        # they still stop on their own sums
+        cfg = ChannelConfig(3, 3)
+        alone = level_density(np.array([0.4, 1.7, 2.2]), cfg, q, CTRL)
+        mixed = level_density(np.array([0.4, 600.0, 1.7, 2.2]), cfg, q, CTRL)
+        assert mixed[[0, 2, 3]].tolist() == alone.tolist()
+
+    def test_truncating_grid_raises(self):
+        with pytest.raises(SeriesTruncationError):
+            level_density(np.linspace(0.01, 10.0, 401), ChannelConfig(2, 2), 0.005, CTRL)
+
+    def test_reads_one_array_stream(self, monkeypatch):
+        opened = []
+        inner = specfun.weighted_laguerre_array
+
+        def counted(alpha, x):
+            opened.append(len(x))
+            return inner(alpha, x)
+
+        monkeypatch.setattr(diagonal, "weighted_laguerre_array", counted)
+        monkeypatch.setattr(ensemble, "weighted_laguerre", None)  # no scalar stream
+        for q in (0.0, 0.5, 1.0):
+            level_density(np.linspace(0.0, 9.0, 31), ChannelConfig(4, 4), q, CTRL)
+        assert opened == [31, 31, 31]
 
 
 class TestDensityMp:
