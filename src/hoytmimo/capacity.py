@@ -11,9 +11,15 @@ where C_1 is the q = 1 capacity (the same integral over the LUE core) and
 the moments M_j do not depend on q.  At q = 0 the series is replaced by the
 tau = 0 bracket of kernel_s, x^a wt_{N-1}(x) D(x), with D from the nodes'
 half-range integrals (ensemble._half_range).  So one node set in
-u = sqrt(lambda) serves every q of a call: the integrand has one row per q,
-the weighted Laguerre values stream through all nodes at once, and each
-moment is folded into every q's row as it is read; no moment table is kept.
+u = sqrt(lambda) serves every q and every power of a call.  The integrand
+has one row per q.  Its pieces that depend only on the nodes (the weighted
+Laguerre row, the LUE core, the q = 0 bracket and the moment sums
+sum_{j<J} c_j(tau) wt_{k_j}(x)) come from one weighted Laguerre stream
+through all nodes, each moment folded into every q's sum as it is read, and
+each power multiplies in its own weight log2(1 + snr lambda) u / omega.  No
+moment table is kept: a sweep whose powers need series lengths J_p reads
+the starting nodes' stream once, to the largest J_p, and copies the running
+sums at each distinct J_p, so memory is O(#distinct J x #q x #nodes).
 
 The series length J is fixed before the moments are integrated.  Since
 |wt_k| <= C(k + 2a + 1, k) (DLMF 18.14.8), |M_j| <= C(k_j + 2a + 1, k_j) A
@@ -51,7 +57,7 @@ from .ensemble import (
     crossover_tau,
     mp_support,
 )
-from .quadrature import gk15, refine_panels
+from .quadrature import gk15, gk15_nodes, gk15_sums, refine_panels
 from .specfun import weighted_laguerre_array
 
 __all__ = ["CapacityResult", "ergodic_capacity", "degradation", "capacity_sweep", "db_to_linear"]
@@ -65,7 +71,11 @@ _REL_TOL = 1e-9
 
 
 def db_to_linear(power_db: float) -> float:
-    return 10.0 ** (power_db / 10.0)
+    """P = 10^(dB/10); a dB value past the float range raises ValueError."""
+    try:
+        return 10.0 ** (power_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {power_db} dB is past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -77,31 +87,80 @@ class CapacityResult:
     power_db: float
 
 
-def _nodes(u: np.ndarray, cfg: ChannelConfig, snr: float):
-    """What every row needs at the nodes u = sqrt(lambda).
+class _Nodes:
+    """The power-independent pieces of the capacity integrand at the nodes u = sqrt(lambda).
 
-    Returns x, the weight (the Jacobian du times log2(1 + snr lambda) /
-    (2 omega)), the weight times x^{2a+1}, the row wt_0..wt_{N-1}(x) with
-    the orders on its first axis and the weighted Laguerre stream of the
-    nodes, left at order N.
+    Built from the nodes' one weighted Laguerre stream: u, lambda, x^{2a+1},
+    wt_{N-1}(x) and the LUE core, and for q = 0 rows x^a and the bracket
+    D(x).  The stream is left at order N; ``fold`` reads on from it to add
+    the moment sums.  ``rows`` multiplies one power's weight in.
     """
-    lam = u * u
-    x = lam / (2.0 * cfg.omega)
-    weight = (u / cfg.omega) * (np.log(1.0 + snr * lam) / math.log(2.0))
-    ws = weighted_laguerre_array(2.0 * cfg.a + 1.0, x)
-    row = np.array(list(itertools.islice(ws, cfg.n)))
-    return x, weight, weight * _node_pow(x, 2.0 * cfg.a + 1.0), row, ws
+
+    def __init__(self, u: np.ndarray, cfg: ChannelConfig, taus: list[float]):
+        n, a = cfg.n, cfg.a
+        self.omega = cfg.omega
+        self.zero = [i for i, t in enumerate(taus) if t == 0.0]
+        self.mid = [i for i, t in enumerate(taus) if 0.0 < t < math.inf]
+        self.n_rows = len(taus)
+        self.u, self.lam = u, u * u
+        x = self.lam / (2.0 * cfg.omega)
+        self.ws = weighted_laguerre_array(2.0 * a + 1.0, x)
+        row = np.array(list(itertools.islice(self.ws, n)))  # wt_0..wt_{N-1}, orders first
+        self.xpow = _node_pow(x, 2.0 * a + 1.0)
+        self.last = row[-1]
+        self.core = _s_lue_core(row, row, cfg)
+        if self.zero:
+            self.xa = _node_pow(x, a)
+            self.bracket = _d_zero(_half_range(row, x, cfg)[n], cfg)
+        self.sums: dict[int, np.ndarray] = {}  # J -> sum_{j<J} coefs[j] wt_{N+1+2j}, one row per mid
+
+    def fold(self, coefs: np.ndarray, lengths) -> None:
+        """Keep the moment sum of the first J terms for every J > 0 in lengths.
+
+        One pass over orders N+1, N+3, ... up to the largest J; the running
+        sum is copied at each smaller J, so each copy is bit for bit the sum
+        a pass of that length ends with.
+        """
+        keep = set(lengths) - {0}
+        if not keep:
+            return
+        top = max(keep)
+        acc = np.zeros((len(self.mid), len(self.u)))
+        orders = itertools.islice(self.ws, 1, None, 2)  # orders N+1, N+3, ...
+        for j, (c, w) in enumerate(zip(coefs[:top], orders), 1):
+            acc += c[:, None] * w
+            if j in keep:
+                self.sums[j] = acc if j == top else acc.copy()
+
+    def _weights(self, snr: float) -> tuple[np.ndarray, np.ndarray]:
+        """The weight (the Jacobian du times log2(1 + snr lambda) / (2 omega)) and it times x^{2a+1}."""
+        weight = (self.u / self.omega) * (np.log1p(snr * self.lam) / math.log(2.0))
+        return weight, weight * self.xpow
+
+    def bounds(self, snr: float) -> np.ndarray:
+        """The q = 1 integrand and the integrand of A, the moments' common bound."""
+        _, factor = self._weights(snr)
+        return np.array([factor * self.core, np.abs(factor * self.last)])
+
+    def rows(self, snr: float, terms: int) -> np.ndarray:
+        """The integrand at one power: one row per tau.
+
+        Row q is the q = 1 integrand plus, at tau = 0, the closed-form
+        bracket or, at 0 < tau < inf, its first `terms` moments (``fold``).
+        """
+        weight, factor = self._weights(snr)
+        out = np.empty((self.n_rows, len(self.u)))
+        out[:] = factor * self.core
+        if self.zero:
+            out[self.zero] += weight * self.xa * self.last * self.bracket
+        if terms:  # > 0 only with mid rows
+            out[self.mid] += factor * self.last * self.sums[terms]
+        return out
 
 
 def _node_pow(x: np.ndarray, p: float) -> np.ndarray:
     """x^p over the nodes (all x > 0) as e^{p ln x}, the form specfun.edge_pow takes."""
     return np.exp(p * np.log(x))
-
-
-def _bound_rows(u: np.ndarray, cfg: ChannelConfig, snr: float) -> np.ndarray:
-    """The q = 1 integrand and the integrand of A, the moments' common bound."""
-    _, _, factor, row, _ = _nodes(u, cfg, snr)
-    return np.array([factor * _s_lue_core(row, row, cfg), np.abs(factor * row[-1])])
 
 
 def _binomial(k: int, alpha: float) -> float:
@@ -138,40 +197,18 @@ def _tail_bound(cfg: ChannelConfig, tau: float, terms: int, amp: float) -> float
     return term * _binomial(k, alpha) * amp / (1.0 - rho)
 
 
-def _integrand(cfg: ChannelConfig, snr: float, taus: list[float], terms: int):
-    """f(u): one row per tau, the capacity integrand in u = sqrt(lambda).
+def _coefficients(cfg: ChannelConfig, mids: list[float], terms: int) -> np.ndarray:
+    """coefs[j] holds every mid row's coefficient 2 r_N e^{-2 tau} e^{-2 j tau} gamma_{k_j} of M_j.
 
-    Row q is the q = 1 integrand plus, at tau = 0, the closed-form bracket
-    or, at 0 < tau < inf, the first `terms` moments times their q-dependent
-    coefficients 2 r_N e^{-2 tau} e^{-2 j tau} gamma_{k_j}.
+    Stepped as _series steps its own, by a sequential cumprod, so the first
+    J rows do not depend on `terms`.
     """
     n, a = cfg.n, cfg.a
-    zero = [i for i, t in enumerate(taus) if t == 0.0]
-    mid = [i for i, t in enumerate(taus) if 0.0 < t < math.inf]
-    coefs = None
-    if mid and terms:
-        # coefs[j] holds every mid row's coefficient of M_j, stepped as _series steps its own
-        decay = np.exp(-2.0 * np.array([taus[i] for i in mid]))
-        h = 0.5 * (n + 2) + np.arange(terms - 1.0)
-        steps = decay * h[:, None] / (h[:, None] + a + 1.0)
-        first = 2.0 * _r_n(n, a) * decay * _gamma(a, n + 1)
-        coefs = np.cumprod(np.vstack((first, steps)), axis=0)
-
-    def f(u: np.ndarray) -> np.ndarray:
-        x, weight, factor, row, ws = _nodes(u, cfg, snr)
-        out = np.empty((len(taus), len(u)))
-        out[:] = factor * _s_lue_core(row, row, cfg)
-        if zero:
-            d = _d_zero(_half_range(row, x, cfg)[n], cfg)
-            out[zero] += weight * _node_pow(x, a) * row[-1] * d
-        if coefs is not None:
-            acc = np.zeros((len(mid), len(u)))
-            for c, w in zip(coefs, itertools.islice(ws, 1, None, 2)):  # orders N+1, N+3, ...
-                acc += c[:, None] * w
-            out[mid] += factor * row[-1] * acc
-        return out
-
-    return f
+    decay = np.exp(-2.0 * np.array(mids))
+    h = 0.5 * (n + 2) + np.arange(terms - 1.0)
+    steps = decay * h[:, None] / (h[:, None] + a + 1.0)
+    first = 2.0 * _r_n(n, a) * decay * _gamma(a, n + 1)
+    return np.cumprod(np.vstack((first, steps)), axis=0)
 
 
 def _tail_panels(cut: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -187,34 +224,66 @@ def _tail_panels(cut: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _capacities(
-    cfg: ChannelConfig, qs, power: float, ctrl: SeriesControl, rel_tol: float
-) -> list[tuple[float, float]]:
-    """(capacity, est_abs_error) for every q in qs at one power, from one quadrature.
+    cfg: ChannelConfig, qs, powers, ctrl: SeriesControl, rel_tol: float
+) -> list[list[tuple[float, float]]]:
+    """(capacity, est_abs_error) for every q in qs, one list per power.
 
     The panels start as 24 equal panels in u on [0, sqrt(cut)], cut = 1.5 x
-    the upper MP edge, plus tail segments [cut, 1.5 cut], ... in lambda,
-    added five per call until the last adds less than 1e-9 for every q.
-    Then refine_panels bisects them until each q's own error meets
-    max(1e-12, rel_tol * |C(q)|).
+    the upper MP edge, plus tail segments [cut, 1.5 cut], ... in lambda.
+    Their nodes' pieces (_Nodes) are built once, each power's bound rows
+    fix its series length J_p, and one pass of the nodes' stream keeps the
+    moment sums at every J_p.  Each power then adds its own tail segments,
+    five per call until the last adds less than 1e-9 for every q, and
+    refine_panels bisects them until each q's own error meets
+    max(1e-12, rel_tol * |C(q)|); new nodes build their pieces on demand.
     """
-    if not power > 0.0:
-        raise ValueError("power must be positive (linear units)")
-    snr = power / cfg.nt
+    if any(not 0.0 < p < math.inf for p in powers):
+        raise ValueError("power must be positive and finite (linear units)")
     taus = [crossover_tau(q) for q in qs]  # rejects q outside [0, 1]
+    mids = [t for t in taus if 0.0 < t < math.inf]
     cut = 1.5 * mp_support(cfg)[1]
     edges = np.linspace(0.0, math.sqrt(cut), _PANELS + 1)
     tail_lo, tail_hi, cut = _tail_panels(cut)
     lo, hi = np.concatenate((edges[:-1], tail_lo)), np.concatenate((edges[1:], tail_hi))
-    mids = [t for t in taus if 0.0 < t < math.inf]
-    terms = 0
-    tails = [0.0] * len(taus)
+    start = _Nodes(gk15_nodes(lo, hi), cfg, taus)
+    snrs = [p / cfg.nt for p in powers]
+    terms = [0] * len(powers)
+    tails = [[0.0] * len(taus) for _ in powers]
     if mids:
-        bval, berr = gk15(lambda u: _bound_rows(u, cfg, snr), lo, hi)
-        c1, amp = float(bval[0].sum()), float(bval[1].sum() + berr[1].sum())
-        terms = _series_length(cfg, min(mids), c1, amp, ctrl)
-        tails = [_tail_bound(cfg, t, terms, amp) if 0.0 < t < math.inf else 0.0 for t in taus]
-    f = _integrand(cfg, snr, taus, terms)
-    val, err = gk15(f, lo, hi)
+        for i, snr in enumerate(snrs):
+            bval, berr = gk15_sums(start.bounds(snr), lo, hi)
+            c1, amp = float(bval[0].sum()), float(bval[1].sum() + berr[1].sum())
+            terms[i] = _series_length(cfg, min(mids), c1, amp, ctrl)
+            tails[i] = [_tail_bound(cfg, t, terms[i], amp) if 0.0 < t < math.inf else 0.0 for t in taus]
+    coefs = _coefficients(cfg, mids, max(terms)) if mids and max(terms) else None
+    start.fold(coefs, terms)
+    return [
+        _quadrature(cfg, taus, snr, j, coefs, start, lo, hi, cut, rel_tol, tail)
+        for snr, j, tail in zip(snrs, terms, tails)
+    ]
+
+
+def _quadrature(
+    cfg: ChannelConfig,
+    taus: list[float],
+    snr: float,
+    terms: int,
+    coefs: np.ndarray | None,
+    start: _Nodes,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    cut: float,
+    rel_tol: float,
+    tails: list[float],
+) -> list[tuple[float, float]]:
+    """One power's capacities from the starting panels' pieces: tail segments, then refinement."""
+
+    def f(u: np.ndarray) -> np.ndarray:
+        nodes = _Nodes(u, cfg, taus)
+        nodes.fold(coefs, [terms])
+        return nodes.rows(snr, terms)
+
+    val, err = gk15_sums(start.rows(snr, terms), lo, hi)
     segments = _TAIL_BATCH
     while max(abs(v) for v in val[:, -1].tolist()) >= _TAIL_ABS:
         if segments >= _MAX_TAIL_EXTENSIONS:
@@ -244,7 +313,7 @@ def ergodic_capacity(
     ``est_abs_error`` is the quadrature error plus the bound on the
     truncated moment series.
     """
-    ((cap, err),) = _capacities(cfg, [q], power, ctrl, rel_tol)
+    (((cap, err),),) = _capacities(cfg, [q], [power], ctrl, rel_tol)
     return CapacityResult(cap, err, cfg, q, 10.0 * math.log10(power))
 
 
@@ -254,7 +323,7 @@ def degradation(
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
     """Fractional capacity loss from q = 1 to q = 0: 1 - C(0)/C(1)."""
-    (c0, _), (c1, _) = _capacities(cfg, [0.0, 1.0], power, ctrl, _REL_TOL)
+    (((c0, _), (c1, _)),) = _capacities(cfg, [0.0, 1.0], [power], ctrl, _REL_TOL)
     return 1.0 - c0 / c1
 
 
@@ -266,17 +335,19 @@ def capacity_sweep(
 ) -> list[CapacityResult]:
     """Cartesian capacity table, rows ordered (q outer, power inner).
 
-    One moment quadrature per power serves every q.
+    The starting panels' node pieces are built once and serve every q and
+    every power; each power then adds its own tail segments and refinement.
+    Each row is bit for bit the same call at its power alone.  Memory is
+    O(#distinct J x #q x #nodes), J the powers' series lengths.
     """
     q_values = list(q_values)
     power_db_values = list(power_db_values)
     if not q_values or not power_db_values:
         raise ValueError("q and power grids must be non-empty")
-    by_power = [
-        _capacities(cfg, q_values, db_to_linear(pdb), ctrl, _REL_TOL) for pdb in power_db_values
-    ]
+    powers = [db_to_linear(pdb) for pdb in power_db_values]
+    by_power = _capacities(cfg, q_values, powers, ctrl, _REL_TOL)
     return [
-        CapacityResult(*by_power[j][i], cfg, q, 10.0 * math.log10(db_to_linear(pdb)))
+        CapacityResult(*by_power[j][i], cfg, q, 10.0 * math.log10(p))
         for i, q in enumerate(q_values)
-        for j, pdb in enumerate(power_db_values)
+        for j, p in enumerate(powers)
     ]

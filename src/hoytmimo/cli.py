@@ -22,7 +22,7 @@ import sys
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .capacity import capacity_sweep, db_to_linear, degradation
+from .capacity import capacity_sweep
 from .ensemble import (
     DEFAULT_CONTROL,
     ChannelConfig,
@@ -247,13 +247,14 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_degradation(args) -> int:
+    """1 - C(0)/C(1) per power, from one sweep over q = 0 and 1 (each row as degradation gives it)."""
     cfg = _config(args)
-    ctrl = _control(args)
-    rows = []
-    for pdb in _powers_db(args):
-        rows.append(
-            {"power_db": pdb, "degradation": degradation(cfg, db_to_linear(pdb), ctrl)}
-        )
+    powers = _powers_db(args)
+    caps = capacity_sweep(cfg, [0.0, 1.0], powers, _control(args))  # q outer
+    rows = [
+        {"power_db": pdb, "degradation": 1.0 - c0.capacity / c1.capacity}
+        for pdb, c0, c1 in zip(powers, caps, caps[len(powers) :])
+    ]
     meta = {"command": "degradation", "config": _meta_config(cfg)}
     _write_rows(args, ["power_db", "degradation"], rows, meta)
     return EXIT_OK

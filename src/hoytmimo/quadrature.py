@@ -2,9 +2,10 @@
 
 Node and weight constants are the standard QUADPACK dqk15 values.  One
 array rule, ``gk15``, integrates many panels and many integrands sharing
-their nodes in one call, and one driver, ``refine_panels``, bisects a
-whole set of panels for those integrands in batches.  A single integrand
-is a one-row integrand on one starting panel.
+their nodes in one call; its two halves, ``gk15_nodes`` and ``gk15_sums``,
+serve callers that reuse node values.  One routine, ``refine_panels``,
+bisects a whole set of panels for those integrands in batches.  A single
+integrand is a one-row integrand on one starting panel.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadratureError", "gk15", "refine_panels"]
+__all__ = ["QuadratureError", "gk15", "gk15_nodes", "gk15_sums", "refine_panels"]
 
 
 class QuadratureError(RuntimeError):
@@ -62,17 +63,32 @@ def gk15(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     f takes the 1-D array of all panels' nodes and returns their values,
     the nodes on its last axis; leading axes are rows of integrands sharing
     the nodes.  Both results have the rows' shape with one entry per panel.
-    The sums run in QUADPACK's order, node pairs symmetric about the center
-    first, and the error is scaled against the integrand's variation as
-    QUADPACK scales it.
     """
+    return gk15_sums(f(gk15_nodes(lo, hi)), lo, hi)
+
+
+def gk15_nodes(lo, hi) -> np.ndarray:
+    """The 15 Kronrod nodes of every panel [lo_i, hi_i], panel by panel, as one 1-D array."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = center[:, None] + half[:, None] * _X
-    fv = np.asarray(f(nodes.ravel()), dtype=float)
-    fv = fv.reshape(fv.shape[:-1] + nodes.shape)
+    return (center[:, None] + half[:, None] * _X).ravel()
+
+
+def gk15_sums(fv, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """gk15 from the integrand values fv at ``gk15_nodes(lo, hi)``.
+
+    A caller that reuses node values across integrands evaluates them once
+    and sums here.  The sums run in QUADPACK's order, node pairs symmetric
+    about the center first, and the error is scaled against the
+    integrand's variation as QUADPACK scales it.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    fv = np.asarray(fv, dtype=float)
+    fv = fv.reshape(fv.shape[:-1] + (len(lo), len(_X)))
     fc = fv[..., 7]
     pairs = [(fv[..., i], fv[..., 14 - i]) for i in range(7)]
     resg = _WG[3] * fc

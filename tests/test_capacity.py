@@ -1,9 +1,12 @@
 import math
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hoytmimo import capacity
 from hoytmimo.capacity import (
     capacity_sweep,
     db_to_linear,
@@ -101,6 +104,39 @@ class TestErgodicCapacity:
             ergodic_capacity(ChannelConfig(2, 2), 0.5, 0.0)
         with pytest.raises(ValueError):
             ergodic_capacity(ChannelConfig(2, 2), 1.5, 1.0)
+
+    @pytest.mark.parametrize("power", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_power_outside_zero_to_inf(self, power):
+        cfg = ChannelConfig(2, 2)
+        with pytest.raises(ValueError):
+            ergodic_capacity(cfg, 0.5, power)
+        with pytest.raises(ValueError):
+            degradation(cfg, power)
+
+    @pytest.mark.parametrize("power_db", [4000.0, math.inf, -math.inf, math.nan])
+    def test_sweep_rejects_overflowing_or_non_finite_db(self, power_db):
+        with pytest.raises(ValueError):
+            capacity_sweep(ChannelConfig(2, 2), [0.5, 1.0], [15.0, power_db])
+
+    def test_db_overflow_is_value_error(self):
+        with pytest.raises(ValueError):
+            db_to_linear(4000.0)
+        assert db_to_linear(3000.0) == 1e300
+
+
+class TestLowSnr:
+    """C -> P nr omega / ln 2 as P -> 0 (E tr HH^H = nt nr omega)."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "nt,nr,omega", [(1, 1, 1.0), (2, 2, 1.0), (2, 3, 1.3), (4, 4, 1.0), (3, 6, 1.0), (8, 8, 1.0)]
+    )
+    def test_low_snr_limit(self, nt, nr, omega, q):
+        cfg = ChannelConfig(nt, nr, omega)
+        for power in (1e-12, 1e-15, 1e-40):
+            limit = power * nr * omega / math.log(2.0)
+            cap = ergodic_capacity(cfg, q, power).capacity
+            assert cap == pytest.approx(limit, rel=1e-8, abs=0.0)
 
 
 class TestErrorEstimate:
@@ -207,3 +243,63 @@ class TestCapacitySweep:
         c0 = ergodic_capacity(cfg, 0.0, P15).capacity
         c1 = ergodic_capacity(cfg, 1.0, P15).capacity
         assert degradation(cfg, P15) == pytest.approx(1.0 - c0 / c1, rel=0.0, abs=1e-12)
+
+
+class TestSweepSharesNodes:
+    """A sweep builds the starting panels' node pieces once for all of its powers."""
+
+    QS = [0.0, 0.06, 0.3, 0.5, 0.8, 0.999, 1.0]
+    POWER_LISTS = [
+        [15.0],
+        [0.0, 15.0, 30.0],
+        [-10.0, -5.0, 0.0, 5.0, 15.0, 30.0, 40.0],
+        [-10.0, 40.0],
+        [20.0, 5.0, 20.0],
+    ]
+
+    @pytest.mark.parametrize(
+        "nt,nr,omega", [(1, 1, 1.0), (2, 2, 1.0), (2, 5, 1.3), (3, 6, 1.0), (8, 8, 1.0), (16, 16, 1.0)]
+    )
+    def test_sweep_equals_one_power_sweeps(self, nt, nr, omega):
+        cfg = ChannelConfig(nt, nr, omega)
+        for powers in self.POWER_LISTS:
+            rows = capacity_sweep(cfg, self.QS, powers)
+            alone = [capacity_sweep(cfg, self.QS, [p]) for p in powers]
+            expect = [alone[j][i] for i in range(len(self.QS)) for j in range(len(powers))]
+            got = [(r.q, r.power_db, r.capacity, r.est_abs_error) for r in rows]
+            assert got == [(r.q, r.power_db, r.capacity, r.est_abs_error) for r in expect]
+
+    def test_one_power_paths_agree(self):
+        cfg = ChannelConfig(2, 3, 1.3)
+        (row,) = capacity_sweep(cfg, [0.3], [15.0])
+        single = ergodic_capacity(cfg, 0.3, db_to_linear(15.0))
+        assert (row.capacity, row.est_abs_error) == (single.capacity, single.est_abs_error)
+
+    @pytest.mark.parametrize("n_powers", [1, 3, 11])
+    def test_starting_nodes_streamed_once(self, monkeypatch, n_powers):
+        streamed = []
+        stream = capacity.weighted_laguerre_array
+
+        def spy(alpha, x):
+            streamed.append(np.array(x))
+            return stream(alpha, x)
+
+        monkeypatch.setattr(capacity, "weighted_laguerre_array", spy)
+        powers = list(np.linspace(-10.0, 40.0, n_powers))
+        capacity_sweep(ChannelConfig(4, 4), [0.0, 0.5, 1.0], powers)
+        first = streamed[0]  # the starting panels' nodes
+        assert sum(len(x) == len(first) and np.array_equal(x, first) for x in streamed) == 1
+
+    def test_memory_does_not_grow_with_powers(self):
+        cfg = ChannelConfig(2, 2)
+
+        def peak(powers):
+            tracemalloc.start()
+            try:
+                capacity_sweep(cfg, [0.05], powers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([15.0])
+        assert peak([-10.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0]) <= 1.2 * one

@@ -195,6 +195,26 @@ class TestCapacityCommand:
         assert c_lin == pytest.approx(c_ref, rel=1e-10)
         assert abs(c_lin - c_db) > 1e-3
 
+    def test_golden_regression(self, tmp_path):
+        # the frozen table of the README example, widened to more q and powers
+        path = GOLDEN / "capacity_nt3_nr3.csv"
+        out = tmp_path / "c.csv"
+        code, _ = run_cli(["capacity", "--nt", "3", "--nr", "3", "--q", "0,0.06,0.5,1",
+                           "--power-db=-10,5,15,30,40", "--output", str(out)])
+        assert code == 0
+        meta = Path(str(out) + ".meta.json").read_text()
+        assert meta == (path.parent / (path.name + ".meta.json")).read_text()
+        expect = list(csv.DictReader(path.open()))
+        got = list(csv.DictReader(out.open()))
+        assert len(got) == len(expect) == 20
+        for g, e in zip(got, expect):
+            assert (g["q"], g["power_db"]) == (e["q"], e["power_db"])
+            assert float(g["capacity"]) == pytest.approx(float(e["capacity"]), rel=1e-12, abs=0.0)
+            # the error estimate is a difference of two rules, so it is held to the capacity's scale
+            assert float(g["est_abs_error"]) == pytest.approx(
+                float(e["est_abs_error"]), rel=0.0, abs=1e-12 * float(e["capacity"])
+            )
+
 
 class TestDegradationCommand:
     def test_reference_value(self):
@@ -204,6 +224,20 @@ class TestDegradationCommand:
         assert code == 0
         rows = read_csv_text(text)
         assert float(rows[0]["degradation"]) == pytest.approx(0.0833, abs=0.0015)
+
+    def test_several_powers_match_single_calls(self):
+        # one sweep over q = 0 and 1 serves every power, bit for bit as degradation alone
+        from hoytmimo.capacity import db_to_linear, degradation
+        from hoytmimo.ensemble import ChannelConfig
+
+        code, text = run_cli(["degradation", "--nt", "3", "--nr", "3",
+                              "--power-db=-10,5,15,15,30", "--format", "json"])
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert [r["power_db"] for r in rows] == [-10.0, 5.0, 15.0, 15.0, 30.0]
+        cfg = ChannelConfig(3, 3)
+        for r in rows:
+            assert r["degradation"] == degradation(cfg, db_to_linear(r["power_db"]))
 
 
 class TestSimulateCommand:
@@ -399,6 +433,11 @@ class TestCliContract:
             ["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples", "10", "--range", "1:2:3"],
             ["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples", "10", "--range", "3:1"],
             ["correlations", "--nt", "2", "--nr", "2", "--q", "0.5", "--points-file", "{no_points}"],
+            ["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "4000"],
+            ["degradation", "--nt", "2", "--nr", "2", "--power-db", "4000"],
+            ["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "inf"],
+            ["degradation", "--nt", "2", "--nr", "2", "--power-db", "inf"],
+            ["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "1e400", "--power-linear"],
         ],
     )
     def test_invalid_input_is_usage_error(self, argv, tmp_path, capsys):
