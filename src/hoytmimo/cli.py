@@ -45,6 +45,8 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+COMMANDS = ("density", "capacity", "degradation", "simulate", "validate", "correlations")
+
 
 class UsageError(ValueError):
     pass
@@ -135,8 +137,11 @@ def _finite_json(value):
 
 
 def _json_text(doc) -> str:
-    """doc as strict JSON; a non-finite number that slipped past _finite_json raises."""
-    return json.dumps(_finite_json(doc), indent=2, allow_nan=False)
+    """doc as strict JSON, walked by _finite_json only when it holds a non-finite float."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_json(doc), indent=2, allow_nan=False)
 
 
 def _write_rows(args, fieldnames: list[str], rows: list[dict], meta: dict) -> None:
@@ -203,8 +208,8 @@ def cmd_density(args) -> int:
     rows = [{"lambda": float(v), "rho_analytic": r} for v, r in zip(lam, rho)]
     if args.asymptotic:
         fieldnames.append("rho_mp")
-        for row in rows:
-            row["rho_mp"] = density_mp(row["lambda"], cfg) / n
+        for row, mp in zip(rows, (density_mp(lam, cfg) / n).tolist()):
+            row["rho_mp"] = mp
     if hist is not None:
         fieldnames.extend(["rho_empirical", "stderr"])
         for row, d, se in zip(rows, hist.normalized_values, hist.normalized_stderr):
@@ -387,75 +392,92 @@ def _add_q_tau(p: argparse.ArgumentParser, as_list: bool = False) -> None:
         group.add_argument("--tau", type=float, help="crossover parameter >= 0")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name.
+
+    A known command builds only that subcommand's parser; None builds all
+    six, which top-level help and the top-level errors list.
+    """
     parser = argparse.ArgumentParser(
         prog="hoytmimo",
         description="Eigenvalue statistics and ergodic capacity of Hoyt-faded MIMO channels",
     )
     parser.add_argument("--config", help="key=value defaults file (flags win)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subcommand's parser still names all six in the usage line; all six
+    # keep argparse's default, which says "argument command" in its errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     subparsers = {}
 
-    def add(name: str, help: str) -> argparse.ArgumentParser:
+    def add(name: str, help: str) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
         subparsers[name] = sub.add_parser(name, help=help)
         return subparsers[name]
 
-    p = add("density", "analytic marginal eigenvalue density")
-    _add_common(p)
-    _add_q_tau(p)
-    p.add_argument("--grid", help="lambda grid as min:max:points")
-    p.add_argument("--asymptotic", action="store_true", help="add the large-N density column")
-    p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_density)
+    if p := add("density", "analytic marginal eigenvalue density"):
+        _add_common(p)
+        _add_q_tau(p)
+        p.add_argument("--grid", help="lambda grid as min:max:points")
+        p.add_argument("--asymptotic", action="store_true", help="add the large-N density column")
+        p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
+        p.add_argument("--samples", type=int, default=100000)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_density)
 
-    p = add("capacity", "ergodic capacity table")
-    _add_common(p)
-    _add_q_tau(p, as_list=True)
-    p.add_argument("--power-db", help="power value(s), comma separated")
-    p.add_argument("--power-linear", action="store_true", help="interpret powers as linear")
-    p.set_defaults(func=cmd_capacity)
+    if p := add("capacity", "ergodic capacity table"):
+        _add_common(p)
+        _add_q_tau(p, as_list=True)
+        p.add_argument("--power-db", help="power value(s), comma separated")
+        p.add_argument("--power-linear", action="store_true", help="interpret powers as linear")
+        p.set_defaults(func=cmd_capacity)
 
-    p = add("degradation", "capacity loss from q=1 to q=0")
-    _add_common(p)
-    p.add_argument("--power-db", help="power value(s), comma separated")
-    p.add_argument("--power-linear", action="store_true")
-    p.set_defaults(func=cmd_degradation)
+    if p := add("degradation", "capacity loss from q=1 to q=0"):
+        _add_common(p)
+        p.add_argument("--power-db", help="power value(s), comma separated")
+        p.add_argument("--power-linear", action="store_true")
+        p.set_defaults(func=cmd_degradation)
 
-    p = add("simulate", "Monte Carlo eigenvalue histogram")
-    _add_common(p)
-    _add_q_tau(p)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--range", help="histogram range lo:hi (default 0 to 1.2x MP edge)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
+    if p := add("simulate", "Monte Carlo eigenvalue histogram"):
+        _add_common(p)
+        _add_q_tau(p)
+        p.add_argument("--samples", type=int, default=100000)
+        p.add_argument("--bins", type=int, default=40)
+        p.add_argument("--range", help="histogram range lo:hi (default 0 to 1.2x MP edge)")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_simulate)
 
-    p = add("validate", "run the cross-module consistency suite")
-    _add_common(p, antennas=False)
-    p.add_argument("--quick", action="store_true", help="fast subset (< 10 s)")
-    p.set_defaults(func=cmd_validate)
+    if p := add("validate", "run the cross-module consistency suite"):
+        _add_common(p, antennas=False)
+        p.add_argument("--quick", action="store_true", help="fast subset (< 10 s)")
+        p.set_defaults(func=cmd_validate)
 
-    p = add("correlations", "n-level correlation functions")
-    _add_common(p)
-    _add_q_tau(p)
-    p.add_argument("--points", help="point sets, e.g. '1.0,2.0;0.5'")
-    p.add_argument("--points-file", help="JSON file with a 'points' list of lists")
-    p.set_defaults(func=cmd_correlations)
+    if p := add("correlations", "n-level correlation functions"):
+        _add_common(p)
+        _add_q_tau(p)
+        p.add_argument("--points", help="point sets, e.g. '1.0,2.0;0.5'")
+        p.add_argument("--points-file", help="JSON file with a 'points' list of lists")
+        p.set_defaults(func=cmd_correlations)
     return parser, subparsers
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The --config value, given as '--config PATH' or '--config=PATH'."""
+def _pre_parse(argv: list[str]) -> tuple[str | None, str | None]:
+    """The --config value ('--config PATH' or '--config=PATH') and the command.
+
+    The command is the first argument left over once --config and its value
+    are taken out, if that names a subcommand; anything else before it, such
+    as --help or an unknown flag, gives None.
+    """
     pre = argparse.ArgumentParser(prog="hoytmimo", add_help=False)
     pre.add_argument("--config")
-    return pre.parse_known_args(argv)[0].config
+    known, rest = pre.parse_known_args(argv)
+    return known.config, rest[0] if rest and rest[0] in COMMANDS else None
 
 
 def _apply_config_file(path: str, subparsers: dict[str, argparse.ArgumentParser]) -> None:
-    """Load key=value defaults into each subcommand that has the option; flags still win."""
+    """Load key=value defaults into each built subcommand that has the option; flags still win."""
     defaults = {}
     with open(path) as fh:
         for line in fh:
@@ -479,9 +501,9 @@ def _apply_config_file(path: str, subparsers: dict[str, argparse.ArgumentParser]
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
     try:
-        config = _config_path(argv)
+        config, command = _pre_parse(argv)
+        parser, subparsers = build_parser(command)
         if config is not None:
             _apply_config_file(config, subparsers)
         args = parser.parse_args(argv)

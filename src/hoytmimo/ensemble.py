@@ -771,12 +771,19 @@ def mp_support(cfg: ChannelConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def density_mp(lam: float, cfg: ChannelConfig) -> float:
-    """Marchenko-Pastur-type asymptotic level density (large N)."""
+def density_mp(lam, cfg: ChannelConfig) -> float | np.ndarray:
+    """Marchenko-Pastur-type asymptotic level density (large N).
+
+    lam is a float and gives a float, or an array and gives an array of its
+    shape; points outside the open support (lo, hi) give 0.0.
+    """
     lo, hi = mp_support(cfg)
-    if lam <= lo or lam >= hi:
-        return 0.0
-    return math.sqrt((hi - lam) * (lam - lo)) / (2.0 * math.pi * cfg.omega * lam)
+    y = np.asarray(lam, dtype=float)
+    rho = np.zeros(y.shape)
+    inside = ~((y <= lo) | (y >= hi))
+    y = y[inside]
+    rho[inside] = np.sqrt((hi - y) * (y - lo)) / (2.0 * math.pi * cfg.omega * y)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 # ---------------------------------------------------------------------------

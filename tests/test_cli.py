@@ -1,4 +1,6 @@
+import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -17,7 +19,6 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run_cli(args, tmp_path=None):
     """Invoke the entry point in-process and capture stdout."""
-    import io
     from contextlib import redirect_stdout
 
     buf = io.StringIO()
@@ -85,6 +86,18 @@ class TestDensityCommand:
         central = (lam > 6.4) & (lam < 57.6)
         peak = rho[lam > 0].max()
         assert np.max(np.abs(rho[central] - mp[central])) <= 0.02 * peak
+
+    def test_asymptotic_rows_are_density_mp(self):
+        # the grid's one density_mp call gives each row's value as a call on its own lambda does
+        from hoytmimo.ensemble import ChannelConfig, density_mp
+
+        for nt, nr, grid in ((2, 2, "0.013:10.2:401"), (4, 4, "0:20:401"), (3, 6, "0:25:101")):
+            code, text = run_cli(["density", "--nt", str(nt), "--nr", str(nr), "--q", "0.5",
+                                  "--grid", grid, "--asymptotic", "--format", "json"])
+            assert code == 0
+            cfg = ChannelConfig(nt, nr)
+            for row in json.loads(text)["rows"]:
+                assert row["rho_mp"] == density_mp(row["lambda"], cfg) / cfg.n
 
     def test_simulate_columns(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -403,6 +416,17 @@ class TestStrictJson:
         }
         assert strict_json(_json_text([math.nan]))[0] == "nan"
 
+    def test_finite_document_is_not_walked(self, monkeypatch):
+        # a finite document goes to json as it is, in the bytes the walked copy gives
+        import hoytmimo.cli as cli
+
+        doc = {"t": (1.5, np.float64(0.1), -0.0), "rows": [{"x": np.float64(2.0) / 3.0, "n": 3}]}
+        walked = json.dumps(cli._finite_json(doc), indent=2, allow_nan=False)
+        calls = []
+        monkeypatch.setattr(cli, "_finite_json", lambda v: calls.append(v) or v)
+        assert cli._json_text(doc) == walked
+        assert calls == []
+
 
 class TestCliContract:
     def test_missing_q_is_usage_error(self):
@@ -484,6 +508,41 @@ class TestCliContract:
         assert code == 0
         assert json.loads(text)["config"]["nr"] == 3
 
+    def test_builds_only_the_invoked_subparser(self, monkeypatch, tmp_path):
+        built = []
+        inner = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return inner(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        code, _ = run_cli(["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "10"])
+        assert code == 0 and built == ["capacity"]
+        cfgfile = tmp_path / "conf"
+        cfgfile.write_text("nt=2\nnr=2\n")
+        built.clear()
+        code, _ = run_cli(["--config", str(cfgfile), "density", "--q", "1", "--grid", "0:4:5"])
+        assert code == 0 and built == ["density"]
+
+    def test_config_key_of_another_subcommand_is_ignored(self, tmp_path):
+        # samples is a density and simulate option; capacity runs as without it
+        cfgfile = tmp_path / "conf"
+        cfgfile.write_text("nt=2\nnr=2\nsamples=10\n")
+        argv = ["capacity", "--q", "1", "--power-db", "10", "--format", "json"]
+        code, text = run_cli(["--config", str(cfgfile)] + argv)
+        assert code == 0
+        assert text == run_cli(argv + ["--nt", "2", "--nr", "2"])[1]
+
+    def test_config_defaults_do_not_outlive_the_call(self, tmp_path):
+        cfgfile = tmp_path / "conf"
+        cfgfile.write_text("nt=2\nnr=2\nomega=2\ngrid=0:4:5\n")
+        code, text = run_cli(["--config", str(cfgfile), "density", "--q", "1", "--format", "json"])
+        assert code == 0 and json.loads(text)["config"]["omega"] == 2.0
+        code, text = run_cli(["density", "--nt", "2", "--nr", "2", "--q", "1", "--grid", "0:4:5",
+                              "--format", "json"])
+        assert code == 0 and json.loads(text)["config"]["omega"] == 1.0
+
     def test_console_script_runs(self):
         # the child imports the same hoytmimo as this process, installed or not
         src = str(Path(hoytmimo.__file__).resolve().parents[1])
@@ -497,3 +556,47 @@ class TestCliContract:
         )
         assert proc.returncode == 0
         assert "degradation" in proc.stdout
+
+
+# Command lines whose help, usage and error texts tests/golden/cli_help.txt
+# freezes: each subcommand's help, the top-level help and errors (which list
+# all six subcommands) and errors met inside one subcommand.
+HELP_CASES = (
+    ["--help"],
+    *([cmd, "--help"] for cmd in
+      ("density", "capacity", "degradation", "simulate", "validate", "correlations")),
+    ["density", "--bogus"],
+    ["bogus"],
+    [],
+    ["capacity", "--q", "0.5", "--tau", "1"],
+    ["capacity", "--nt", "x"],
+    ["-h", "density"],
+    ["--bogus", "density"],
+    ["--config"],
+)
+
+
+def help_transcript() -> str:
+    """Exit code, stdout and stderr of main on each of HELP_CASES, in-process."""
+    from contextlib import redirect_stderr, redirect_stdout
+
+    parts = []
+    for argv in HELP_CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        parts.append(f"$ {' '.join(['hoytmimo', *argv])}\nexit {code}\n"
+                     f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "".join(parts)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help per Python version; the golden file is 3.11's")
+def test_help_golden(monkeypatch):
+    # written with COLUMNS=80 by help_transcript at the commit before the
+    # parser was built per subcommand; an intended text change rewrites it
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_transcript() == (GOLDEN / "cli_help.txt").read_text()

@@ -549,6 +549,28 @@ class TestDensityMp:
         assert density_mp(lo - 0.1, cfg) == 0.0
         assert density_mp(hi + 0.1, cfg) == 0.0
 
+    @pytest.mark.parametrize(
+        "cfg", [ChannelConfig(2, 2), ChannelConfig(4, 4, 1.3), ChannelConfig(3, 6), ChannelConfig(4, 15)]
+    )
+    def test_array_matches_scalar_loop(self, cfg):
+        # the scalar formula point by point, with the support's edges, 0 and points past hi
+        lo, hi = mp_support(cfg)
+
+        def scalar(lam):
+            if lam <= lo or lam >= hi:
+                return 0.0
+            return math.sqrt((hi - lam) * (lam - lo)) / (2.0 * math.pi * cfg.omega * lam)
+
+        grid = np.concatenate([[0.0, 1e-300, lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+                                hi * 1.5, 1e300], np.linspace(0.0, 1.3 * hi, 4001)])
+        got = density_mp(grid, cfg)
+        assert got.shape == grid.shape
+        assert got.tolist() == [scalar(v) for v in grid.tolist()]
+        assert got[2] == got[3] == got[6] == 0.0
+        for v in (0.37 * hi, np.float64(0.37 * hi), hi):
+            value = density_mp(v, cfg)
+            assert type(value) is float and value == scalar(float(v))
+
     @pytest.mark.parametrize("nt,nr", [(4, 4), (3, 6), (16, 16)])
     def test_normalization(self, nt, nr):
         cfg = ChannelConfig(nt, nr)
