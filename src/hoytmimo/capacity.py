@@ -171,12 +171,25 @@ def _binomial(k: int, alpha: float) -> float:
 def _series_length(
     cfg: ChannelConfig, tau: float, c1: float, amp: float, ctrl: SeriesControl
 ) -> int:
-    """The first J whose moment-series tail bound at tau is at most rel_tol C_1."""
+    """The first J whose moment-series tail bound at tau is at most rel_tol C_1.
+
+    The step ratio decay (k + alpha + 1)/(k + 2) never rises with k, so the
+    walk can stop only where rho < 1, and from there on the tail bound
+    falls.  A bound still above the goal at max_terms therefore raises
+    without the walk.  The closed-form bound (_tail_bound) and the walked
+    product round differently, so one within 1e-6 of the goal is left to the
+    walk, and J and the raise are those of the walk.
+    """
     a, alpha = cfg.a, 2.0 * cfg.a + 1.0
     decay = math.exp(-2.0 * tau)
+    goal = ctrl.rel_tol * c1
+    k = cfg.n + 1 + 2 * ctrl.max_terms
+    if decay * (k + alpha + 1.0) / (k + 2.0) >= 1.0 or _tail_bound(
+        cfg, tau, ctrl.max_terms, amp
+    ) > goal * (1.0 + 1e-6):
+        raise SeriesTruncationError("capacity moment series", tau, ctrl.max_terms)
     k = cfg.n + 1
     term = 2.0 * _r_n(cfg.n, a) * decay * _gamma(a, k) * _binomial(k, alpha) * amp
-    goal = ctrl.rel_tol * c1
     for j in range(ctrl.max_terms + 1):
         ratio = decay * (k + alpha + 1.0) / (k + 2.0)
         rho = max(ratio, decay)

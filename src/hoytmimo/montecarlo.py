@@ -11,9 +11,13 @@ scheduled.  The single-draw samplers read the same helpers with m = 1.
 
 Each chunk is reduced where it is drawn (``_chunks``), so a chunk's
 channels and gram matrices are freed before the next chunk's draw.  The
-gram matrix is one matmul, H^dag H (or H H^dag when nr < nt).  The
-histogram reads its eigenvalues; the capacity reads none, taking
-log2 det(I + snr W) from the pivots of its Cholesky factor.
+gram matrix is W = H^dag H, or H H^dag when nr < nt.  For N <= 3 the
+histogram takes its eigenvalues in closed form from the lower triangle of
+W, each entry a sum over the long axis of H (``_lower_triangle``), so the
+full W is never built and LAPACK sees only the few members whose
+eigenvalues nearly coincide.  For N >= 4 W is one matmul and its spectra
+come from the batched LAPACK routine.  The capacity reads no eigenvalues,
+taking log2 det(I + snr W) from the pivots of its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .ensemble import ChannelConfig, mp_support
 from .fading import params_from_q
-from .linalg import hermitian_eigenvalues_batch
+from .linalg import hermitian_eigenvalues_batch, hermitian_eigenvalues_lower
 from .rng import SplitMix64, derive_stream_seed, gaussian_block
 
 __all__ = [
@@ -75,13 +79,34 @@ def _gram(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
     return hh @ h if cfg.nr >= cfg.nt else h @ hh
 
 
+def _lower_triangle(cfg: ChannelConfig, h: np.ndarray):
+    """The gram matrices' diagonals w_jj and lower entries w_jk, j > k, one 1-D array each.
+
+    The vectors u_j are the columns of H when nr >= nt and its rows
+    otherwise, so w_jk = sum conj(u_j) u_k for H^dag H and
+    sum u_j conj(u_k) for H H^dag.  The order is that of
+    hermitian_eigenvalues_lower.
+    """
+    n = cfg.n
+    u = [h[:, :, j] for j in range(n)] if cfg.nr >= cfg.nt else [h[:, j] for j in range(n)]
+    pairs = ((j, k) if cfg.nr >= cfg.nt else (k, j) for j in range(n) for k in range(j))
+    lower = [np.einsum("si,si->s", np.conj(u[x]), u[y]) for x, y in pairs]
+    # one einsum kernel for all entries: a real one would map pages of numpy's
+    # einsum code that no other step of a simulate run touches (64 KiB RSS)
+    diag = [np.einsum("si,si->s", np.conj(v), v).real for v in u]
+    return diag, lower
+
+
 def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
     """Ascending gram-matrix eigenvalues of a channel stack, shape (m, N).
 
     Values below zero by round-off are clamped to 0; anything further
     below is a solver fault and raises.
     """
-    vals = hermitian_eigenvalues_batch(_gram(cfg, h))
+    if cfg.n <= 3:
+        vals = hermitian_eigenvalues_lower(*_lower_triangle(cfg, h))
+    else:
+        vals = hermitian_eigenvalues_batch(_gram(cfg, h))
     scale = float(np.max(np.abs(vals))) if vals.size else 1.0
     floor = -_CLAMP_FACTOR * max(scale, 1e-300)
     if np.any(vals < floor):

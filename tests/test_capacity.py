@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -14,9 +15,11 @@ from hoytmimo.capacity import (
     ergodic_capacity,
 )
 from hoytmimo.ensemble import (
+    DEFAULT_CONTROL,
     ChannelConfig,
     SeriesControl,
     SeriesTruncationError,
+    crossover_tau,
     density_mp,
     level_density,
     mp_support,
@@ -172,6 +175,53 @@ class TestNearOneSided:
         with pytest.raises(SeriesTruncationError):
             ergodic_capacity(ChannelConfig(2, 2), 0.01, P15)
         assert time.perf_counter() - start < 1.0
+
+
+def series_length_walk(cfg, tau, c1, amp, ctrl):
+    """Reference: walk the tail bound term by term up to max_terms, as before the early raise."""
+    a, alpha = cfg.a, 2.0 * cfg.a + 1.0
+    decay = math.exp(-2.0 * tau)
+    k = cfg.n + 1
+    term = 2.0 * capacity._r_n(cfg.n, a) * decay * capacity._gamma(a, k) * capacity._binomial(k, alpha) * amp
+    goal = ctrl.rel_tol * c1
+    for j in range(ctrl.max_terms + 1):
+        ratio = decay * (k + alpha + 1.0) / (k + 2.0)
+        rho = max(ratio, decay)
+        if rho < 1.0 and term <= goal * (1.0 - rho):
+            return j
+        term *= ratio
+        k += 2
+    return None
+
+
+class TestSeriesLength:
+    """_series_length raises without the walk exactly where the walk would raise."""
+
+    SHAPES = ((1, 1), (2, 2), (3, 3), (2, 5), (4, 4), (3, 6), (8, 8), (2, 32), (1, 40))
+    QS = (0.003, 0.006, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
+    C1_AMP = ((1.0, 1.0), (6.0, 0.4), (25.0, 80.0), (0.02, 3.0), (3.0, 1e4))
+    CONTROLS = (
+        DEFAULT_CONTROL,
+        SeriesControl(rel_tol=1e-6, max_terms=400),
+        SeriesControl(rel_tol=1e-14, max_terms=3000),
+        SeriesControl(rel_tol=1e-3, max_terms=40),
+    )
+
+    @pytest.mark.parametrize("nt, nr", SHAPES)
+    def test_matches_reference_walk(self, nt, nr):
+        cfg = ChannelConfig(nt, nr)
+        raised = found = 0
+        for q, (c1, amp), ctrl in itertools.product(self.QS, self.C1_AMP, self.CONTROLS):
+            tau = crossover_tau(q)
+            expect = series_length_walk(cfg, tau, c1, amp, ctrl)
+            if expect is None:
+                with pytest.raises(SeriesTruncationError):
+                    capacity._series_length(cfg, tau, c1, amp, ctrl)
+                raised += 1
+            else:
+                assert capacity._series_length(cfg, tau, c1, amp, ctrl) == expect
+                found += 1
+        assert raised and found  # the grid reaches both outcomes
 
 
 class TestLargeArraysAtQZero:

@@ -16,7 +16,8 @@ from hoytmimo.montecarlo import (
     sample_channel,
     sample_spectrum,
 )
-from hoytmimo.rng import SplitMix64
+from hoytmimo.fading import params_from_q
+from hoytmimo.rng import SplitMix64, derive_stream_seed, gaussian_block
 
 # _channels(cfg, q, SplitMix64(seed), m) is m consecutive sample_channel
 # draws from SplitMix64(seed), built as one block, and _spectra of them the
@@ -107,6 +108,20 @@ class TestEmpiricalDensity:
         cfg = ChannelConfig(3, 6)
         h = empirical_density(cfg, 1.0, samples=100, bins=10, seed=0)
         assert h.bin_edges[-1] == pytest.approx(1.2 * mp_support(cfg)[1])
+
+    @pytest.mark.parametrize("nt, nr", [(2, 2), (3, 6)])
+    def test_first_chunk_matches_numpy_spectra(self, nt, nr):
+        # the documented stream, its gram matrices formed and solved by numpy
+        cfg, q, seed = ChannelConfig(nt, nr), 0.5, 31
+        hist = empirical_density(cfg, q, samples=CHUNK_SAMPLES, bins=60, seed=seed)
+        p = params_from_q(q, cfg.omega)
+        g = gaussian_block(SplitMix64(derive_stream_seed(seed, 0)), CHUNK_SAMPLES * 2 * nr * nt)
+        g = g.reshape(CHUNK_SAMPLES, 2, nr, nt)
+        h = math.sqrt(p.sigma_x2) * g[:, 0] + 1j * math.sqrt(p.sigma_y2) * g[:, 1]
+        hh = np.conj(np.swapaxes(h, 1, 2))
+        vals = np.maximum(np.linalg.eigvalsh(hh @ h if nr >= nt else h @ hh), 0.0)
+        counts, _ = np.histogram(vals.ravel(), bins=hist.bin_edges)
+        np.testing.assert_array_equal(hist.counts, counts)
 
     def test_chunk_boundary_consistency(self):
         # crossing the chunk boundary must not disturb earlier chunks
