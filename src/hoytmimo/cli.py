@@ -295,16 +295,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_point_sets(path: str) -> list[list[float]]:
+    """The point sets of a --points-file: a list of lists of JSON numbers, bare or under "points"."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    point_sets = doc.get("points") if isinstance(doc, dict) else doc
+    if point_sets is None:
+        raise UsageError(f"{path} has no 'points' list")
+    if not isinstance(point_sets, list) or not all(
+        isinstance(pts, list)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pts)
+        for pts in point_sets
+    ):
+        raise UsageError(f"{path}: the points must be a list of lists of numbers")
+    try:
+        return [[float(v) for v in pts] for pts in point_sets]
+    except OverflowError as exc:  # an integer past the float range
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def cmd_correlations(args) -> int:
     cfg = _config(args)
     q = _resolve_q(args)
     ctrl = _control(args)
     if args.points_file:
-        with open(args.points_file) as fh:
-            doc = json.load(fh)
-        point_sets = doc.get("points") if isinstance(doc, dict) else doc
-        if point_sets is None:
-            raise UsageError(f"{args.points_file} has no 'points' list")
+        point_sets = _read_point_sets(args.points_file)
     elif args.points:
         point_sets = [
             _parse_float_list(group) for group in args.points.split(";") if group
@@ -313,7 +328,6 @@ def cmd_correlations(args) -> int:
         raise UsageError("provide --points or --points-file")
     rows = []
     for pts in point_sets:
-        pts = [float(v) for v in pts]
         if len(pts) > cfg.n:
             raise UsageError(
                 f"correlation order {len(pts)} exceeds N = {cfg.n}"

@@ -4,10 +4,12 @@ The channel gram matrix of an N_t x N_r Hoyt-faded array has a joint
 eigenvalue density that interpolates between the real-gaussian (q = 0) and
 complex-gaussian (q = 1) Wishart ensembles as the crossover parameter tau
 runs from 0 to infinity.  This module evaluates that joint density (as a
-Pfaffian), the skew-orthogonal polynomial system behind it, the two-point
-kernels S/A/B, the exact level density (S on the diagonal, whose
-tau = 0 and tau = inf forms are the endpoint closed forms), the large-N
-asymptotic density and n-point correlation functions.
+Pfaffian of the antisymmetric two-point function G), the exact level
+density (the kernel S on the diagonal, whose tau = 0 and tau = inf forms
+are the endpoint closed forms), the large-N asymptotic density and the
+n-point correlation functions (from the kernels S/A/B over a point set).
+The skew-orthogonal system and the kernels A and B at one pair of points
+are in ``hoytmimo.pointwise``, which the package does not import.
 
 Numerics: each evaluation reads one row per point, the weighted Laguerre
 values wt_k(x) = e^{-x} L_k^{(2a+1)}(2x) for k < N from one rescaled
@@ -30,12 +32,10 @@ own and shorter rows are zero-padded (see _g_table).  Correlation
 functions build their S, A and B matrices once per point set (see
 _blocks), and each point's B row reads on from its row stream, so an
 N-point jpd and a 4x4 R_4 both read N streams.  jpd also takes a stack of
-point sets: a block of them reads one array stream
-(``specfun.weighted_laguerre_array``) into one table, and the joint module
-assembles the density of every set from it, with stacked Pfaffians.
-level_density likewise takes an array of lambda: one array stream runs
-over all of it, and every point keeps _series's own sum and stop (see the
-diagonal module), so each value is the scalar call's.
+point sets, a block of which reads one array stream
+(``specfun.weighted_laguerre_array``) into one table (see _densities), and
+level_density an array of lambda, read from one array stream with the
+scalar call's sums and stops (see _kernel_s_diagonal).
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -54,7 +54,7 @@ from math import lgamma as log_gamma
 
 import numpy as np
 
-from . import diagonal, joint, linalg
+from . import linalg
 from .specfun import (
     edge_log_pow,
     edge_pow,
@@ -69,15 +69,9 @@ __all__ = [
     "SeriesTruncationError",
     "NumericalConsistencyError",
     "crossover_tau",
-    "g_zero",
     "g_tau",
-    "omega_tau",
     "jpd",
-    "skew_phi",
-    "skew_psi",
     "kernel_s",
-    "kernel_a",
-    "kernel_b",
     "level_density",
     "density_mp",
     "mp_support",
@@ -222,6 +216,38 @@ def _series(ws, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -
     raise SeriesTruncationError(what, tau, ctrl.max_terms)
 
 
+def _series_array(ws, a: float, tau: float, k0: int, m: int, ctrl: SeriesControl) -> np.ndarray:
+    """_series at m points at once; ws is their array stream at order k0.
+
+    Every point sums its own terms and stops on its own three small terms,
+    so its total does not depend on the other points.  The stream runs on
+    until the last point stops; a point still running after ``max_terms``
+    terms raises.
+    """
+    decay = math.exp(-2.0 * tau)
+    coef = _gamma(a, k0)
+    h = 0.5 * (k0 + 1)
+    total = np.zeros(m)
+    small1 = small2 = np.zeros(m, dtype=bool)  # whether the last two terms were small
+    live = np.ones(m, dtype=bool)
+    out = np.empty(m)
+    for w in itertools.islice(ws, 0, 2 * ctrl.max_terms, 2):
+        term = coef * w
+        total += term
+        small = np.abs(term) <= ctrl.rel_tol * np.abs(total)
+        hit = small & small1 & small2
+        if np.count_nonzero(hit):
+            hit &= live  # a stopped point may see three small terms again: keep its first total
+            out[hit] = total[hit]
+            live &= ~hit
+            if not np.count_nonzero(live):
+                return out
+        small2, small1 = small1, small
+        coef *= decay * h / (h + a + 1.0)
+        h += 1.0
+    raise SeriesTruncationError("density correction series", tau, ctrl.max_terms)
+
+
 def _r_n(n: int, a: float) -> float:
     # r_N = Gamma((N+1)/2) / Gamma((N+2a+1)/2)
     return math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n + 2 * a + 1)))
@@ -232,16 +258,7 @@ def _log_alpha(a: float, j: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the antisymmetric two-point function and its one-point companion
-
-
-def g_zero(x: float, y: float) -> float:
-    """The tau = 0 limit: sgn(x - y)/2."""
-    if x > y:
-        return 0.5
-    if x < y:
-        return -0.5
-    return 0.0
+# the antisymmetric two-point function and the term tables behind it
 
 
 def _coefficient_pairs(a: float, tau: float, n: int):
@@ -373,7 +390,7 @@ def g_tau(
     if x < 0.0 or y < 0.0:
         raise ValueError("arguments must be >= 0")
     if not tau > 0.0 or math.isinf(tau):
-        raise ValueError("g_tau needs finite tau > 0 (tau = 0 has g_zero)")
+        raise ValueError("g_tau needs finite tau > 0 (tau = 0 has pointwise.g_zero)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
     core = _g_table(_streams((x, y), a), a, tau, ctrl)[0][0, 1]
@@ -382,27 +399,129 @@ def g_tau(
     return math.exp((a + 1.0) * math.log(x * y)) * float(core)
 
 
-def omega_tau(
-    x: float, a: float, tau: float, ctrl: SeriesControl = DEFAULT_CONTROL
-) -> float:
-    """One-point companion function; exactly 1/2 at tau = 0."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return 0.5
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0  # carries the w_{a+1} weight, a + 1 > 0
-    if math.isinf(tau):
-        # only the mu = 0 term survives, and wt_0(x) = e^{-x}
-        return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
-    inner = _g_table(_streams((x,), a), a, tau, ctrl)[1]
-    return math.exp((a + 1.0) * math.log(x)) * float(inner[0])
-
-
 # ---------------------------------------------------------------------------
 # joint eigenvalue density
+#
+# At q = 0 and q = 1 the density is C |Delta|^power prod_j x_j^p e^{-x_j},
+# x = lambda / s (_endpoint_form).  At 0 < q < 1 it is a constant times
+# Delta(lambda), the edge weights x^{2a+1} e^{-x} and the Pfaffian of G
+# (_g_pfaffian), every factor attached in log space.  _density sums one set
+# in floats and _densities a stack in numpy, the same terms in the same
+# order: they differ only where numpy's log and exp round differently from
+# the math module's, and on one set the numpy sums cost about 10 us more.
+
+
+def _log_c0(cfg) -> float:
+    n, a = cfg.n, cfg.a
+    out = 0.5 * n * math.log(math.pi) - n * math.log(2.0)
+    for k in range(1, n + 1):
+        out -= log_gamma(0.5 * k + 1.0) + log_gamma(0.5 * k + a + 0.5)
+    return out
+
+
+def _endpoint_form(cfg, tau: float):
+    """ln C, the power of |Delta|, the scale s and the edge power p at tau = 0 or inf."""
+    n, a, omega = cfg.n, cfg.a, cfg.omega
+    if tau == 0.0:
+        return _log_c0(cfg) - 0.5 * n * (n + 1) * math.log(2.0 * omega), 1.0, 2.0 * omega, a
+    out = 0.0
+    for k in range(1, n + 1):
+        out -= log_gamma(k + 1.0) + log_gamma(k + 2.0 * a + 1.0)
+    return out - n * n * math.log(omega), 2.0, omega, 2.0 * a + 1.0
+
+
+def _log_const(cfg, tau: float) -> float:
+    """ln of the constant of the Pfaffian form at 0 < tau < inf."""
+    n = cfg.n
+    return (
+        (n + 1) // 2 * math.log(2.0)
+        + 0.5 * n * (n - 1) * tau
+        - 0.5 * n * (n + 1) * math.log(2.0 * cfg.omega)
+        + _log_c0(cfg)
+    )
+
+
+def _log_vandermonde(lams: list) -> tuple[int, float]:
+    sign = 1
+    logabs = 0.0
+    n = len(lams)
+    for j in range(n):
+        for k in range(j + 1, n):
+            d = lams[j] - lams[k]
+            if d == 0.0:
+                return 0, -math.inf
+            if d < 0.0:
+                sign = -sign
+            logabs += math.log(abs(d))
+    return sign, logabs
+
+
+def _g_pfaffian(t: np.ndarray, n: int):
+    """Sign and ln|Pf| of G for each set, from its term table t[set, point, order].
+
+    G = 2 (g - g^T), g = C O^T with C the running sums of the even orders and
+    O the odd orders (see _g_table), for every set at once; odd N
+    borders G with the one-point companion column, the even totals.
+    """
+    m = (n + 1) // 2
+    inner = np.cumsum(t[..., 0::2], axis=2)
+    g = inner @ t[..., 1::2].transpose(0, 2, 1)
+    f = np.zeros((len(t), 2 * m, 2 * m))
+    f[:, :n, :n] = 2.0 * (g - g.transpose(0, 2, 1))
+    if 2 * m > n:
+        f[:, :n, n] = inner[..., -1]
+        f[:, n, :n] = -inner[..., -1]
+    return linalg.pfaffian_signed_log(f)
+
+
+def _density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
+    """The joint density at one point set lams (floats); t is its term table at 0 < tau < inf."""
+    dl_sign, logdelta = _log_vandermonde(lams)
+    if logdelta == -math.inf:
+        return 0.0
+    if t is None:
+        logp, power, scale, p = _endpoint_form(cfg, tau)
+        logp += power * logdelta
+        sign = 1.0
+    else:
+        pf_sign, pf_log = _g_pfaffian(t[None], cfg.n)
+        if pf_sign[0] == 0.0:
+            return 0.0
+        logp = _log_const(cfg, tau) + logdelta + float(pf_log[0])
+        sign = float(pf_sign[0]) * dl_sign
+        # the weight and Pfaffian factors combine to x^{2a+1}
+        scale, p = 2.0 * cfg.omega, 2.0 * cfg.a + 1.0
+    for x in (lam / scale for lam in lams):
+        logp += edge_log_pow(x, p) - x
+    if logp == -math.inf:
+        return 0.0
+    try:
+        return sign * math.exp(logp)
+    except OverflowError:  # past the float range: inf, as _densities gives
+        return sign * math.inf
+
+
+def _densities(sets: np.ndarray, cfg, tau: float, t: np.ndarray | None) -> np.ndarray:
+    """_density over a stack of point sets (rows of sets); t[set, point, order] at 0 < tau < inf."""
+    j, k = np.triu_indices(cfg.n, 1)
+    d = sets[:, j] - sets[:, k]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logdelta = np.log(np.abs(d)).cumsum(axis=1)[:, -1] if d.shape[1] else np.zeros(len(d))
+        if t is None:
+            logp, power, scale, p = _endpoint_form(cfg, tau)
+            logp = logp + power * logdelta
+            sign = 1.0
+        else:
+            pf_sign, pf_log = _g_pfaffian(t, cfg.n)
+            logp = _log_const(cfg, tau) + logdelta
+            logp += pf_log
+            sign = pf_sign * np.sign(d).prod(axis=1)
+            scale, p = 2.0 * cfg.omega, 2.0 * cfg.a + 1.0
+        x = sets / scale
+        for term in (-x if p == 0.0 else p * np.log(x) - x).T:  # ln(x^p e^{-x}), point by point
+            logp += term
+        return np.where((logdelta == -math.inf) | (logp == -math.inf), 0.0, sign * np.exp(logp))
+
 
 _STACK_POINTS = 256  # points per block of a stacked jpd: bounds its term table
 
@@ -418,7 +537,7 @@ def jpd(
     lams is one point set, shape (N,), and gives a float; or a stack of m
     sets, shape (m, N), and gives an array of m values.  Dispatches to the
     closed endpoint forms at q = 0 and q = 1; otherwise assembles the
-    Pfaffian representation (see the joint module).  For square arrays the
+    Pfaffian representation (see _density).  For square arrays the
     q = 0 form diverges as any eigenvalue reaches 0 (returns +inf there).
 
     One set reads a scalar weighted-Laguerre stream per point.  A stack is
@@ -449,7 +568,7 @@ def jpd(
         if series:
             x = [lam / (2.0 * cfg.omega) for lam in lams]
             t = _term_table(_streams(x, a), a, tau, ctrl)
-        return joint.density(lams, cfg, tau, t)
+        return _density(lams, cfg, tau, t)
     out = np.empty(len(lams))
     step = max(1, _STACK_POINTS // n)
     for lo in range(0, len(lams), step):
@@ -458,7 +577,7 @@ def jpd(
         if series:
             t = _term_table_array((sets / (2.0 * cfg.omega)).ravel(), a, tau, ctrl)
             t = t.reshape(sets.shape + (-1,))
-        out[lo : lo + step] = joint.densities(sets, cfg, tau, t)
+        out[lo : lo + step] = _densities(sets, cfg, tau, t)
     return out
 
 
@@ -466,8 +585,8 @@ def jpd(
 # skew-orthogonal polynomials (phi) and dual functions (psi)
 #
 # Internal, weight-stripped evaluators return the series multiplied by
-# x^{-a} (phi family) or x^{-(a+1)} (psi/omega family); the public
-# functions reattach the powers.  All formulas live on x = lambda/(2 omega).
+# x^{-a} (phi family) or x^{-(a+1)} (psi/omega family); their callers
+# reattach the powers.  All formulas live on x = lambda/(2 omega).
 
 
 def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
@@ -492,36 +611,10 @@ def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
     return pref * (t1 - t2)
 
 
-def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int) -> float:
-    """sum_{nu >= start} e^{-(2 nu + 1) tau} gamma_{2 nu + 1} wt_{2 nu + 1}(x)."""
-    k0 = 2 * start + 1
-    ws = itertools.islice(weighted_laguerre(2.0 * a + 1.0, x), k0, None)
-    return math.exp(-k0 * tau) * _series(ws, a, tau, k0, ctrl, "dual-function series")
-
-
-def _psi_core(
-    j: int, x: float, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
-) -> float:
-    """psi_j / x^{a+1} for tau > 0, from the row of x or its series."""
-    n, a = cfg.n, cfg.a
-    mu, r = divmod(j, 2)
-    if cfg.c and j == n - 1:
-        return -2.0 * _psi_series(x, a, tau, ctrl, mu)
-    pref = math.exp((a + 1.5) * math.log(2.0))
-    k = 2 * mu + cfg.c
-    la = _log_alpha(a, k)
-    if r == 1:
-        return pref * math.exp(-k * tau - la) * _row(x, cfg, k + 1)[0][k]
-    if not cfg.c:
-        s = _psi_series(x, a, tau, ctrl, mu)
-        fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
-        return -pref * fac * s
-    # finite sum over nu = 0..mu of even-order polynomials
-    w = _row(x, cfg, 2 * mu + 1)[0]
-    g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
-    es = np.exp(-2.0 * tau * np.arange(mu + 1))
-    fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
-    return pref * fac * float(np.dot(es * g, w[0 : 2 * mu + 1 : 2]))
+def _phi_rows(rows, cfg: ChannelConfig, tau: float) -> np.ndarray:
+    """phi_0..phi_{K-1} / x^a, K = N - (N mod 2), one row per point from its row of wt."""
+    k2 = cfg.n - cfg.c
+    return np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
 
 
 def _half_range(w: np.ndarray, x, cfg: ChannelConfig) -> np.ndarray:
@@ -562,46 +655,6 @@ def _psi_zero(j: int, w: np.ndarray, i: np.ndarray, p, cfg: ChannelConfig):
     if r == 0:
         return math.exp((a + 0.5) * math.log(2.0)) * math.exp(-la) * i[k]
     return math.exp((a + 1.5) * math.log(2.0)) * math.exp(-la) * w[k] * p
-
-
-def _check_index(j: int, cfg: ChannelConfig) -> None:
-    if j < 0:
-        raise ValueError("index must be >= 0")
-    if cfg.n % 2 == 1 and j > cfg.n - 1:
-        raise ValueError(
-            f"odd N = {cfg.n} defines indices 0..{cfg.n - 1} only (got {j})"
-        )
-
-
-def skew_phi(
-    j: int, x: float, cfg: ChannelConfig, tau: float
-) -> float:
-    """Weighted skew-orthogonal polynomial phi_j at x = lambda/(2 omega)."""
-    _check_index(j, cfg)
-    if math.isinf(tau):
-        raise ValueError("phi diverges at tau = inf; use the q = 1 closed forms")
-    return edge_pow(x, cfg.a) * _phi_core(j, _row(x, cfg, j + 2)[0], cfg, tau)
-
-
-def skew_psi(
-    j: int,
-    x: float,
-    cfg: ChannelConfig,
-    tau: float,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
-    """Dual function psi_j at x = lambda/(2 omega); series truncated by ctrl."""
-    _check_index(j, cfg)
-    if math.isinf(tau):
-        raise ValueError("psi vanishes at tau = inf; use the q = 1 closed forms")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if tau == 0.0:
-        w = _row(x, cfg, j + 1)[0]
-        return float(_psi_zero(j, w, _half_range(w, x, cfg), edge_pow(x, cfg.a + 1.0), cfg))
-    if x == 0.0:
-        return 0.0  # psi carries the w_{a+1} weight
-    return math.exp((cfg.a + 1.0) * math.log(x)) * _psi_core(j, x, cfg, tau, ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -676,65 +729,48 @@ def kernel_s(
     return edge_pow(x, a) * edge_pow(y, a + 1.0) * core
 
 
-def kernel_a(
-    x: float,
-    y: float,
-    cfg: ChannelConfig,
-    tau: float,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
-    """Antisymmetric kernel A_N(x, y): x^a y^a times a finite sum over stripped phi pairs.
-
-    So at x = 0 of a square array A is a signed infinity.
-    """
-    if math.isinf(tau):
-        raise ValueError("A_N diverges as tau -> inf (q = 1 is determinantal)")
-    if x < 0.0 or y < 0.0:
-        raise ValueError("arguments must be >= 0")
-    k2 = cfg.n - cfg.c
-    if k2 == 0 or x == y:
-        return 0.0  # N = 1 has no phi pair, and A vanishes on the diagonal
-    wx, wy = _row(x, cfg, k2 + 1)[0], _row(y, cfg, k2 + 1)[0]
-    px, py = ([_phi_core(j, w, cfg, tau) for j in range(k2)] for w in (wx, wy))
-    total = 0.0
-    for mu in range(k2 // 2):
-        total += px[2 * mu + 1] * py[2 * mu]
-        total -= px[2 * mu] * py[2 * mu + 1]
-    return edge_pow(x, cfg.a) * edge_pow(y, cfg.a) * total
-
-
-def kernel_b(
-    x: float,
-    y: float,
-    cfg: ChannelConfig,
-    tau: float,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
-    """Kernel B_N(x, y): the infinite psi-pair tail plus parity term.
-
-    For tau > 0, tail and parity term together are minus the G double
-    series restricted to the index pairs past the first N (for odd N the
-    opposite-parity pairs, see _g_table), formed from the term table of
-    [x, y] as jpd forms G.  That stays accurate at large tau, where the
-    identity B = -G + (finite psi-pair sum) + parity term would cancel
-    e^{2N tau}-fold.  At tau = 0 the identity is used, with the
-    closed-form duals, where every piece is exact (see _blocks).
-    """
-    if math.isinf(tau):
-        raise ValueError("B_N vanishes as tau -> inf (q = 1 is determinantal)")
-    if x < 0.0 or y < 0.0:
-        raise ValueError("arguments must be >= 0")
-    n, a = cfg.n, cfg.a
-    if tau > 0.0:
-        if x == 0.0 or y == 0.0:
-            return 0.0  # carries w_{a+1} in each argument
-        pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
-        return -pw * float(_g_table(_streams((x, y), a, n), a, tau, ctrl, n)[0][0, 1])
-    return float(_blocks(np.array([x, y]), cfg, 0.0, ctrl)[2][0, 1])
-
-
 # ---------------------------------------------------------------------------
 # level density
+
+
+def _kernel_s_diagonal(
+    x: np.ndarray, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
+) -> np.ndarray:
+    """S_N(x, x) at every point of the 1-D array x >= 0, as kernel_s gives it.
+
+    One ``specfun.weighted_laguerre_array`` stream runs over all the points:
+    its first N orders give the LUE core, and at 0 < tau < inf it reads on
+    into the correction series over the orders N+1, N+3, ... (_series_array).
+    Every weight is reattached point by point with ``specfun.edge_pow``, so
+    each value is kernel_s(x, x) bit for bit, except where the stream joins
+    in log space (x above about 667).
+    """
+    n, a = cfg.n, cfg.a
+    xs = x.tolist()
+    if not xs:
+        return np.empty(0)
+    ws = weighted_laguerre_array(2.0 * a + 1.0, x)
+    w = np.array(list(itertools.islice(ws, n)))
+    # each point's orders contiguous in memory, and a third axis: the product
+    # of the rows keeps that layout, so np.dot over it takes kernel_s's 1-D
+    # dot product point by point (a 2-D np.dot is one matrix-vector product,
+    # which rounds differently)
+    rows = np.ascontiguousarray(w.T).T[:, :, None]
+    core = _s_lue_core(rows, rows, cfg)[:, 0]
+    if tau == 0.0:
+        # x^a [x^{a+1} S_lue-core + wt_{N-1}(x) D(x)], as kernel_s at x = y
+        d = _d_zero(_half_range(w, x, cfg)[n], cfg)
+        out = []
+        for u, c, lead, du in zip(xs, core.tolist(), w[n - 1].tolist(), d.tolist()):
+            if u == 0.0:
+                out.append(edge_pow(0.0, 2.0 * a + 1.0) * c + edge_pow(0.0, a) * lead * du)
+            else:
+                out.append(edge_pow(u, a) * (edge_pow(u, a + 1.0) * c + lead * du))
+        return np.array(out)
+    if not math.isinf(tau):
+        next(ws)  # the series reads on from order N + 1
+        core += _s_corr_lead(w, cfg, tau) * _series_array(ws, a, tau, n + 1, len(xs), ctrl)
+    return np.array([edge_pow(u, 2.0 * a + 1.0) for u in xs]) * core
 
 
 def level_density(
@@ -749,7 +785,7 @@ def level_density(
     q = 1 are kernel_s's closed forms.  At q = 0 the density diverges like
     lambda^{-1/2} at the origin for square arrays.  lam is a float and
     gives a float, from kernel_s; or a 1-D array and gives an array, from
-    one array stream (see the diagonal module), bit for bit the same values.
+    one array stream (see _kernel_s_diagonal), bit for bit the same values.
     """
     if np.ndim(lam) == 0:
         if lam < 0.0:
@@ -760,7 +796,7 @@ def level_density(
     if lam.ndim != 1 or (lam < 0.0).any():
         raise ValueError(f"lambda must be >= 0, in a float or a 1-D array (got shape {lam.shape})")
     x = lam / (2.0 * cfg.omega)
-    return diagonal.kernel_s_diagonal(x, cfg, crossover_tau(q), ctrl) / (2.0 * cfg.omega)
+    return _kernel_s_diagonal(x, cfg, crossover_tau(q), ctrl) / (2.0 * cfg.omega)
 
 
 def mp_support(cfg: ChannelConfig) -> tuple[float, float]:
@@ -822,7 +858,7 @@ def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     rows, streams = zip(*(_row(u, cfg) for u in x))
     w = np.array(rows).T
     s = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
-    phi = np.array([[_phi_core(j, wj, cfg, tau) for j in range(k2)] for wj in rows])
+    phi = _phi_rows(rows, cfg, tau)
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
     if tau == 0.0:
         i = _half_range(w, x, cfg)

@@ -20,7 +20,6 @@ from .ensemble import (
     correlation_fn,
     jpd,
 )
-from .diagonal import kernel_s_diagonal
 from .quadrature import gk15, refine_panels
 from .specfun import weighted_laguerre
 
@@ -204,7 +203,7 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
         for tau in taus:
 
             def f(u):
-                return [2.0 * u * kernel_s_diagonal(u * u, cfg, tau, ctrl)]
+                return [2.0 * u * ensemble._kernel_s_diagonal(u * u, cfg, tau, ctrl)]
 
             (val,), _ = refine_panels(f, lo, hi, *gk15(f, lo, hi), 1e-9, 0.0)
             checks.append(

@@ -25,11 +25,10 @@ from hoytmimo.ensemble import (
     kernel_s,
     level_density,
     mp_support,
-    skew_phi,
-    skew_psi,
 )
 from hoytmimo.linalg import pfaffian_signed_log
 from hoytmimo.montecarlo import empirical_density
+from hoytmimo.pointwise import skew_phi, skew_psi
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2, jpd_normalization_n3
 from test_specfun import laguerre
 

@@ -355,6 +355,36 @@ class TestCorrelationsCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"points": [1, 2]},
+            {"points": 5},
+            {"points": [[None]]},
+            "abc",
+            {"points": [{"a": 1}]},
+            {"points": [[True, 1.0]]},
+            {"points": [[10**400]]},
+        ],
+    )
+    def test_malformed_points_file_is_usage_error(self, doc, tmp_path, capsys):
+        # only a list of lists of JSON numbers is read; booleans are not numbers
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(["correlations", "--nt", "2", "--nr", "2", "--q", "0.5",
+                           "--points-file", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+    def test_points_file_bare_list_of_ints(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([[1, 2], [3.5]]))
+        code, text = run_cli(["correlations", "--nt", "2", "--nr", "2", "--q", "0.5",
+                              "--points-file", str(path), "--format", "json"])
+        assert code == 0
+        assert [row["points"] for row in json.loads(text)["rows"]] == [[1.0, 2.0], [3.5]]
+
 
 def strict_json(text):
     """Parse as RFC 8259 does: Infinity, -Infinity and NaN are not JSON."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hoytmimo import diagonal, ensemble, specfun
+from hoytmimo import ensemble, pointwise, specfun
 from hoytmimo.ensemble import (
     ChannelConfig,
     SeriesControl,
@@ -16,13 +16,12 @@ from hoytmimo.ensemble import (
     crossover_tau,
     density_mp,
     g_tau,
-    g_zero,
     jpd,
     kernel_s,
     level_density,
     mp_support,
-    omega_tau,
 )
+from hoytmimo.pointwise import g_zero, omega_tau
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2
 from test_specfun import laguerre
 
@@ -529,7 +528,7 @@ class TestLevelDensityArray:
             opened.append(len(x))
             return inner(alpha, x)
 
-        monkeypatch.setattr(diagonal, "weighted_laguerre_array", counted)
+        monkeypatch.setattr(ensemble, "weighted_laguerre_array", counted)
         monkeypatch.setattr(ensemble, "weighted_laguerre", None)  # no scalar stream
         for q in (0.0, 0.5, 1.0):
             level_density(np.linspace(0.0, 9.0, 31), ChannelConfig(4, 4), q, CTRL)
@@ -757,7 +756,7 @@ def test_kernel_a_origin_is_signed_infinity(nt, nr):
     # sign the sum has just off the origin
     cfg = ChannelConfig(nt, nr)
     for y in (0.37, 1.9):
-        value = ensemble.kernel_a(0.0, y, cfg, 0.0)
+        value = pointwise.kernel_a(0.0, y, cfg, 0.0)
         assert math.isinf(value)
-        assert math.copysign(1.0, value) == math.copysign(1.0, ensemble.kernel_a(1e-12, y, cfg, 0.0))
-    assert ensemble.kernel_a(0.0, 0.0, cfg, 0.0) == 0.0
+        assert math.copysign(1.0, value) == math.copysign(1.0, pointwise.kernel_a(1e-12, y, cfg, 0.0))
+    assert pointwise.kernel_a(0.0, 0.0, cfg, 0.0) == 0.0

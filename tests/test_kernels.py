@@ -1,11 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+import hoytmimo
+from hoytmimo import ensemble, pointwise
 from hoytmimo.ensemble import (
     ChannelConfig,
     NumericalConsistencyError,
@@ -14,14 +20,10 @@ from hoytmimo.ensemble import (
     crossover_tau,
     g_tau,
     jpd,
-    kernel_a,
-    kernel_b,
     kernel_s,
     level_density,
-    omega_tau,
-    skew_phi,
-    skew_psi,
 )
+from hoytmimo.pointwise import kernel_a, kernel_b, omega_tau, skew_phi, skew_psi
 
 CTRL = SeriesControl()
 
@@ -315,3 +317,33 @@ class TestCorrelationAgainstSimulation:
                 expect = samples * tot * xr * yr
                 z = (counts[i, j] - expect) / math.sqrt(expect)
                 assert abs(z) <= 4.0
+
+
+POINTWISE_NAMES = ("g_zero", "omega_tau", "skew_phi", "skew_psi", "kernel_a", "kernel_b")
+
+
+class TestImportPath:
+    def test_package_and_cli_leave_pointwise_unimported(self):
+        # a fresh interpreter, importing the same hoytmimo as this process
+        src = str(Path(hoytmimo.__file__).resolve().parents[1])
+        code = (
+            "import sys, hoytmimo, hoytmimo.cli, hoytmimo.validation; "
+            "print(*sorted(m for m in sys.modules if m.startswith('hoytmimo')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "hoytmimo.ensemble" in loaded
+        assert "hoytmimo.pointwise" not in loaded
+
+    @pytest.mark.parametrize("name", POINTWISE_NAMES)
+    def test_pointwise_names_live_in_pointwise_only(self, name):
+        assert callable(getattr(pointwise, name))
+        assert name in pointwise.__all__
+        assert not hasattr(ensemble, name)
+        assert name not in ensemble.__all__
