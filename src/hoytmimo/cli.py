@@ -139,9 +139,36 @@ def _finite_json(value):
 def _json_text(doc) -> str:
     """doc as strict JSON, walked by _finite_json only when it holds a non-finite float."""
     try:
-        return json.dumps(doc, indent=2, allow_nan=False)
+        return _indented(doc)
     except ValueError:
-        return json.dumps(_finite_json(doc), indent=2, allow_nan=False)
+        return _indented(_finite_json(doc))
+
+
+def _indented(doc) -> str:
+    """json.dumps(doc, indent=2, allow_nan=False), byte for byte, its row lists encoded in C.
+
+    With indent set, json.dumps runs the pure-Python encoder.  Each
+    top-level value that is a list of flat objects (the rows) goes instead
+    to the C encoder, with NUL and SOH as item and key separators, and is
+    laid out by str.replace.  JSON escapes every control character inside
+    strings, so a raw NUL or SOH is always a separator, and NUL between
+    "}" and "{" always the boundary between two rows.
+    """
+    if type(doc) is not dict or not doc or not all(type(k) is str for k in doc):
+        return json.dumps(doc, indent=2, allow_nan=False)
+    items = (f"  {json.dumps(k)}: {_indented_value(v)}" for k, v in doc.items())
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _indented_value(value) -> str:
+    """value as json.dumps(..., indent=2) lays it out one level deep."""
+    if type(value) is list and value and all(type(r) is dict and r for r in value):
+        text = json.dumps(value, separators=("\0", "\1"), allow_nan=False)
+        if "\1{" not in text and "\1[" not in text:  # no row holds a container
+            body = text[2:-2].replace("}\0{", "\n    },\n    {\n      ")
+            body = body.replace("\0", ",\n      ").replace("\1", ": ")
+            return "[\n    {\n      " + body + "\n    }\n  ]"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
 def _write_rows(args, fieldnames: list[str], rows: list[dict], meta: dict) -> None:

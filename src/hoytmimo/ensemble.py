@@ -936,6 +936,13 @@ def correlation_fn(
     sign, logdet = linalg.determinant_signed_log(mat)
     if math.isnan(logdet):
         raise NumericalConsistencyError("correlation determinant is undefined (NaN kernel entry)")
+    if log_scale == math.inf and logdet == -math.inf:
+        # an infinite edge weight (x^a at a point 0) times a determinant that
+        # underflowed to 0 is no number; returned, it would read NaN or 0
+        raise NumericalConsistencyError(
+            "correlation is undefined: the edge weight at a point 0 is infinite "
+            "and the determinant underflows"
+        )
     log_scale -= n_pts * math.log(2.0 * omega)
     return _signed_sqrt_det(int(sign), logdet, mat, log_scale, square=q < 1.0)
 

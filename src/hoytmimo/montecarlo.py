@@ -9,9 +9,19 @@ real part row-major, the next nr*nt the imaginary part.  Results are
 therefore bit-identical for a given seed regardless of how chunks are
 scheduled.  The single-draw samplers read the same helpers with m = 1.
 
-Each chunk is reduced where it is drawn (``_chunks``), so a chunk's
-channels and gram matrices are freed before the next chunk's draw.  The
-gram matrix is W = H^dag H, or H H^dag when nr < nt.  For N <= 3 the
+Each chunk is drawn and reduced in sub-blocks (``_chunks``): contiguous
+ranges of ``_block_samples(cfg)`` samples, read one after another from the
+chunk's own substream, so consecutive sub-blocks are exactly the chunk's
+one-block draw.  A sub-block holds at most ``_BLOCK_BYTES`` of channels H
+(at least one sample), and its gaussians, gram matrices and Cholesky
+factors are freed before the next sub-block is drawn.  What a sub-block
+reduces to, N eigenvalues or one capacity per sample, is written into the
+chunk's result array, and the chunk-level steps (the PSD floor check, the
+histogram and the sums) read that array as they would a whole-chunk draw.
+So the working memory is bounded by a few times ``_BLOCK_BYTES`` plus the
+chunk's (CHUNK_SAMPLES, N) result, whatever the array size.
+
+The gram matrix is W = H^dag H, or H H^dag when nr < nt.  For N <= 3 the
 histogram takes its eigenvalues in closed form from the lower triangle of
 W, each entry a sum over the long axis of H (``_lower_triangle``), so the
 full W is never built and LAPACK sees only the few members whose
@@ -43,6 +53,11 @@ __all__ = [
 ]
 
 CHUNK_SAMPLES = 8192
+
+# Bytes of H per sub-block: 16 samples at 4x256, 256 at 8x8, 4096 at 2x2.
+# Against 128 KiB and 1 MiB it was as fast or faster on 2x2 to 4x256, with
+# peak RSS within 0.5 MiB of 128 KiB's (measurements in CHANGES.md).
+_BLOCK_BYTES = 256 * 1024
 
 _CLAMP_FACTOR = 1e-10
 
@@ -97,16 +112,18 @@ def _lower_triangle(cfg: ChannelConfig, h: np.ndarray):
     return diag, lower
 
 
-def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
-    """Ascending gram-matrix eigenvalues of a channel stack, shape (m, N).
-
-    Values below zero by round-off are clamped to 0; anything further
-    below is a solver fault and raises.
-    """
+def _eigenvalues(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
+    """Ascending gram-matrix eigenvalues of a channel stack, shape (m, N), unclamped."""
     if cfg.n <= 3:
-        vals = hermitian_eigenvalues_lower(*_lower_triangle(cfg, h))
-    else:
-        vals = hermitian_eigenvalues_batch(_gram(cfg, h))
+        return hermitian_eigenvalues_lower(*_lower_triangle(cfg, h))
+    return hermitian_eigenvalues_batch(_gram(cfg, h))
+
+
+def _clamped(vals: np.ndarray) -> np.ndarray:
+    """vals with round-off below zero clamped to 0, the floor set by the largest |value|.
+
+    Anything further below is a solver fault and raises.
+    """
     scale = float(np.max(np.abs(vals))) if vals.size else 1.0
     floor = -_CLAMP_FACTOR * max(scale, 1e-300)
     if np.any(vals < floor):
@@ -117,6 +134,11 @@ def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
+def _spectra(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
+    """Ascending gram-matrix eigenvalues of a channel stack, shape (m, N), clamped at 0."""
+    return _clamped(_eigenvalues(cfg, h))
+
+
 def _capacities(cfg: ChannelConfig, h: np.ndarray, snr: float) -> np.ndarray:
     """log2 det(I + snr W) per channel of the stack, from the Cholesky factor L of I + snr W.
 
@@ -124,8 +146,8 @@ def _capacities(cfg: ChannelConfig, h: np.ndarray, snr: float) -> np.ndarray:
     Each enters as log1p of its excess over 1, formed without the 1, so a
     small capacity keeps its relative accuracy; log2 l_jj would round the
     pivot near 1, and its square root, with a bias.  w_jj is read from H
-    once the factor exists: a small array held across the large ones
-    raises the process's peak RSS by about the size of one of them.
+    once the factor exists, so the gram stack is freed before the norms
+    are formed; at sub-block size all of these arrays are small.
     """
     a = _gram(cfg, h)
     a *= snr
@@ -152,20 +174,30 @@ def sample_spectrum(cfg: ChannelConfig, q: float, stream: SplitMix64) -> Spectra
     return SpectralSample(eigenvalues=_spectra(cfg, _channels(cfg, q, stream, 1))[0])
 
 
-def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
-    """Yield reduce(H) for each chunk's channel stack H, deterministically.
+def _block_samples(cfg: ChannelConfig) -> int:
+    """Samples per sub-block: as many channels as fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * cfg.nr * cfg.nt))
 
-    Reducing inside the generator frees each chunk's H, and what reduce
-    built from it, before the next chunk is drawn.
+
+def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
+    """Yield, for each chunk, reduce(H) over the chunk's channel stack H, deterministically.
+
+    reduce maps a stack of m channels to an array whose first axis holds
+    the m samples.  It is applied to each sub-block as soon as the block
+    is drawn, and the rows are gathered into one array per chunk, so no
+    chunk-sized channel stack is ever built.
     """
-    done = 0
-    chunk_index = 0
-    while done < samples:
+    block = _block_samples(cfg)
+    for chunk_index, done in enumerate(range(0, samples, CHUNK_SAMPLES)):
         m = min(CHUNK_SAMPLES, samples - done)
         stream = SplitMix64(derive_stream_seed(seed, chunk_index))
-        yield reduce(_channels(cfg, q, stream, m))
-        done += m
-        chunk_index += 1
+        out = None
+        for lo in range(0, m, block):
+            part = reduce(_channels(cfg, q, stream, min(block, m - lo)))
+            if out is None:
+                out = np.empty((m,) + part.shape[1:], dtype=part.dtype)
+            out[lo : lo + len(part)] = part
+        yield out
 
 
 def empirical_density(
@@ -187,7 +219,8 @@ def empirical_density(
     edges = np.linspace(value_range[0], value_range[1], bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     eigen_sum = 0.0
-    for vals in _chunks(cfg, q, samples, seed, lambda h: _spectra(cfg, h)):
+    for raw in _chunks(cfg, q, samples, seed, lambda h: _eigenvalues(cfg, h)):
+        vals = _clamped(raw)
         c, _ = np.histogram(vals.ravel(), bins=edges)
         counts += c
         eigen_sum += float(np.sum(vals))

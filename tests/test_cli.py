@@ -348,6 +348,16 @@ class TestCorrelationsCommand:
         assert code == 0
         assert float(json.loads(text)["rows"][0]["r_n"]) == math.inf
 
+    def test_undefined_value_is_a_numerical_failure(self, capsys):
+        # an infinite edge weight at 0 meets a determinant that underflows
+        code, text = run_cli(
+            ["correlations", "--nt", "5", "--nr", "5", "--omega", "1.3", "--q", "0",
+             "--points", "6.5,900,2000,0"]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and text == ""
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
     def test_rejects_order_above_n(self):
         code, _ = run_cli(
             ["correlations", "--nt", "2", "--nr", "2", "--q", "0.5",
@@ -445,6 +455,32 @@ class TestStrictJson:
             "a": [1.5, -0.0, 2, None, True], "b": {"c": "inf", "d": "-inf"}
         }
         assert strict_json(_json_text([math.nan]))[0] == "nan"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"schema_version": 1, "config": {"nt": 2, "q": 0.5, "inner": {"a": [1, [2.5, {}]], "b": []}},
+             "rows": [{"x": 0.1, "y": -2e-300, "n": 3, "ok": True, "s": None}, {"x": 1e300, "y": 7}]},
+            {"config": {"tau": math.inf}, "rows": [{"r": math.nan, "s": -math.inf}, {"r": 1.0}]},
+            {"command": "simulate", "rows": []},
+            {"rows": [{}], "empty": {}, "list": [[]]},
+            {"note": "λ ≥ 0, ☃ \ud83d", "rows": [{"name": "ω = 1.3 ☃", "v": "}\u0000{\"\\"}]},
+            {"rows": [{"points": [0.5, 1.5], "r_n": 0.25}, {"points": [], "nested": {"k": 1}}]},
+            {"rows": [{"a": "}", "b": "{"}, {"a": "x{", "b": "}y"}], "tail": "]}"},
+            {1: "non-string key", "rows": [{2: 3}]},
+            {},
+            [{"a": 1}],
+        ],
+    )
+    def test_layout_is_that_of_the_indenting_encoder(self, doc):
+        # rows go through the C encoder; the bytes are json.dumps(indent=2)'s
+        from hoytmimo.cli import _finite_json, _json_text
+
+        try:
+            ref = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            ref = json.dumps(_finite_json(doc), indent=2, allow_nan=False)
+        assert _json_text(doc) == ref
 
     def test_finite_document_is_not_walked(self, monkeypatch):
         # a finite document goes to json as it is, in the bytes the walked copy gives

@@ -270,6 +270,18 @@ class TestCorrelations:
         with pytest.raises(NumericalConsistencyError):
             correlation_fn([0.5, 1.0], ChannelConfig(2, 2), 0.5, CTRL)
 
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("pts", [[6.5, 900.0, 2000.0, 0.0], [0.0, 6.5, 900.0, 2000.0]])
+    def test_origin_with_underflowed_determinant_is_a_numerical_failure(self, n, pts):
+        # x^a is +inf at the origin of a square array at q = 0; with points far
+        # in the tail the determinant underflows, and inf * 0 is no value
+        # (this read NaN in one order of the points and 0.0 in the other)
+        with pytest.raises(NumericalConsistencyError):
+            correlation_fn(pts, ChannelConfig(n, n, omega=1.3), 0.0, CTRL)
+
+    def test_origin_with_finite_determinant_stays_infinite(self):
+        assert correlation_fn([6.5, 900.0, 0.0], ChannelConfig(5, 5, omega=1.3), 0.0, CTRL) == math.inf
+
     @pytest.mark.parametrize("nt,nr", [(3, 4), (4, 4), (4, 5)])
     def test_large_tau_stability(self, nt, nr):
         # near q = 1 the balanced blocks and the directly summed B tail

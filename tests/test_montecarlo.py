@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from hoytmimo.ensemble import ChannelConfig, level_density, mp_support
 from hoytmimo.montecarlo import (
     CHUNK_SAMPLES,
+    _block_samples,
     _capacities,
     _channels,
     _chunks,
@@ -185,6 +187,70 @@ class TestMcCapacity:
             mc_capacity(cfg, 0.5, power=0.0, samples=10)
         with pytest.raises(ValueError):
             mc_capacity(cfg, 0.5, power=1.0, samples=0)
+
+
+def _whole_chunk_reference(cfg, q, samples, seed, edges, snr):
+    """Histogram counts, eigenvalue sum and capacity (mean, se), each chunk drawn whole.
+
+    This is the sampler before sub-blocks: one _channels draw of the whole
+    chunk from its substream, reduced by _spectra and _capacities.
+    """
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    eigen_sum = total = total_sq = 0.0
+    for k, done in enumerate(range(0, samples, CHUNK_SAMPLES)):
+        m = min(CHUNK_SAMPLES, samples - done)
+        h = _channels(cfg, q, SplitMix64(derive_stream_seed(seed, k)), m)
+        vals = _spectra(cfg, h)
+        counts += np.histogram(vals.ravel(), bins=edges)[0]
+        eigen_sum += float(np.sum(vals))
+        cap = _capacities(cfg, h, snr)
+        total += float(np.sum(cap))
+        total_sq += float(np.sum(cap * cap))
+    mean = total / samples
+    se = math.sqrt(max(0.0, total_sq / samples - mean * mean) / samples)
+    return counts, eigen_sum, (mean, se)
+
+
+SUB_BLOCK_SHAPES = [(1, 1), (1, 3), (2, 2), (3, 3), (3, 6), (6, 3), (4, 4), (8, 8), (2, 128)]
+
+
+class TestSubBlocks:
+    """Sub-blocks are contiguous ranges of a chunk's substream: every output
+    equals the whole-chunk draw bit for bit, across block and chunk edges."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nt,nr", SUB_BLOCK_SHAPES)
+    def test_equals_whole_chunk_draw(self, nt, nr, q):
+        cfg, seed, power = ChannelConfig(nt, nr), 23, 40.0
+        block = _block_samples(cfg)
+        sizes = {1, block - 1, block + 1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 1, 2 * CHUNK_SAMPLES + 3}
+        for samples in sorted(s for s in sizes if s >= 1):
+            hist = empirical_density(cfg, q, samples, bins=30, seed=seed)
+            counts, eigen_sum, cap = _whole_chunk_reference(
+                cfg, q, samples, seed, hist.bin_edges, power / nt
+            )
+            np.testing.assert_array_equal(hist.counts, counts)
+            assert hist.eigenvalue_sum == eigen_sum
+            assert mc_capacity(cfg, q, power, samples, seed=seed) == cap
+
+    def test_block_holds_at_least_one_sample(self):
+        assert _block_samples(ChannelConfig(64, 512)) == 1
+        assert _block_samples(ChannelConfig(2, 128)) < CHUNK_SAMPLES
+
+    @pytest.mark.parametrize("run", ["capacity", "density"])
+    def test_memory_is_bounded_by_the_block(self, run):
+        # a whole 2x128 chunk is 32 MiB of H and as much of gaussians
+        cfg = ChannelConfig(2, 128)
+        tracemalloc.start()
+        try:
+            if run == "capacity":
+                mc_capacity(cfg, 0.5, 10.0, CHUNK_SAMPLES, seed=1)
+            else:
+                empirical_density(cfg, 0.5, CHUNK_SAMPLES, bins=40, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEndpointConsistency:
