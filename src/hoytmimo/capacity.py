@@ -10,7 +10,7 @@ on q (kernel_s on the diagonal), so for 0 < q < 1
 where C_1 is the q = 1 capacity (the same integral over the LUE core) and
 the moments M_j do not depend on q.  At q = 0 the series is replaced by the
 tau = 0 bracket of kernel_s, x^a wt_{N-1}(x) D(x), with D from the nodes'
-half-range integrals (ensemble._half_range).  So one node set in
+half-range integrals (ensemble._diagonal_parts).  So one node set in
 u = sqrt(lambda) serves every q and every power of a call.  The integrand
 has one row per q.  Its pieces that depend only on the nodes (the weighted
 Laguerre row, the LUE core, the q = 0 bracket and the moment sums
@@ -49,16 +49,13 @@ from .ensemble import (
     ChannelConfig,
     SeriesControl,
     SeriesTruncationError,
-    _d_zero,
+    _diagonal_parts,
     _gamma,
-    _half_range,
     _r_n,
-    _s_lue_core,
     crossover_tau,
     mp_support,
 )
 from .quadrature import gk15, gk15_nodes, gk15_sums, refine_panels
-from .specfun import weighted_laguerre_array
 
 __all__ = ["CapacityResult", "ergodic_capacity", "degradation", "capacity_sweep", "db_to_linear"]
 
@@ -90,28 +87,27 @@ class CapacityResult:
 class _Nodes:
     """The power-independent pieces of the capacity integrand at the nodes u = sqrt(lambda).
 
-    Built from the nodes' one weighted Laguerre stream: u, lambda, x^{2a+1},
-    wt_{N-1}(x) and the LUE core, and for q = 0 rows x^a and the bracket
-    D(x).  The stream is left at order N; ``fold`` reads on from it to add
-    the moment sums.  ``rows`` multiplies one power's weight in.
+    u, lambda, x^{2a+1} and, for q = 0 rows, x^a; and what the array level
+    density builds from the nodes' one weighted Laguerre stream
+    (``ensemble._diagonal_parts``): wt_{N-1}(x), the LUE core and, for q = 0
+    rows, the bracket factor D(x).  The stream is left at order N; ``fold``
+    reads on from it to add the moment sums.  ``rows`` multiplies one
+    power's weight in.
     """
 
     def __init__(self, u: np.ndarray, cfg: ChannelConfig, taus: list[float]):
-        n, a = cfg.n, cfg.a
+        a = cfg.a
         self.omega = cfg.omega
         self.zero = [i for i, t in enumerate(taus) if t == 0.0]
         self.mid = [i for i, t in enumerate(taus) if 0.0 < t < math.inf]
         self.n_rows = len(taus)
         self.u, self.lam = u, u * u
         x = self.lam / (2.0 * cfg.omega)
-        self.ws = weighted_laguerre_array(2.0 * a + 1.0, x)
-        row = np.array(list(itertools.islice(self.ws, n)))  # wt_0..wt_{N-1}, orders first
+        self.ws, row, self.core, self.bracket = _diagonal_parts(x, cfg, bool(self.zero))
         self.xpow = _node_pow(x, 2.0 * a + 1.0)
         self.last = row[-1]
-        self.core = _s_lue_core(row, row, cfg)
         if self.zero:
             self.xa = _node_pow(x, a)
-            self.bracket = _d_zero(_half_range(row, x, cfg)[n], cfg)
         self.sums: dict[int, np.ndarray] = {}  # J -> sum_{j<J} coefs[j] wt_{N+1+2j}, one row per mid
 
     def fold(self, coefs: np.ndarray, lengths) -> None:

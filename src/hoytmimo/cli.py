@@ -410,15 +410,16 @@ def cmd_validate(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, antennas: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, antennas: bool = True, series: bool = True) -> None:
     if antennas:
         p.add_argument("--nt", type=int, help="transmit antennas")
         p.add_argument("--nr", type=int, help="receive antennas")
         p.add_argument("--omega", type=float, default=1.0, help="signal power (default 1)")
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONTROL.rel_tol,
-                   help="series truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_CONTROL.max_terms,
-                   help="series term budget")
+    if series:
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_CONTROL.rel_tol,
+                       help="series truncation tolerance")
+        p.add_argument("--max-terms", type=int, default=DEFAULT_CONTROL.max_terms,
+                       help="series term budget")
     p.add_argument("--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -482,7 +483,7 @@ def build_parser(
         p.set_defaults(func=cmd_degradation)
 
     if p := add("simulate", "Monte Carlo eigenvalue histogram"):
-        _add_common(p)
+        _add_common(p, series=False)  # sampling sums no series
         _add_q_tau(p)
         p.add_argument("--samples", type=int, default=100000)
         p.add_argument("--bins", type=int, default=40)

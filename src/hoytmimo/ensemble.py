@@ -28,7 +28,7 @@ exact recurrence over a point's row gives for every order (_half_range).
 Near but not at q = 0 a series needs O(1/tau) terms.  The double sums (G
 behind jpd, its one-point companion and the B kernel) are products of one
 term table per point set, one stream per point; each point stops on its
-own and shorter rows are zero-padded (see _g_table).  Correlation
+own and shorter rows are zero-padded (see _term_table).  Correlation
 functions build their S, A and B matrices once per point set (see
 _blocks), and each point's B row reads on from its row stream, so an
 N-point jpd and a 4x4 R_4 both read N streams.  jpd also takes a stack of
@@ -275,9 +275,9 @@ def _coefficient_pairs(a: float, tau: float, n: int):
         h1 += 1.0
 
 
-def _streams(x, a: float, n: int = 0) -> list:
-    """One weighted-Laguerre stream per point of x, each at order n."""
-    return [itertools.islice(weighted_laguerre(2.0 * a + 1.0, float(u)), n, None) for u in x]
+def _streams(x, a: float) -> list:
+    """One weighted-Laguerre stream per point of x."""
+    return [weighted_laguerre(2.0 * a + 1.0, float(u)) for u in x]
 
 
 def _term_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) -> np.ndarray:
@@ -352,16 +352,15 @@ def _term_table_array(x: np.ndarray, a: float, tau: float, ctrl: SeriesControl) 
     raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
 
 
-def _g_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
-    """Weight-stripped G_n over a point set, and each point's two totals.
+def _g_table(t: np.ndarray):
+    """Weight-stripped G_n from a term table t[..., point, order], and each point's even total.
 
-    streams holds one weighted-Laguerre stream per point x_j, at order n,
-    read into the term table t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j), k >= n
-    (see _term_table).  With C the running sums of the inner orders n, n+2,
-    ... and O the orders n+1, n+3, ..., 2 sum_{i < k} [t_i(x_j) t_k(x_l) -
-    t_k(x_j) t_i(x_l)] is 2 (g - g^T), g = C O^T; the caller reattaches
-    (x_j x_l)^{a+1}.  Returned with G_n are each point's totals of the
-    orders n, n+2, ... and n+1, n+3, ...; at n = 0 the first are the
+    t holds t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j), k >= n (see
+    _term_table); any leading axes are sets of points.  With C the running
+    sums of the inner orders n, n+2, ... and O the orders n+1, n+3, ...,
+    2 sum_{i < k} [t_i(x_j) t_k(x_l) - t_k(x_j) t_i(x_l)] is 2 (g - g^T),
+    g = C O^T; the caller reattaches (x_j x_l)^{a+1}.  Returned with G_n is
+    each point's total of the orders n, n+2, ...; at n = 0 it is the
     one-point companion.
 
     n = 0 gives G.  For even N, n = N restricts G to the index pairs past
@@ -373,10 +372,9 @@ def _g_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0):
     odd-order sums of t and G' this double sum over all opposite-order
     pairs: the E O products absorb the parity term.
     """
-    t = _term_table(streams, a, tau, ctrl, n)
-    inner = np.cumsum(t[:, 0::2], axis=1)
-    g = inner @ t[:, 1::2].T
-    return 2.0 * (g - g.T), inner[:, -1], np.cumsum(t[:, 1::2], axis=1)[:, -1]
+    inner = np.cumsum(t[..., 0::2], axis=-1)
+    g = inner @ np.swapaxes(t[..., 1::2], -1, -2)
+    return 2.0 * (g - np.swapaxes(g, -1, -2)), inner[..., -1]
 
 
 def g_tau(
@@ -393,7 +391,7 @@ def g_tau(
         raise ValueError("g_tau needs finite tau > 0 (tau = 0 has pointwise.g_zero)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
-    core = _g_table(_streams((x, y), a), a, tau, ctrl)[0][0, 1]
+    core = _g_table(_term_table(_streams((x, y), a), a, tau, ctrl))[0][0, 1]
     if core == 0.0:
         return 0.0
     return math.exp((a + 1.0) * math.log(x * y)) * float(core)
@@ -459,18 +457,16 @@ def _log_vandermonde(lams: list) -> tuple[int, float]:
 def _g_pfaffian(t: np.ndarray, n: int):
     """Sign and ln|Pf| of G for each set, from its term table t[set, point, order].
 
-    G = 2 (g - g^T), g = C O^T with C the running sums of the even orders and
-    O the odd orders (see _g_table), for every set at once; odd N
-    borders G with the one-point companion column, the even totals.
+    G comes from _g_table for every set at once; odd N borders it with the
+    one-point companion column, the even totals.
     """
     m = (n + 1) // 2
-    inner = np.cumsum(t[..., 0::2], axis=2)
-    g = inner @ t[..., 1::2].transpose(0, 2, 1)
+    g, even = _g_table(t)
     f = np.zeros((len(t), 2 * m, 2 * m))
-    f[:, :n, :n] = 2.0 * (g - g.transpose(0, 2, 1))
+    f[:, :n, :n] = g
     if 2 * m > n:
-        f[:, :n, n] = inner[..., -1]
-        f[:, n, :n] = -inner[..., -1]
+        f[:, :n, n] = even
+        f[:, n, :n] = -even
     return linalg.pfaffian_signed_log(f)
 
 
@@ -666,13 +662,15 @@ def _s_lue_core(wx: np.ndarray, wy: np.ndarray, cfg: ChannelConfig) -> np.ndarra
 
     The rows hold the orders on their first axis, and the sum broadcasts
     over the rest: a pair of points, the nodes of a quadrature, or every
-    pair of a point set.  The transposes put the orders last for np.dot,
-    which sums 1-D rows in one dot product, and the points back in order.
+    pair of a point set.  The orders are added one by one, elementwise, so
+    a pair's value rounds the same in every shape (np.dot would round a
+    1-D row, a matrix and a strided stack each its own way).
     """
-    n, a = cfg.n, cfg.a
-    inv = np.array([math.exp(-2.0 * _log_alpha(a, mu)) for mu in range(n)])  # 1/alpha_mu^2
-    pref = math.exp((2.0 * a + 2.0) * math.log(2.0))
-    return pref * np.dot((wx * wy).T, inv).T
+    a = cfg.a
+    acc = 0.0
+    for mu in range(cfg.n):
+        acc = acc + math.exp(-2.0 * _log_alpha(a, mu)) * (wx[mu] * wy[mu])  # 1/alpha_mu^2
+    return math.exp((2.0 * a + 2.0) * math.log(2.0)) * acc
 
 
 def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
@@ -711,10 +709,9 @@ def kernel_s(
         # S = x^a [y^{a+1} S_lue-core + wt_{N-1}(x) D(y)]: the whole bracket
         # shares the bare x^a edge factor
         d = float(_d_zero(_half_range(wy, y, cfg)[cfg.n], cfg))
-        if x == 0.0 and y == 0.0:
-            # diagonal origin: the LUE piece recombines to x^{2a+1}
-            lue = edge_pow(0.0, 2.0 * a + 1.0) * core
-            return lue + edge_pow(0.0, a) * wx[cfg.n - 1] * d
+        if x == y:
+            # the LUE piece recombines to x^{2a+1}, as _kernel_s_diagonal takes it
+            return edge_pow(x, 2.0 * a + 1.0) * core + edge_pow(x, a) * wx[cfg.n - 1] * d
         bracket = edge_pow(y, a + 1.0) * core + wx[cfg.n - 1] * d
         return edge_pow(x, a) * bracket
     if not math.isinf(tau):
@@ -733,44 +730,46 @@ def kernel_s(
 # level density
 
 
+def _diagonal_parts(x: np.ndarray, cfg: ChannelConfig, zero: bool):
+    """The tau-free pieces of S_N(x, x) over the 1-D array x, from one array stream.
+
+    The stream (``specfun.weighted_laguerre_array``) left at order N, the
+    row wt_0..wt_{N-1}(x) with the orders first, the LUE core and, if zero,
+    the factor D(x) of the tau = 0 bracket (else None).  Capacity builds
+    its quadrature nodes from the same pieces.
+    """
+    n = cfg.n
+    ws = weighted_laguerre_array(2.0 * cfg.a + 1.0, x)
+    w = np.array(list(itertools.islice(ws, n)))
+    d = _d_zero(_half_range(w, x, cfg)[n], cfg) if zero else None
+    return ws, w, _s_lue_core(w, w, cfg), d
+
+
 def _kernel_s_diagonal(
     x: np.ndarray, cfg: ChannelConfig, tau: float, ctrl: SeriesControl
 ) -> np.ndarray:
     """S_N(x, x) at every point of the 1-D array x >= 0, as kernel_s gives it.
 
-    One ``specfun.weighted_laguerre_array`` stream runs over all the points:
-    its first N orders give the LUE core, and at 0 < tau < inf it reads on
-    into the correction series over the orders N+1, N+3, ... (_series_array).
-    Every weight is reattached point by point with ``specfun.edge_pow``, so
-    each value is kernel_s(x, x) bit for bit, except where the stream joins
-    in log space (x above about 667).
+    One stream runs over all the points (_diagonal_parts): its first N
+    orders give the LUE core, and at 0 < tau < inf it reads on into the
+    correction series over the orders N+1, N+3, ... (_series_array).  Every
+    weight is reattached point by point with ``specfun.edge_pow``, so each
+    value is kernel_s(x, x) bit for bit, except where the stream joins in
+    log space (x above about 667).
     """
     n, a = cfg.n, cfg.a
     xs = x.tolist()
     if not xs:
         return np.empty(0)
-    ws = weighted_laguerre_array(2.0 * a + 1.0, x)
-    w = np.array(list(itertools.islice(ws, n)))
-    # each point's orders contiguous in memory, and a third axis: the product
-    # of the rows keeps that layout, so np.dot over it takes kernel_s's 1-D
-    # dot product point by point (a 2-D np.dot is one matrix-vector product,
-    # which rounds differently)
-    rows = np.ascontiguousarray(w.T).T[:, :, None]
-    core = _s_lue_core(rows, rows, cfg)[:, 0]
-    if tau == 0.0:
-        # x^a [x^{a+1} S_lue-core + wt_{N-1}(x) D(x)], as kernel_s at x = y
-        d = _d_zero(_half_range(w, x, cfg)[n], cfg)
-        out = []
-        for u, c, lead, du in zip(xs, core.tolist(), w[n - 1].tolist(), d.tolist()):
-            if u == 0.0:
-                out.append(edge_pow(0.0, 2.0 * a + 1.0) * c + edge_pow(0.0, a) * lead * du)
-            else:
-                out.append(edge_pow(u, a) * (edge_pow(u, a + 1.0) * c + lead * du))
-        return np.array(out)
-    if not math.isinf(tau):
+    ws, w, core, d = _diagonal_parts(x, cfg, tau == 0.0)
+    if 0.0 < tau < math.inf:
         next(ws)  # the series reads on from order N + 1
-        core += _s_corr_lead(w, cfg, tau) * _series_array(ws, a, tau, n + 1, len(xs), ctrl)
-    return np.array([edge_pow(u, 2.0 * a + 1.0) for u in xs]) * core
+        core = core + _s_corr_lead(w, cfg, tau) * _series_array(ws, a, tau, n + 1, len(xs), ctrl)
+    out = np.array([edge_pow(u, 2.0 * a + 1.0) for u in xs]) * core
+    if tau == 0.0:
+        # x^{2a+1} S_lue-core + x^a wt_{N-1}(x) D(x), as kernel_s at x = y
+        out += np.array([edge_pow(u, a) for u in xs]) * w[n - 1] * d
+    return out
 
 
 def level_density(
@@ -829,15 +828,11 @@ def density_mp(lam, cfg: ChannelConfig) -> float | np.ndarray:
 def _pair_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Antisymmetric sum_m [p_m(x_j) r_m(x_k) - r_m(x_j) p_m(x_k)].
 
-    p and r hold one row of function values per point.  The sum is
-    accumulated term by term, as the scalar kernels do, and the entries
-    below the diagonal are the negatives of those above it.
+    p and r hold one row of function values per point.  With g = p r^T the
+    matrix is g - g^T, so it is exactly antisymmetric.
     """
-    tot = np.zeros((len(p), len(p)))
-    for pm, rm in zip(p.T, r.T):
-        tot = tot + np.outer(pm, rm) - np.outer(rm, pm)
-    upper = np.triu(tot, 1)
-    return upper - upper.T
+    g = p @ r.T
+    return g - g.T
 
 
 def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
@@ -869,7 +864,9 @@ def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
             b += 0.5 * np.subtract.outer(psi[:, n - 1], psi[:, n - 1])
         return s * p + np.outer(w[n - 1], _d_zero(i[n], cfg)), a, b
     lead = [_s_corr_lead(wj, cfg, tau) for wj in rows]
-    g, _, odd = _g_table(streams, cfg.a, tau, ctrl, n)
+    t = _term_table(streams, cfg.a, tau, ctrl, n)
+    g = _g_table(t)[0]
+    odd = np.cumsum(t[:, 1::2], axis=1)[:, -1]
     s += np.outer(lead, math.exp((n + 1.0) * tau) * odd)
     return s, a, -g / bal
 

@@ -7,10 +7,9 @@ once for the whole stack, so a value never under- or overflows.  Hermitian
 spectra of 1 x 1 to 3 x 3 members come in closed form from their lower
 triangles, given one 1-D array per entry, so a caller that can form the
 entries directly (the Monte Carlo gram matrices) needs neither the full
-matrices nor LAPACK.  The stacked routine reads the lower triangles of 2 x 2
-and 3 x 3 stacks into the same closed forms and passes larger ones to the
-batched ``numpy.linalg.eigvalsh``; the tests pin all of them to an
-independent Jacobi solver and to 40-digit values.
+matrices nor LAPACK.  Larger stacks go to the batched
+``numpy.linalg.eigvalsh``.  The tests pin both to an independent Jacobi
+solver and to 40-digit values.
 """
 
 from __future__ import annotations
@@ -40,20 +39,12 @@ _NEAR_DOUBLE = 1e-2
 
 
 def hermitian_eigenvalues_batch(ws: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues for a stack of Hermitian matrices, shape (..., N).
+    """Ascending eigenvalues for a stack of Hermitian matrices, shape (..., N), from LAPACK.
 
-    2 x 2 and 3 x 3 stacks give their lower triangles to
-    ``hermitian_eigenvalues_lower``; larger ones go to LAPACK, which reads
-    the lower triangle too.
+    The Monte Carlo path calls it for N >= 4 only; smaller spectra come
+    from ``hermitian_eigenvalues_lower``.
     """
-    ws = np.asarray(ws)
-    n = ws.shape[-1]
-    if ws.shape[-2:] not in ((2, 2), (3, 3)):
-        return np.linalg.eigvalsh(ws)
-    flat = ws.reshape(-1, n, n)
-    diag = [flat[:, j, j].real for j in range(n)]
-    lower = [flat[:, j, k] for j in range(n) for k in range(j)]
-    return hermitian_eigenvalues_lower(diag, lower).reshape(ws.shape[:-1])
+    return np.linalg.eigvalsh(ws)
 
 
 def hermitian_eigenvalues_lower(diag, lower) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .ensemble import (
     DEFAULT_CONTROL, ChannelConfig, SeriesControl, _blocks, _g_table, _gamma, _half_range,
     _log_alpha, _pair_matrix, _phi_core, _phi_rows, _psi_zero, _row, _series, _streams,
+    _term_table,
 )
 from .specfun import edge_pow, weighted_laguerre
 
@@ -49,7 +50,7 @@ def omega_tau(
     if math.isinf(tau):
         # only the mu = 0 term survives, and wt_0(x) = e^{-x}
         return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
-    inner = _g_table(_streams((x,), a), a, tau, ctrl)[1]
+    inner = _g_table(_term_table(_streams((x,), a), a, tau, ctrl))[1]
     return math.exp((a + 1.0) * math.log(x)) * float(inner[0])
 
 
@@ -158,22 +159,24 @@ def kernel_b(
 ) -> float:
     """Kernel B_N(x, y): the infinite psi-pair tail plus parity term.
 
+    The (x, y) entry of the B block of ``ensemble._blocks`` over [x, y].
     For tau > 0, tail and parity term together are minus the G double
     series restricted to the index pairs past the first N (for odd N the
     opposite-parity pairs, see ``ensemble._g_table``), formed from the term
     table of [x, y] as jpd forms G.  That stays accurate at large tau, where
     the identity B = -G + (finite psi-pair sum) + parity term would cancel
-    e^{2N tau}-fold.  At tau = 0 the identity is used, with the closed-form
-    duals, where every piece is exact (see ``ensemble._blocks``).
+    e^{2N tau}-fold.  The block carries a balance factor e^{(N-1) tau} and
+    no weight; both are undone here.  At tau = 0 the identity is used, with
+    the closed-form duals, where every piece is exact.
     """
     if math.isinf(tau):
         raise ValueError("B_N vanishes as tau -> inf (q = 1 is determinantal)")
     if x < 0.0 or y < 0.0:
         raise ValueError("arguments must be >= 0")
-    n, a = cfg.n, cfg.a
-    if tau > 0.0:
-        if x == 0.0 or y == 0.0:
-            return 0.0  # carries w_{a+1} in each argument
-        pw = math.exp((a + 1.0) * (math.log(x) + math.log(y)))
-        return -pw * float(_g_table(_streams((x, y), a, n), a, tau, ctrl, n)[0][0, 1])
-    return float(_blocks(np.array([x, y]), cfg, 0.0, ctrl)[2][0, 1])
+    if tau > 0.0 and (x == 0.0 or y == 0.0):
+        return 0.0  # carries w_{a+1} in each argument
+    b = float(_blocks(np.array([x, y]), cfg, tau, ctrl)[2][0, 1])
+    if tau == 0.0:
+        return b
+    log_w = (cfg.a + 1.0) * (math.log(x) + math.log(y)) - (cfg.n - 1.0) * tau
+    return math.exp(log_w) * b

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hoytmimo import capacity
+from hoytmimo import capacity, ensemble
 from hoytmimo.capacity import (
     capacity_sweep,
     db_to_linear,
@@ -327,18 +327,37 @@ class TestSweepSharesNodes:
 
     @pytest.mark.parametrize("n_powers", [1, 3, 11])
     def test_starting_nodes_streamed_once(self, monkeypatch, n_powers):
+        # the nodes' stream is opened by ensemble._diagonal_parts
         streamed = []
-        stream = capacity.weighted_laguerre_array
+        stream = ensemble.weighted_laguerre_array
 
         def spy(alpha, x):
             streamed.append(np.array(x))
             return stream(alpha, x)
 
-        monkeypatch.setattr(capacity, "weighted_laguerre_array", spy)
+        monkeypatch.setattr(ensemble, "weighted_laguerre_array", spy)
         powers = list(np.linspace(-10.0, 40.0, n_powers))
         capacity_sweep(ChannelConfig(4, 4), [0.0, 0.5, 1.0], powers)
         first = streamed[0]  # the starting panels' nodes
         assert sum(len(x) == len(first) and np.array_equal(x, first) for x in streamed) == 1
+
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 6), (8, 8)])
+    def test_node_pieces_are_the_level_density_pieces(self, nt, nr):
+        # the LUE core at every node is kernel_s's at that point, bit for bit,
+        # and the q = 0 bracket is the array level density's
+        cfg = ChannelConfig(nt, nr, 1.3)
+        u = np.sqrt(np.random.default_rng(nt + nr).uniform(0.0, 60.0, 50))
+        nodes = capacity._Nodes(u, cfg, [0.0, 0.5, math.inf])
+        x = u * u / (2.0 * cfg.omega)
+        cores = []
+        for t in x.tolist():
+            w = ensemble._row(t, cfg)[0]
+            cores.append(float(ensemble._s_lue_core(w, w, cfg)))
+        assert nodes.core.tolist() == cores
+        _, row, core, bracket = ensemble._diagonal_parts(x, cfg, True)
+        assert nodes.core.tolist() == core.tolist()
+        assert nodes.bracket.tolist() == bracket.tolist()
+        assert nodes.last.tolist() == row[-1].tolist()
 
     def test_memory_does_not_grow_with_powers(self):
         cfg = ChannelConfig(2, 2)

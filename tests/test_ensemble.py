@@ -760,3 +760,36 @@ def test_kernel_a_origin_is_signed_infinity(nt, nr):
         assert math.isinf(value)
         assert math.copysign(1.0, value) == math.copysign(1.0, pointwise.kernel_a(1e-12, y, cfg, 0.0))
     assert pointwise.kernel_a(0.0, 0.0, cfg, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("nt,nr", [(2, 2), (3, 6), (8, 8)])
+def test_lue_core_rounds_alike_at_every_shape(nt, nr):
+    # one point's rows give the same LUE core bit for bit as a 1-D row, as a
+    # column of a node array (level density, capacity) and on the diagonal
+    # or off it in a pair stack (correlation functions)
+    cfg = ChannelConfig(nt, nr)
+    x = np.random.default_rng(nt * nr).uniform(0.0, 25.0, 40)
+    rows = [ensemble._row(u, cfg)[0] for u in x]
+    single = [[float(ensemble._s_lue_core(wj, wk, cfg)) for wk in rows] for wj in rows]
+    w = np.array(rows).T
+    nodes = ensemble._s_lue_core(w, w, cfg)
+    pairs = ensemble._s_lue_core(w[:, :, None], w[:, None, :], cfg)
+    assert nodes.tolist() == [single[j][j] for j in range(len(x))]
+    assert np.diagonal(pairs).tolist() == nodes.tolist()
+    assert pairs.tolist() == single
+
+
+@pytest.mark.parametrize("points,terms", [(2, 1), (5, 3), (8, 4), (6, 0)])
+def test_pair_matrix_is_antisymmetric_and_the_term_sum(points, terms):
+    rng = np.random.default_rng(10 * points + terms)
+    p = rng.normal(size=(points, terms)) * np.exp(rng.uniform(-5.0, 5.0, terms))
+    r = rng.normal(size=(points, terms)) * np.exp(rng.uniform(-5.0, 5.0, terms))
+    got = ensemble._pair_matrix(p, r)
+    assert np.array_equal(got, -got.T)
+    assert not np.diagonal(got).any()
+    ref = np.zeros((points, points))
+    size = np.zeros((points, points))
+    for pm, rm in zip(p.T, r.T):
+        ref = ref + np.outer(pm, rm) - np.outer(rm, pm)
+        size += np.abs(np.outer(pm, rm)) + np.abs(np.outer(rm, pm))
+    assert np.all(np.abs(got - ref) <= 4.0 * terms * np.finfo(float).eps * size)

@@ -233,6 +233,26 @@ class TestCorrelations:
             r3 = correlation_fn(pts, cfg, q, CTRL)
             assert r3 == pytest.approx(6.0 * jpd(pts, cfg, q, CTRL), rel=1e-7)
 
+    # |R_N - N! jpd| / (N! jpd) at the points 0.4 + 1.3 k with the default
+    # control, as measured when _pair_matrix summed term by term; the kernel
+    # determinant's cancellation sets these, and they must not double
+    RN_VS_JPD = {
+        4: (1.4235e-08, 1.3093e-11, 8.7276e-12, 1.5220e-12),
+        5: (2.3894e-08, 2.9073e-11, 1.1548e-10, 8.4609e-11),
+        6: (1.7461e-08, 1.9973e-10, 5.7744e-10, 4.1438e-09),
+        7: (4.5116e-09, 3.0246e-10, 4.6733e-09, 1.9822e-07),
+        8: (6.9254e-09, 1.9262e-10, 6.5060e-09, 9.2709e-06),
+    }
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_rn_against_n_factorial_jpd(self, n):
+        cfg = ChannelConfig(n, n)
+        pts = [0.4 + 1.3 * k for k in range(n)]
+        for q, before in zip((0.06, 0.3, 0.5, 0.8), self.RN_VS_JPD[n]):
+            joint = math.factorial(n) * jpd(pts, cfg, q, CTRL)
+            err = abs(correlation_fn(pts, cfg, q, CTRL) - joint) / abs(joint)
+            assert err <= 2.0 * before, (q, err, before)
+
     def test_r2_marginal_gives_r1(self):
         cfg = ChannelConfig(2, 2)
         lam1, q = 1.3, 0.5
