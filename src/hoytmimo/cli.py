@@ -171,28 +171,39 @@ def _indented_value(value) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
+def _emit_json(path: str | None, doc: dict) -> None:
+    """doc, schema_version first, as one strict JSON document in path or on stdout."""
+    text = _json_text({"schema_version": SCHEMA_VERSION, **doc})
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _write_rows(args, fieldnames: list[str], rows: list[dict], meta: dict) -> None:
-    """Emit rows as CSV (with sidecar metadata) or as one JSON document."""
-    meta = {"schema_version": SCHEMA_VERSION, **meta}
+    """Emit rows as CSV (with sidecar metadata) or as one JSON document.
+
+    A CSV cell holding a list is the ';'-join of its items' repr.
+    """
     if args.format == "json":
-        text = _json_text({**meta, "rows": rows})
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit_json(args.output, {**meta, "rows": rows})
         return
+    if args.format != "csv":  # only a config file gets past the parser's choices
+        raise UsageError(f"unknown format {args.format!r}; expected csv or json")
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(
+            {k: ";".join(map(repr, v)) if isinstance(v, list) else v for k, v in row.items()}
+            for row in rows
+        )
     finally:
         if args.output:
             out.close()
     if args.output:
-        with open(args.output + ".meta.json", "w") as fh:
-            fh.write(_json_text(meta) + "\n")
+        _emit_json(args.output + ".meta.json", meta)
 
 
 def _meta_config(cfg: ChannelConfig, q: float | None = None) -> dict:
@@ -366,19 +377,7 @@ def cmd_correlations(args) -> int:
             row["repulsion_violated"] = bool(rn > bound * (1.0 + 1e-9))
         rows.append(row)
     meta = {"command": "correlations", "config": _meta_config(cfg, q)}
-    if args.format == "csv":
-        flat = [
-            {
-                "n": r["n"],
-                "points": ";".join(repr(v) for v in r["points"]),
-                "r_n": r["r_n"],
-                "repulsion_violated": r.get("repulsion_violated", ""),
-            }
-            for r in rows
-        ]
-        _write_rows(args, ["n", "points", "r_n", "repulsion_violated"], flat, meta)
-    else:
-        _write_rows(args, [], rows, meta)
+    _write_rows(args, ["n", "points", "r_n", "repulsion_violated"], rows, meta)
     return EXIT_OK
 
 
@@ -387,22 +386,10 @@ def cmd_correlations(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ctrl = _control(args)
-    checks = run_checks(ctrl, quick=args.quick)
+    checks = run_checks(_control(args), quick=args.quick)
     passed = all(c["passed"] for c in checks)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "validate",
-        "quick": args.quick,
-        "passed": passed,
-        "checks": checks,
-    }
-    text = _json_text(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_json(args.output, {"command": "validate", "quick": args.quick, "passed": passed,
+                             "checks": checks})
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
@@ -410,7 +397,8 @@ def cmd_validate(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, antennas: bool = True, series: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, antennas: bool = True, series: bool = True,
+                formats: tuple[str, ...] = ("csv", "json")) -> None:
     if antennas:
         p.add_argument("--nt", type=int, help="transmit antennas")
         p.add_argument("--nr", type=int, help="receive antennas")
@@ -421,7 +409,7 @@ def _add_common(p: argparse.ArgumentParser, antennas: bool = True, series: bool 
         p.add_argument("--max-terms", type=int, default=DEFAULT_CONTROL.max_terms,
                        help="series term budget")
     p.add_argument("--output", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _add_q_tau(p: argparse.ArgumentParser, as_list: bool = False) -> None:
@@ -492,7 +480,7 @@ def build_parser(
         p.set_defaults(func=cmd_simulate)
 
     if p := add("validate", "run the cross-module consistency suite"):
-        _add_common(p, antennas=False)
+        _add_common(p, antennas=False, formats=("json",))  # one JSON document
         p.add_argument("--quick", action="store_true", help="fast subset (< 10 s)")
         p.set_defaults(func=cmd_validate)
 

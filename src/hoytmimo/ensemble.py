@@ -585,11 +585,12 @@ def jpd(
 # reattach the powers.  All formulas live on x = lambda/(2 omega).
 
 
-def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
-    """phi_j / x^a, read from the row w of x (orders up to j + 1).
+def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float):
+    """phi_j / x^a, read from the row w of x (orders up to j + 1, on its first axis).
 
     Pair mu rests on the base order k = 2 mu + (N mod 2); odd N's last
-    index j = N - 1 has its own form.
+    index j = N - 1 has its own form.  Like _half_range it broadcasts over
+    the rest of w.
     """
     n, a = cfg.n, cfg.a
     if cfg.c and j == n - 1:
@@ -607,10 +608,13 @@ def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
     return pref * (t1 - t2)
 
 
-def _phi_rows(rows, cfg: ChannelConfig, tau: float) -> np.ndarray:
-    """phi_0..phi_{K-1} / x^a, K = N - (N mod 2), one row per point from its row of wt."""
+def _phi_rows(w: np.ndarray, cfg: ChannelConfig, tau: float) -> np.ndarray:
+    """phi_0..phi_{K-1} / x^a, K = N - (N mod 2), one row per point, from the orders-first rows w."""
     k2 = cfg.n - cfg.c
-    return np.array([[_phi_core(j, w, cfg, tau) for j in range(k2)] for w in rows])
+    phi = np.empty((w.shape[1], k2))
+    for j in range(k2):
+        phi[:, j] = _phi_core(j, w, cfg, tau)
+    return phi
 
 
 def _half_range(w: np.ndarray, x, cfg: ChannelConfig) -> np.ndarray:
@@ -673,7 +677,7 @@ def _s_lue_core(wx: np.ndarray, wy: np.ndarray, cfg: ChannelConfig) -> np.ndarra
     return math.exp((2.0 * a + 2.0) * math.log(2.0)) * acc
 
 
-def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float) -> float:
+def _s_corr_lead(wx: np.ndarray, cfg: ChannelConfig, tau: float):
     """The x factor 2 r_N wt_{N-1}(x) e^{-2 tau} of the S-kernel correction."""
     n, a = cfg.n, cfg.a
     return 2.0 * _r_n(n, a) * wx[n - 1] * math.exp(-2.0 * tau)
@@ -836,8 +840,9 @@ def _pair_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
-    """The weight-stripped S, A and B over every pair of points, 0 <= tau < inf.
+    """The weight-stripped S, A and B over every pair of points.
 
+    At tau = inf (q = 1) S is the LUE core and there is no A or B (None).
     Each point's row feeds S and A.  At tau = 0 its half-range table gives
     D and the duals: row j of S and of A drops x_j^a, column k of A drops
     x_k^a, and B = -sgn(x_j - x_k)/2 + psi-pair sum (+ parity term for odd
@@ -849,11 +854,13 @@ def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     """
     n = cfg.n
     k2 = n - cfg.c
-    bal = math.exp(-(n - 1.0) * tau)
     rows, streams = zip(*(_row(u, cfg) for u in x))
     w = np.array(rows).T
     s = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
-    phi = _phi_rows(rows, cfg, tau)
+    if math.isinf(tau):
+        return s, None, None
+    bal = math.exp(-(n - 1.0) * tau)
+    phi = _phi_rows(w, cfg, tau)
     a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
     if tau == 0.0:
         i = _half_range(w, x, cfg)
@@ -863,11 +870,10 @@ def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
         if cfg.c:
             b += 0.5 * np.subtract.outer(psi[:, n - 1], psi[:, n - 1])
         return s * p + np.outer(w[n - 1], _d_zero(i[n], cfg)), a, b
-    lead = [_s_corr_lead(wj, cfg, tau) for wj in rows]
     t = _term_table(streams, cfg.a, tau, ctrl, n)
     g = _g_table(t)[0]
     odd = np.cumsum(t[:, 1::2], axis=1)[:, -1]
-    s += np.outer(lead, math.exp((n + 1.0) * tau) * odd)
+    s += np.outer(_s_corr_lead(w, cfg, tau), math.exp((n + 1.0) * tau) * odd)
     return s, a, -g / bal
 
 
@@ -925,11 +931,8 @@ def correlation_fn(
         log_scale += edge_log_pow(xi, power)
     if log_scale == -math.inf:
         return 0.0
-    if q == 1.0:
-        w = np.array([_row(u, cfg)[0] for u in x]).T
-        mat = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
-    else:
-        mat = _doubled_kernel(*_blocks(x, cfg, crossover_tau(q), ctrl))
+    blocks = _blocks(x, cfg, crossover_tau(q), ctrl)
+    mat = blocks[0] if q == 1.0 else _doubled_kernel(*blocks)
     sign, logdet = linalg.determinant_signed_log(mat)
     if math.isnan(logdet):
         raise NumericalConsistencyError("correlation determinant is undefined (NaN kernel entry)")

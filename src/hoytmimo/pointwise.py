@@ -145,7 +145,7 @@ def kernel_a(
         raise ValueError("arguments must be >= 0")
     if cfg.n - cfg.c == 0 or x == y:
         return 0.0  # N = 1 has no phi pair, and A vanishes on the diagonal
-    phi = _phi_rows([_row(u, cfg)[0] for u in (x, y)], cfg, tau)
+    phi = _phi_rows(np.array([_row(u, cfg)[0] for u in (x, y)]).T, cfg, tau)
     total = float(_pair_matrix(phi[:, 1::2], phi[:, 0::2])[0, 1])
     return edge_pow(x, cfg.a) * edge_pow(y, cfg.a) * total
 

@@ -32,6 +32,40 @@ def read_csv_text(text):
     return rows
 
 
+# correlations command lines frozen in tests/golden/<name>.csv, .csv.meta.json
+# and .json: a points file with rows of every order n = 1..N, and a square
+# array's origin at q = 0, where R_n is +inf
+CORRELATION_CASES = {
+    "correlations_nt3_nr4_q0.35": (
+        ["--nt", "3", "--nr", "4", "--q", "0.35"],
+        {"points": [[0.7], [0.4, 1.9], [0.3, 1.1, 2.6]]},
+    ),
+    "correlations_nt2_nr2_q0": (
+        ["--nt", "2", "--nr", "2", "--q", "0"],
+        [[0.0], [1.25], [0.0, 1.0], [0.5, 3.5]],
+    ),
+}
+
+
+def correlation_documents(name, tmp_path):
+    """The bytes correlations writes for CORRELATION_CASES[name], by golden suffix."""
+    flags, points = CORRELATION_CASES[name]
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    argv = ["correlations", *flags, "--points-file", str(pts)]
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    docs = {}
+    for fmt, out, suffix in (("csv", csv_out, ".csv"), ("json", json_out, ".json")):
+        code, text = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        assert run_cli(argv + ["--format", fmt, "--output", str(out)]) == (0, "")
+        assert out.read_bytes() == text.encode()
+        docs[suffix] = out.read_bytes()
+    docs[".csv.meta.json"] = Path(str(csv_out) + ".meta.json").read_bytes()
+    assert not Path(str(json_out) + ".meta.json").exists()
+    return docs
+
+
 class TestDensityCommand:
     def test_curve_integrates_to_one(self, tmp_path):
         # on a grid wide enough to hold the tail, the emitted marginal
@@ -208,6 +242,16 @@ class TestCapacityCommand:
         assert c_lin == pytest.approx(c_ref, rel=1e-10)
         assert abs(c_lin - c_db) > 1e-3
 
+    def test_tau_list_is_the_q_list(self):
+        # --tau t gives the table of --q q(t), q(t) passed as its repr, byte for byte
+        from hoytmimo.cli import _q_from_tau
+
+        taus = ["0", "0.3", "2.5", "inf"]
+        common = ["capacity", "--nt", "2", "--nr", "3", "--power-db", "0,20"]
+        by_tau = run_cli(common + ["--tau", ",".join(taus)])
+        by_q = run_cli(common + ["--q", ",".join(repr(_q_from_tau(float(t))) for t in taus)])
+        assert by_tau[0] == 0 and by_tau == by_q
+
     def test_golden_regression(self, tmp_path):
         # the frozen table of the README example, widened to more q and powers
         path = GOLDEN / "capacity_nt3_nr3.csv"
@@ -306,6 +350,34 @@ class TestValidateCommand:
         v2 = [c["passed"] for c in json.loads(t2)["checks"]]
         assert v1 == v2
 
+    def test_full_suite_passes(self):
+        # every check, the n = 3 ones included, through the command line
+        code, text = run_cli(["validate"])
+        doc = json.loads(text)
+        assert code == 0 and doc["passed"] is True and doc["quick"] is False
+        assert all(c["passed"] for c in doc["checks"])
+        assert any("n3" in c["name"] for c in doc["checks"])
+
+    def test_one_document_whatever_the_format_source(self, tmp_path):
+        # --format json, and a config file's format for every command, write
+        # the bytes of the default
+        cfgfile = tmp_path / "conf"
+        cfgfile.write_text("format=csv\n")
+        out = tmp_path / "v.json"
+        code, text = run_cli(["validate", "--quick"])
+        assert code == 0 and text.startswith('{\n  "schema_version": 1,\n  "command": "validate"')
+        assert run_cli(["validate", "--quick", "--format", "json", "--output", str(out)]) == (0, "")
+        assert out.read_text() == text
+        assert run_cli(["--config", str(cfgfile), "validate", "--quick"]) == (0, text)
+
+    def test_csv_format_is_rejected(self, capsys):
+        # validate writes JSON only; argparse refuses csv
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["validate", "--quick", "--format", "csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith("argument --format: invalid choice: 'csv' (choose from 'json')")
+
 
 class TestCorrelationsCommand:
     def test_r2_against_jpd(self, tmp_path):
@@ -394,6 +466,25 @@ class TestCorrelationsCommand:
                               "--points-file", str(path), "--format", "json"])
         assert code == 0
         assert [row["points"] for row in json.loads(text)["rows"]] == [[1.0, 2.0], [3.5]]
+
+    @pytest.mark.parametrize("name", sorted(CORRELATION_CASES))
+    def test_documents_golden(self, name, tmp_path):
+        # CSV on stdout and in a file with its sidecar, and JSON on stdout and
+        # in a file, byte for byte as tests/golden/<name>.* freeze them
+        docs = correlation_documents(name, tmp_path)
+        for suffix, data in docs.items():
+            assert data == (GOLDEN / (name + suffix)).read_bytes(), suffix
+
+
+def test_csv_list_and_missing_cells(capsys):
+    # a list cell is the ';'-join of its items' repr; a missing cell is empty
+    from hoytmimo.cli import _write_rows
+
+    args = argparse.Namespace(format="csv", output=None)
+    rows = [{"n": 2, "points": [0.1, 2.0], "flag": False}, {"n": 1, "points": [1e-300]},
+            {"n": 0, "points": []}]
+    _write_rows(args, ["n", "points", "flag"], rows, {})
+    assert capsys.readouterr().out == "n,points,flag\r\n2,0.1;2.0,False\r\n1,1e-300,\r\n0,,\r\n"
 
 
 def strict_json(text):
@@ -590,6 +681,17 @@ class TestCliContract:
         built.clear()
         code, _ = run_cli(["--config", str(cfgfile), "density", "--q", "1", "--grid", "0:4:5"])
         assert code == 0 and built == ["density"]
+
+    def test_unknown_config_format_is_usage_error(self, tmp_path, capsys):
+        # a config value never meets argparse's choices; the writer refuses it
+        cfgfile = tmp_path / "conf"
+        cfgfile.write_text("format=xml\n")
+        out = tmp_path / "d.csv"
+        code, text = run_cli(["--config", str(cfgfile), "degradation", "--nt", "2", "--nr", "2",
+                              "--power-db", "15", "--output", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and text == "" and not out.exists()
+        assert err == ["error: unknown format 'xml'; expected csv or json"]
 
     def test_config_key_of_another_subcommand_is_ignored(self, tmp_path):
         # samples is a density and simulate option; capacity runs as without it

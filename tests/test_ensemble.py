@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from hoytmimo import ensemble, pointwise, specfun
 from hoytmimo.ensemble import (
     ChannelConfig,
+    NumericalConsistencyError,
     SeriesControl,
     SeriesTruncationError,
     correlation_fn,
@@ -125,6 +126,16 @@ class TestOmegaTau:
             * math.exp(math.lgamma(0.5) - math.lgamma(a + 1.5))
         )
         assert omega_tau(x, a, tau, CTRL) == pytest.approx(lead, rel=1e-6)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.5, 2.5])
+    def test_tau_inf_is_the_first_term(self, a):
+        # only wt_0(x) = e^{-x} survives: x^{a+1} gamma_0 e^{-x}, which large
+        # finite tau approaches; a few ulps apart, as x^{a+1} is taken by log
+        gamma0 = math.exp(math.lgamma(0.5) - math.lgamma(a + 1.5))
+        for x in (0.0, 0.3, 2.0, 9.0):
+            got = omega_tau(x, a, math.inf)
+            assert got == pytest.approx(x ** (a + 1.0) * gamma0 * math.exp(-x), rel=4e-15, abs=0.0)
+            assert got == pytest.approx(omega_tau(x, a, 40.0, CTRL), rel=1e-14, abs=0.0)
 
     # omega_tau(x, a, 0.002) from the same series summed with 50 significant
     # digits (mpmath, Laguerre recurrence and a Gamma-function ratio per
@@ -793,3 +804,51 @@ def test_pair_matrix_is_antisymmetric_and_the_term_sum(points, terms):
         ref = ref + np.outer(pm, rm) - np.outer(rm, pm)
         size += np.abs(np.outer(pm, rm)) + np.abs(np.outer(rm, pm))
     assert np.all(np.abs(got - ref) <= 4.0 * terms * np.finfo(float).eps * size)
+
+
+@pytest.mark.parametrize("nt,nr", [(1, 3), (2, 2), (3, 4), (4, 4), (5, 5)])
+@pytest.mark.parametrize("q", [0.0, 0.35])
+def test_phi_rows_and_leads_are_the_pointwise_ones(nt, nr, q):
+    # one call per index over the orders-first rows of a point set gives each
+    # point's phi_j and S-correction lead bit for bit as a call on its own row
+    cfg = ChannelConfig(nt, nr)
+    tau = crossover_tau(q)
+    rows = [ensemble._row(u, cfg)[0] for u in np.random.default_rng(nt * nr).uniform(0.0, 12.0, 6)]
+    w = np.array(rows).T
+    phi = ensemble._phi_rows(w, cfg, tau)
+    k2 = cfg.n - cfg.c
+    assert phi.shape == (len(rows), k2)
+    assert phi.tolist() == [[float(ensemble._phi_core(j, r, cfg, tau)) for j in range(k2)] for r in rows]
+    lead = ensemble._s_corr_lead(w, cfg, tau)
+    assert lead.tolist() == [float(ensemble._s_corr_lead(r, cfg, tau)) for r in rows]
+
+
+@pytest.mark.parametrize("nt,nr", [(1, 1), (2, 3), (4, 4)])
+def test_blocks_at_q1_are_the_lue_core(nt, nr):
+    # q = 1 is determinantal: S alone, the LUE core of every pair
+    cfg = ChannelConfig(nt, nr)
+    x = np.array([0.0, 0.4, 1.3, 3.1])[: cfg.n]
+    rows = [ensemble._row(u, cfg)[0] for u in x]
+    s, a, b = ensemble._blocks(x, cfg, math.inf, CTRL)
+    assert a is None and b is None
+    assert s.tolist() == [[float(ensemble._s_lue_core(wj, wk, cfg)) for wk in rows] for wj in rows]
+
+
+class TestSignedSqrtDet:
+    # a negative doubled-kernel determinant is round-off only within 1e-9 of
+    # the matrix's Hadamard bound; q = 1 takes no root and tolerates none
+    MAT = np.array([[3.0, 1.0], [2.0, 4.0]])
+    LOG_HADAMARD = 0.5 * (math.log(10.0) + math.log(20.0))
+
+    def test_round_off_negative_is_zero(self):
+        logdet = self.LOG_HADAMARD + math.log(1e-10)
+        assert ensemble._signed_sqrt_det(-1, logdet, self.MAT, 0.0, square=True) == 0.0
+
+    def test_negative_beyond_tolerance_raises(self):
+        logdet = self.LOG_HADAMARD + math.log(1e-8)
+        with pytest.raises(NumericalConsistencyError, match="beyond tolerance"):
+            ensemble._signed_sqrt_det(-1, logdet, self.MAT, 0.0, square=True)
+
+    def test_negative_at_q1_raises(self):
+        with pytest.raises(NumericalConsistencyError, match="negative"):
+            ensemble._signed_sqrt_det(-1, math.log(1e-30), self.MAT, 0.0, square=False)
