@@ -47,6 +47,7 @@ import numpy as np
 from .ensemble import (
     DEFAULT_CONTROL,
     ChannelConfig,
+    NumericalConsistencyError,
     SeriesControl,
     SeriesTruncationError,
     _diagonal_parts,
@@ -296,7 +297,7 @@ def _quadrature(
     segments = _TAIL_BATCH
     while max(abs(v) for v in val[:, -1].tolist()) >= _TAIL_ABS:
         if segments >= _MAX_TAIL_EXTENSIONS:
-            raise RuntimeError("capacity tail did not fall below the cutoff bound")
+            raise NumericalConsistencyError("capacity tail did not fall below the cutoff bound")
         tail_lo, tail_hi, cut = _tail_panels(cut)
         v, e = gk15(f, tail_lo, tail_hi)
         lo, hi = np.concatenate((lo, tail_lo)), np.concatenate((hi, tail_hi))

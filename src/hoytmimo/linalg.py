@@ -51,7 +51,8 @@ def hermitian_eigenvalues_lower(diag, lower) -> np.ndarray:
     """Ascending eigenvalues (m, N) of m Hermitian N x N matrices, 1 <= N <= 3.
 
     diag holds the N real diagonals w_jj and lower the w_jk, j > k, in the
-    order (1, 0), (2, 0), (2, 1), each a 1-D array over the members.  N = 1
+    order (1, 0), (2, 0), (2, 1), each a 1-D array over the members, all
+    complex or all real (real symmetric members).  N = 1
     is the diagonal itself.  A 2 x 2 member [[a, b*], [b, c]] gives
     mid -+ hypot((a - c)/2, |b|), mid = a/2 + c/2, halved before the sum and
     the difference so neither overflows.  A 3 x 3 member takes the
@@ -80,26 +81,36 @@ def _eigenvalues_3x3(diag, lower) -> np.ndarray:
     phi = arccos(r)/3, the extremes are m + 2p cos(phi) and
     m + 2p cos(phi + 2 pi/3), the middle one tr minus the other two.
     Members with 1 - |r| < _NEAR_DOUBLE are solved by LAPACK instead.
+    Real members skip every term of an imaginary part.
     """
+    lower = [np.asarray(b) for b in lower]
+    real = not any(np.iscomplexobj(b) for b in lower)
     parts = [np.asarray(d, dtype=float) for d in diag]
-    for b in map(np.asarray, lower):
-        parts += [b.real, b.imag]
+    for b in lower:
+        parts += [b] if real else [b.real, b.imag]
     big = np.abs(parts[0])
     for x in parts[1:]:
         np.maximum(big, np.abs(x), out=big)
     _, exp = np.frexp(big)  # big < 2^exp, and exp = 0 for a zero member
-    d0, d1, d2, r10, i10, r20, i20, r21, i21 = (np.ldexp(x, -exp) for x in parts)
+    d0, d1, d2, *off = (np.ldexp(x, -exp) for x in parts)
     tr = d0 + d1 + d2
     m = tr / 3.0
     a0, a1, a2 = d0 - m, d1 - m, d2 - m
-    n10 = r10 * r10 + i10 * i10
-    n20 = r20 * r20 + i20 * i20
-    n21 = r21 * r21 + i21 * i21
-    p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (n10 + n20 + n21)) / 6.0)
     # det(W - m) by cofactors: a0 a1 a2 + 2 Re(b10 b21 conj(b20)) - sum a_j |b_kl|^2
-    re = r10 * r21 - i10 * i21
-    im = r10 * i21 + i10 * r21
-    det = a0 * a1 * a2 + 2.0 * (re * r20 + im * i20) - a0 * n21 - a1 * n20 - a2 * n10
+    if real:
+        r10, r20, r21 = off
+        n10, n20, n21 = r10 * r10, r20 * r20, r21 * r21
+        cross = r10 * r21 * r20
+    else:
+        r10, i10, r20, i20, r21, i21 = off
+        n10 = r10 * r10 + i10 * i10
+        n20 = r20 * r20 + i20 * i20
+        n21 = r21 * r21 + i21 * i21
+        re = r10 * r21 - i10 * i21
+        im = r10 * i21 + i10 * r21
+        cross = re * r20 + im * i20
+    p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (n10 + n20 + n21)) / 6.0)
+    det = a0 * a1 * a2 + 2.0 * cross - a0 * n21 - a1 * n20 - a2 * n10
     half = 2.0 * p * p * p
     r = np.divide(det, half, out=np.zeros_like(det), where=half > 0.0)  # p = 0: W = m
     np.clip(r, -1.0, 1.0, out=r)
@@ -112,11 +123,13 @@ def _eigenvalues_3x3(diag, lower) -> np.ndarray:
     np.clip(tr - lo - hi, lo, hi, out=mid)
     near = np.flatnonzero(1.0 - np.abs(r) < _NEAR_DOUBLE)
     if near.size:
-        w = np.zeros((near.size, 3, 3), dtype=complex)  # LAPACK reads the lower triangle
+        sel = [x[near] for x in off]
+        lows = sel if real else [x + 1j * y for x, y in zip(sel[::2], sel[1::2])]
+        w = np.zeros((near.size, 3, 3), dtype=lows[0].dtype)  # LAPACK reads the lower triangle
         for j, x in enumerate((d0, d1, d2)):
             w[:, j, j] = x[near]
-        for (j, k), x, y in (((1, 0), r10, i10), ((2, 0), r20, i20), ((2, 1), r21, i21)):
-            w[:, j, k] = x[near] + 1j * y[near]
+        for (j, k), b in zip(((1, 0), (2, 0), (2, 1)), lows):
+            w[:, j, k] = b
         out[near] = np.linalg.eigvalsh(w)
     return np.ldexp(out, exp[:, None], out=out)
 
@@ -184,5 +197,6 @@ def pfaffian_signed_log(b: np.ndarray):
 
 
 def determinant_signed_log(m: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det|) of a real square matrix; sign is 0 if it is singular."""
-    return np.linalg.slogdet(np.asarray(m, dtype=float))
+    """(sign, log|det|) of a real square matrix; sign is 0 (and log|det| -inf) if it is singular."""
+    with np.errstate(divide="ignore"):
+        return np.linalg.slogdet(np.asarray(m, dtype=float))

@@ -9,17 +9,25 @@ real part row-major, the next nr*nt the imaginary part.  Results are
 therefore bit-identical for a given seed regardless of how chunks are
 scheduled.  The single-draw samplers read the same helpers with m = 1.
 
+Where sigma_y^2 = 0 (q = 0, the one-sided Gaussian endpoint) every
+imaginary entry is 0, and H is drawn as a real matrix: only the nr*nt
+real-part gaussians of each sample are formed, and the counter skips the
+rest, so stream positions and values are those of the full draw.  Gram
+matrices, eigenvalues and Cholesky factors of a real stack are then taken
+in real arithmetic; ``sample_channel`` still returns a complex H.
+
 Each chunk is drawn and reduced in sub-blocks (``_chunks``): contiguous
-ranges of ``_block_samples(cfg)`` samples, read one after another from the
-chunk's own substream, so consecutive sub-blocks are exactly the chunk's
-one-block draw.  A sub-block holds at most ``_BLOCK_BYTES`` of channels H
-(at least one sample), and its gaussians, gram matrices and Cholesky
-factors are freed before the next sub-block is drawn.  What a sub-block
-reduces to, N eigenvalues or one capacity per sample, is written into the
-chunk's result array, and the chunk-level steps (the PSD floor check, the
-histogram and the sums) read that array as they would a whole-chunk draw.
-So the working memory is bounded by a few times ``_BLOCK_BYTES`` plus the
-chunk's (CHUNK_SAMPLES, N) result, whatever the array size.
+ranges of ``_block_samples(cfg, q)`` samples, read one after another from
+the chunk's own substream, so consecutive sub-blocks are exactly the
+chunk's one-block draw.  A sub-block holds at most ``_BLOCK_BYTES`` of
+channels H, real or complex (at least one sample), and its gaussians, gram
+matrices and Cholesky factors are freed before the next sub-block is
+drawn.  What a sub-block reduces to, N eigenvalues or one capacity per
+sample, is written into the chunk's result array, and the chunk-level
+steps (the PSD floor check, the histogram and the sums) read that array as
+they would a whole-chunk draw.  So the working memory is bounded by a few
+times ``_BLOCK_BYTES`` plus the chunk's (CHUNK_SAMPLES, N) result,
+whatever the array size.
 
 The gram matrix is W = H^dag H, or H H^dag when nr < nt.  For N <= 3 the
 histogram takes its eigenvalues in closed form from the lower triangle of
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ChannelConfig, mp_support
+from .ensemble import ChannelConfig, NumericalConsistencyError, mp_support
 from .fading import params_from_q
 from .linalg import hermitian_eigenvalues_batch, hermitian_eigenvalues_lower
 from .rng import SplitMix64, derive_stream_seed, gaussian_block
@@ -78,9 +86,19 @@ class SpectralSample:
 
 
 def _channels(cfg: ChannelConfig, q: float, stream: SplitMix64, m: int) -> np.ndarray:
-    """m consecutive channel draws H = H_X + j H_Y, shape (m, nr, nt)."""
+    """m consecutive channel draws H = H_X + j H_Y, shape (m, nr, nt).
+
+    H is complex, or float64 where sigma_y^2 = 0: then each sample's
+    nr*nt real-part gaussians are the only ones formed.
+    """
     p = params_from_q(q, cfg.omega)
     nr, nt = cfg.nr, cfg.nt
+    if p.sigma_y2 == 0.0:
+        k = nr * nt
+        g = gaussian_block(stream, m * 2 * k, width=2 * k, keep=k)
+        h = np.empty((m, nr, nt))
+        np.multiply(g, math.sqrt(p.sigma_x2), out=h.reshape(m, k))
+        return h
     g = gaussian_block(stream, m * 2 * nr * nt).reshape(m, 2, nr, nt)
     h = np.empty((m, nr, nt), dtype=complex)
     np.multiply(g[:, 0], math.sqrt(p.sigma_x2), out=h.real)
@@ -88,9 +106,14 @@ def _channels(cfg: ChannelConfig, q: float, stream: SplitMix64, m: int) -> np.nd
     return h
 
 
+def _conj(x: np.ndarray) -> np.ndarray:
+    """conj(x), or x itself when it is real."""
+    return np.conj(x) if np.iscomplexobj(x) else x
+
+
 def _gram(cfg: ChannelConfig, h: np.ndarray) -> np.ndarray:
     """The N x N gram matrices of a channel stack: H^dag H, or H H^dag if nr < nt."""
-    hh = np.conj(np.swapaxes(h, 1, 2))
+    hh = _conj(np.swapaxes(h, 1, 2))
     return hh @ h if cfg.nr >= cfg.nt else h @ hh
 
 
@@ -105,10 +128,11 @@ def _lower_triangle(cfg: ChannelConfig, h: np.ndarray):
     n = cfg.n
     u = [h[:, :, j] for j in range(n)] if cfg.nr >= cfg.nt else [h[:, j] for j in range(n)]
     pairs = ((j, k) if cfg.nr >= cfg.nt else (k, j) for j in range(n) for k in range(j))
-    lower = [np.einsum("si,si->s", np.conj(u[x]), u[y]) for x, y in pairs]
-    # one einsum kernel for all entries: a real one would map pages of numpy's
-    # einsum code that no other step of a simulate run touches (64 KiB RSS)
-    diag = [np.einsum("si,si->s", np.conj(v), v).real for v in u]
+    lower = [np.einsum("si,si->s", _conj(u[x]), u[y]) for x, y in pairs]
+    # a complex stack takes its diagonal with the complex kernel too: a real
+    # one would map pages of numpy's einsum code that no other step of a
+    # complex simulate run touches (64 KiB RSS)
+    diag = [np.einsum("si,si->s", _conj(v), v).real for v in u]
     return diag, lower
 
 
@@ -127,7 +151,7 @@ def _clamped(vals: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(vals))) if vals.size else 1.0
     floor = -_CLAMP_FACTOR * max(scale, 1e-300)
     if np.any(vals < floor):
-        raise RuntimeError(
+        raise NumericalConsistencyError(
             f"eigenvalue below the PSD round-off floor ({vals.min()} < {floor}); "
             "this indicates a solver fault"
         )
@@ -156,17 +180,19 @@ def _capacities(cfg: ChannelConfig, h: np.ndarray, snr: float) -> np.ndarray:
     low = np.linalg.cholesky(a)
     del a
     low[:, i, i] = 0.0  # keep the l_jk, k < j
-    parts = low.view(np.float64)  # real and imaginary parts side by side
+    parts = low.view(np.float64)  # real and imaginary parts side by side, if complex
     norms = "sij,sij->sj" if cfg.nr >= cfg.nt else "sij,sij->si"  # w_jj: column or row norms of H
-    excess = np.einsum(norms, h.real, h.real) + np.einsum(norms, h.imag, h.imag)
+    excess = np.einsum(norms, h.real, h.real)
+    if np.iscomplexobj(h):
+        excess += np.einsum(norms, h.imag, h.imag)
     excess *= snr
     excess -= np.einsum("sjk,sjk->sj", parts, parts)
     return np.sum(np.log1p(excess), axis=1) / math.log(2.0)
 
 
 def sample_channel(cfg: ChannelConfig, q: float, stream: SplitMix64) -> np.ndarray:
-    """One nr x nt channel draw from the stream (2 nr nt gaussians)."""
-    return _channels(cfg, q, stream, 1)[0]
+    """One complex nr x nt channel draw from the stream (2 nr nt gaussians)."""
+    return _channels(cfg, q, stream, 1)[0].astype(complex, copy=False)
 
 
 def sample_spectrum(cfg: ChannelConfig, q: float, stream: SplitMix64) -> SpectralSample:
@@ -174,9 +200,11 @@ def sample_spectrum(cfg: ChannelConfig, q: float, stream: SplitMix64) -> Spectra
     return SpectralSample(eigenvalues=_spectra(cfg, _channels(cfg, q, stream, 1))[0])
 
 
-def _block_samples(cfg: ChannelConfig) -> int:
-    """Samples per sub-block: as many channels as fit in _BLOCK_BYTES, at least one."""
-    return max(1, _BLOCK_BYTES // (16 * cfg.nr * cfg.nt))
+def _block_samples(cfg: ChannelConfig, q: float) -> int:
+    """Samples per sub-block: as many channels at q as fit in _BLOCK_BYTES, at least one."""
+    # _channels draws H as float64 where sigma_y^2 = 0, else as complex128
+    itemsize = 8 if params_from_q(q, cfg.omega).sigma_y2 == 0.0 else 16
+    return max(1, _BLOCK_BYTES // (itemsize * cfg.nr * cfg.nt))
 
 
 def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
@@ -187,7 +215,7 @@ def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
     is drawn, and the rows are gathered into one array per chunk, so no
     chunk-sized channel stack is ever built.
     """
-    block = _block_samples(cfg)
+    block = _block_samples(cfg, q)
     for chunk_index, done in enumerate(range(0, samples, CHUNK_SAMPLES)):
         m = min(CHUNK_SAMPLES, samples - done)
         stream = SplitMix64(derive_stream_seed(seed, chunk_index))

@@ -17,9 +17,12 @@ streams bit-exactly at the integer level (see README, "Random numbers"):
 Because outputs depend only on the counter, blocks of any size can be
 generated vectorized without changing the stream.  One vectorized mixer,
 ``_mix64_block``, serves every block: it mixes the states of an
-arithmetic progression in place, with one scratch array.  A Box-Muller
-block draws u1 and u2 through it as two contiguous every-other-output
-streams and takes log and sqrt in place.
+arithmetic progression, or of chosen terms of one, in place, with one
+scratch array.  A Box-Muller block draws u1 and u2 through it as two
+every-other-output streams and takes log and sqrt in place.  A block may
+form only a leading part of each of its equal rows (``width`` and
+``keep``): it then draws just the pairs that part needs, and the counter
+still moves past the whole block.
 """
 
 from __future__ import annotations
@@ -44,9 +47,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_block(first: int, step: int, n: int) -> np.ndarray:
-    """mix64 of the n states first + i * step (mod 2^64), mixed in place."""
-    z = np.arange(n, dtype=np.uint64)
+def _mix64_block(first: int, step: int, index) -> np.ndarray:
+    """mix64 of the states first + i * step (mod 2^64), mixed in place.
+
+    i runs over range(index) for a count, or over the entries of a 1-D
+    uint64 array index, which is left unchanged.
+    """
+    z = index.astype(np.uint64) if isinstance(index, np.ndarray) else np.arange(index, dtype=np.uint64)
     z *= np.uint64(step & _MASK)
     z += np.uint64(first & _MASK)
     t = np.empty_like(z)
@@ -94,25 +101,42 @@ class SplitMix64:
         return _unit_doubles(self.next_uint64_block(n))
 
 
-def gaussian_block(stream: SplitMix64, n: int) -> np.ndarray:
+def gaussian_block(
+    stream: SplitMix64, n: int, *, width: int | None = None, keep: int | None = None
+) -> np.ndarray:
     """The next n standard-normal variates of the documented stream.
 
     Output 2i+1 (state s + (2i+1) gamma) gives u1 and output 2i+2 gives u2
-    of pair i; each is drawn as its own contiguous stream and never held
-    beside the other, so a block peaks at twice the size of its result.
+    of pair i; each is drawn as its own every-other-output stream and never
+    held beside the other, so a block peaks at twice the size of its result.
+
+    With width and keep, the n variates are read as rows of width, an even
+    divisor of n, so that every row starts on a pair; only the first keep
+    variates of each row are formed, from its first ceil(keep / 2) pairs,
+    and the result has shape (n // width, keep).  The stream still moves
+    past all n, so the values and what follows are those of the full block.
     """
     npairs = (n + 1) // 2
+    pairs = npairs
+    if width is not None or keep is not None:
+        if width is None or keep is None or not 0 < keep <= width or width % 2 or n % width:
+            raise ValueError(f"cannot keep {keep} of each row of {width} in {n} variates")
+        # pair j of row r is pair r * width / 2 + j of the block
+        starts = np.arange(0, npairs, width // 2, dtype=np.uint64)
+        pairs = np.add.outer(starts, np.arange((keep + 1) // 2, dtype=np.uint64)).ravel()
     s = stream._state
     stream._state = (s + 2 * npairs * _GAMMA) & _MASK
-    out = np.empty((npairs, 2))
-    ang = _unit_doubles(_mix64_block(s + 2 * _GAMMA, 2 * _GAMMA, npairs))
+    out = np.empty((npairs if width is None else len(pairs), 2))
+    ang = _unit_doubles(_mix64_block(s + 2 * _GAMMA, 2 * _GAMMA, pairs))
     ang *= 2.0 * math.pi
     np.cos(ang, out=out[:, 0])
     np.sin(ang, out=out[:, 1])
     del ang
-    r = _unit_doubles(_mix64_block(s + _GAMMA, 2 * _GAMMA, npairs))
+    r = _unit_doubles(_mix64_block(s + _GAMMA, 2 * _GAMMA, pairs))
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     out *= r[:, None]
-    return out.reshape(-1)[:n]
+    if width is None:
+        return out.reshape(-1)[:n]
+    return out.reshape(n // width, -1)[:, :keep]

@@ -273,6 +273,15 @@ class TestCapacityCommand:
             )
 
 
+    def test_tail_past_the_cutoff_is_a_numerical_failure(self, monkeypatch, capsys):
+        # no tail can fall below a zero bound, so the extensions run out
+        monkeypatch.setattr("hoytmimo.capacity._TAIL_ABS", 0.0)
+        code, text = run_cli(["capacity", "--nt", "2", "--nr", "2", "--q", "0.5", "--power-db", "10"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and text == ""
+        assert err == ["numerical failure: capacity tail did not fall below the cutoff bound"]
+
+
 class TestDegradationCommand:
     def test_reference_value(self):
         code, text = run_cli(
@@ -333,6 +342,24 @@ class TestSimulateCommand:
         assert meta["expected_trace_moment"] == 6.0
         assert meta["observed_trace_moment"] == pytest.approx(6.0, rel=0.15)
         assert meta["samples"] == 1000
+
+
+    def test_spectrum_below_the_floor_is_a_numerical_failure(self, monkeypatch, capsys):
+        from hoytmimo import montecarlo
+
+        inner = montecarlo._eigenvalues
+
+        def below(cfg, h):
+            vals = inner(cfg, h)
+            vals[:, 0] = -vals[:, -1]
+            return vals
+
+        monkeypatch.setattr(montecarlo, "_eigenvalues", below)
+        code, text = run_cli(["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples",
+                              "100", "--bins", "5"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and text == ""
+        assert len(err) == 1 and err[0].startswith("numerical failure: eigenvalue below the PSD")
 
 
 class TestValidateCommand:
@@ -428,6 +455,21 @@ class TestCorrelationsCommand:
         )
         err = capsys.readouterr().err.splitlines()
         assert code == 3 and text == ""
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    def test_undefined_value_writes_one_stderr_line(self):
+        # in a fresh interpreter, where no test harness captures numpy's warnings
+        src = str(Path(hoytmimo.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hoytmimo.cli", "correlations", "--nt", "5", "--nr", "5",
+             "--omega", "1.3", "--q", "0", "--points", "6.5,900,2000,0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
     def test_rejects_order_above_n(self):

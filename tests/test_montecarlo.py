@@ -12,6 +12,8 @@ from hoytmimo.montecarlo import (
     _capacities,
     _channels,
     _chunks,
+    _clamped,
+    _eigenvalues,
     _spectra,
     empirical_density,
     mc_capacity,
@@ -189,17 +191,32 @@ class TestMcCapacity:
             mc_capacity(cfg, 0.5, power=1.0, samples=0)
 
 
-def _whole_chunk_reference(cfg, q, samples, seed, edges, snr):
+def _complex_channels(cfg, q, stream, m):
+    """m channel draws built as complex H from the full gaussian block, at any q.
+
+    The imaginary part is sqrt(sigma_y^2) times its gaussians even where
+    sigma_y^2 = 0, so a q = 0 stack holds signed zeros there and is reduced
+    in complex arithmetic.
+    """
+    p = params_from_q(q, cfg.omega)
+    g = gaussian_block(stream, m * 2 * cfg.nr * cfg.nt).reshape(m, 2, cfg.nr, cfg.nt)
+    h = np.empty((m, cfg.nr, cfg.nt), dtype=complex)
+    np.multiply(g[:, 0], math.sqrt(p.sigma_x2), out=h.real)
+    np.multiply(g[:, 1], math.sqrt(p.sigma_y2), out=h.imag)
+    return h
+
+
+def _whole_chunk_reference(cfg, q, samples, seed, edges, snr, channels=_channels):
     """Histogram counts, eigenvalue sum and capacity (mean, se), each chunk drawn whole.
 
-    This is the sampler before sub-blocks: one _channels draw of the whole
+    This is the sampler before sub-blocks: one channels draw of the whole
     chunk from its substream, reduced by _spectra and _capacities.
     """
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
     eigen_sum = total = total_sq = 0.0
     for k, done in enumerate(range(0, samples, CHUNK_SAMPLES)):
         m = min(CHUNK_SAMPLES, samples - done)
-        h = _channels(cfg, q, SplitMix64(derive_stream_seed(seed, k)), m)
+        h = channels(cfg, q, SplitMix64(derive_stream_seed(seed, k)), m)
         vals = _spectra(cfg, h)
         counts += np.histogram(vals.ravel(), bins=edges)[0]
         eigen_sum += float(np.sum(vals))
@@ -222,7 +239,7 @@ class TestSubBlocks:
     @pytest.mark.parametrize("nt,nr", SUB_BLOCK_SHAPES)
     def test_equals_whole_chunk_draw(self, nt, nr, q):
         cfg, seed, power = ChannelConfig(nt, nr), 23, 40.0
-        block = _block_samples(cfg)
+        block = _block_samples(cfg, q)
         sizes = {1, block - 1, block + 1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 1, 2 * CHUNK_SAMPLES + 3}
         for samples in sorted(s for s in sizes if s >= 1):
             hist = empirical_density(cfg, q, samples, bins=30, seed=seed)
@@ -234,23 +251,109 @@ class TestSubBlocks:
             assert mc_capacity(cfg, q, power, samples, seed=seed) == cap
 
     def test_block_holds_at_least_one_sample(self):
-        assert _block_samples(ChannelConfig(64, 512)) == 1
-        assert _block_samples(ChannelConfig(2, 128)) < CHUNK_SAMPLES
+        for q in (0.0, 0.5):
+            assert _block_samples(ChannelConfig(64, 512), q) == 1
+            assert _block_samples(ChannelConfig(2, 128), q) < CHUNK_SAMPLES
+        # a real q = 0 sub-block holds the same bytes of H: twice the samples
+        assert _block_samples(ChannelConfig(2, 128), 0.0) == 2 * _block_samples(ChannelConfig(2, 128), 0.5)
 
     @pytest.mark.parametrize("run", ["capacity", "density"])
     def test_memory_is_bounded_by_the_block(self, run):
-        # a whole 2x128 chunk is 32 MiB of H and as much of gaussians
+        # a whole 2x128 chunk is 32 MiB of H and as much of gaussians (half
+        # of each when real, at q = 0)
         cfg = ChannelConfig(2, 128)
-        tracemalloc.start()
-        try:
-            if run == "capacity":
-                mc_capacity(cfg, 0.5, 10.0, CHUNK_SAMPLES, seed=1)
-            else:
-                empirical_density(cfg, 0.5, CHUNK_SAMPLES, bins=40, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        for q in (0.5, 0.0):
+            tracemalloc.start()
+            try:
+                if run == "capacity":
+                    mc_capacity(cfg, q, 10.0, CHUNK_SAMPLES, seed=1)
+                else:
+                    empirical_density(cfg, q, CHUNK_SAMPLES, bins=40, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, q
+
+
+REAL_SHAPES = [(1, 1), (1, 3), (3, 3), (2, 2), (3, 6), (2, 128)]
+
+
+class TestRealChannels:
+    """Where sigma_y^2 = 0 the channels are drawn as real matrices from the
+    real-part gaussians alone; values and stream positions are those of the
+    full complex draw."""
+
+    @pytest.mark.parametrize("nt,nr", REAL_SHAPES)
+    def test_draw_is_the_real_part_of_the_full_draw(self, nt, nr):
+        cfg, seed = ChannelConfig(nt, nr), 41
+        block = _block_samples(cfg, 0.0)
+        sizes = {1, block - 1, block + 1, 2 * block + 3}
+        if nt * nr <= 18:  # chunk edges; a 2x128 chunk would be 16 MiB of H
+            sizes |= {CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 1}
+        for samples in sorted(s for s in sizes if s >= 1):
+            chunks = _chunks(cfg, 0.0, samples, seed, lambda h: h)
+            for k, got in enumerate(chunks):
+                m = min(CHUNK_SAMPLES, samples - k * CHUNK_SAMPLES)
+                ref = _complex_channels(cfg, 0.0, SplitMix64(derive_stream_seed(seed, k)), m)
+                assert got.dtype == np.float64 and got.shape == (m, nr, nt)
+                assert got.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+        # and one block drawn directly
+        h = _channels(cfg, 0.0, SplitMix64(seed), 5)
+        ref = _complex_channels(cfg, 0.0, SplitMix64(seed), 5)
+        assert h.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+
+    @pytest.mark.parametrize("nt,nr", REAL_SHAPES)
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_stream_moves_past_the_whole_draw(self, nt, nr, m):
+        cfg = ChannelConfig(nt, nr)
+        real, full = SplitMix64(5), SplitMix64(5)
+        _channels(cfg, 0.0, real, m)
+        gaussian_block(full, 2 * nr * nt * m)
+        assert real.next_uint64() == full.next_uint64()
+
+    def test_sample_channel_stays_complex(self):
+        cfg = ChannelConfig(2, 3)
+        stream, ref = SplitMix64(12), SplitMix64(12)
+        for _ in range(3):
+            h = sample_channel(cfg, 0.0, stream)
+            expect = _complex_channels(cfg, 0.0, ref, 1)[0]
+            assert h.dtype == np.complex128 and h.shape == (3, 2)
+            assert np.array_equal(h, expect) and np.all(h.imag == 0.0)
+
+    def test_tiny_q_is_real(self):
+        # q^2 below half an ulp of 1 gives sigma_y^2 = 0 exactly
+        cfg = ChannelConfig(2, 2)
+        assert params_from_q(1e-9, cfg.omega).sigma_y2 == 0.0
+        assert _channels(cfg, 1e-9, SplitMix64(1), 3).dtype == np.float64
+        assert _channels(cfg, 1e-3, SplitMix64(1), 3).dtype == np.complex128
+
+    @pytest.mark.parametrize("nt,nr", REAL_SHAPES + [(4, 4), (8, 8), (6, 3)])
+    def test_outputs_equal_the_complex_path(self, nt, nr):
+        # the same channels reduced in complex arithmetic: the eigenvalues
+        # round differently by at most 8.7 eps of a member's largest (measured
+        # over 4000 members per shape), so the histogram counts are equal and
+        # the sums agree to a few ulps
+        cfg, q, seed, power = ChannelConfig(nt, nr), 0.0, 19, 40.0
+        samples = CHUNK_SAMPLES + 5 if nt * nr <= 64 else 1000
+        hist = empirical_density(cfg, q, samples, bins=30, seed=seed)
+        counts, eigen_sum, (mean, se) = _whole_chunk_reference(
+            cfg, q, samples, seed, hist.bin_edges, power / nt, channels=_complex_channels
+        )
+        np.testing.assert_array_equal(hist.counts, counts)
+        eps = np.finfo(float).eps
+        assert hist.eigenvalue_sum == pytest.approx(eigen_sum, rel=64 * eps, abs=0.0)
+        got_mean, got_se = mc_capacity(cfg, q, power, samples, seed=seed)
+        assert got_mean == pytest.approx(mean, rel=64 * eps, abs=0.0)
+        # se is the root of a difference, E[c^2] - mean^2, whose terms carry
+        # the rounding: its relative error grows by E[c^2] / var
+        var = se * se * samples
+        amplify = (var + mean * mean) / var if var > 0.0 else 1.0
+        assert got_se == pytest.approx(se, rel=64 * eps * amplify, abs=1e-300)
+        # member by member
+        h = _channels(cfg, q, SplitMix64(seed), 500)
+        ref = _clamped(_eigenvalues(cfg, _complex_channels(cfg, q, SplitMix64(seed), 500)))
+        got = _spectra(cfg, h)
+        assert np.all(np.abs(got - ref) <= 16 * eps * ref.max(axis=1, keepdims=True))
 
 
 class TestEndpointConsistency:

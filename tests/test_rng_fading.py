@@ -111,6 +111,25 @@ class TestSplitMix64:
             scalar.next_uint64()
         assert stream.next_uint64() == scalar.next_uint64()
 
+    @pytest.mark.parametrize("rows, width, keep", [(1, 2, 1), (3, 2, 2), (5, 6, 3), (4, 18, 9), (7, 256, 128), (9, 8, 1)])
+    def test_kept_part_of_each_row(self, rows, width, keep):
+        # the first keep of each row of the full block, from the pairs that hold them
+        seed = 0xFEDCBA9876543210
+        part, full = SplitMix64(seed), SplitMix64(seed)
+        g = gaussian_block(part, rows * width, width=width, keep=keep)
+        ref = gaussian_block(full, rows * width).reshape(rows, width)[:, :keep]
+        assert g.shape == (rows, keep)
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert g.tobytes() == np.array(_box_muller_reference(seed, rows * width)).reshape(rows, width)[:, :keep].tobytes()
+        assert part.next_uint64() == full.next_uint64()
+
+    @pytest.mark.parametrize("n, width, keep", [(12, 3, 1), (12, 8, 2), (12, 4, 0), (12, 4, 5), (12, 4, None), (12, None, 2), (12, 0, 0)])
+    def test_bad_row_selection_is_rejected(self, n, width, keep):
+        stream = SplitMix64(3)
+        with pytest.raises(ValueError):
+            gaussian_block(stream, n, width=width, keep=keep)
+        assert stream.next_uint64() == SplitMix64(3).next_uint64()
+
     def test_gaussian_moments(self):
         g = gaussian_block(SplitMix64(5), 200000)
         assert abs(np.mean(g)) < 4.0 / math.sqrt(200000)
