@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -67,6 +68,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, pts = float(lo), float(hi), int(pts)
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}; expected min:max:points") from exc
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise UsageError("grid ends must be finite")
     if pts < 2 or not hi > lo:
         raise UsageError("grid needs max > min and points >= 2")
     return np.linspace(lo, hi, pts)
@@ -77,6 +80,8 @@ def _parse_range(spec: str) -> tuple[float, float]:
         lo, hi = (float(t) for t in spec.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad range spec {spec!r}; expected lo:hi") from exc
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise UsageError("range ends must be finite")
     if not hi > lo:
         raise UsageError("range needs hi > lo")
     return lo, hi
@@ -150,9 +155,11 @@ def _indented(doc) -> str:
     With indent set, json.dumps runs the pure-Python encoder.  Each
     top-level value that is a list of flat objects (the rows) goes instead
     to the C encoder, with NUL and SOH as item and key separators, and is
-    laid out by str.replace.  JSON escapes every control character inside
-    strings, so a raw NUL or SOH is always a separator, and NUL between
-    "}" and "{" always the boundary between two rows.
+    laid out by str.replace; a cell that is a list of numbers (the points
+    of ``correlations``) is laid out by one regular expression.  JSON
+    escapes every control character inside strings, so a raw NUL or SOH is
+    always a separator, and NUL between "}" and "{" always the boundary
+    between two rows.
     """
     if type(doc) is not dict or not doc or not all(type(k) is str for k in doc):
         return json.dumps(doc, indent=2, allow_nan=False)
@@ -160,11 +167,25 @@ def _indented(doc) -> str:
     return "{\n" + ",\n".join(items) + "\n}"
 
 
+# A row cell that is a list of numbers, true, false or null, as the C
+# encoder writes it: SOH, then a bracket with no string or container inside.
+_FLAT_LIST = re.compile(r'\x01\[([^][{"]*)\]')
+
+
+def _flat_list_layout(match) -> str:
+    """A _FLAT_LIST cell laid out as json.dumps(..., indent=2) lays out a row cell."""
+    items = match[1]
+    if not items:
+        return ": []"
+    return ": [\n        " + items.replace("\0", ",\n        ") + "\n      ]"
+
+
 def _indented_value(value) -> str:
     """value as json.dumps(..., indent=2) lays it out one level deep."""
     if type(value) is list and value and all(type(r) is dict and r for r in value):
         text = json.dumps(value, separators=("\0", "\1"), allow_nan=False)
-        if "\1{" not in text and "\1[" not in text:  # no row holds a container
+        text = _FLAT_LIST.sub(_flat_list_layout, text)
+        if "\1{" not in text and "\1[" not in text:  # no row holds another container
             body = text[2:-2].replace("}\0{", "\n    },\n    {\n      ")
             body = body.replace("\0", ",\n      ").replace("\1", ": ")
             return "[\n    {\n      " + body + "\n    }\n  ]"
@@ -364,13 +385,19 @@ def cmd_correlations(args) -> int:
         ]
     else:
         raise UsageError("provide --points or --points-file")
-    rows = []
-    for pts in point_sets:
+    by_order = {}  # set indices by order, in input order
+    for k, pts in enumerate(point_sets):
         if len(pts) > cfg.n:
             raise UsageError(
                 f"correlation order {len(pts)} exceeds N = {cfg.n}"
             )
-        rn = correlation_fn(pts, cfg, q, ctrl)
+        by_order.setdefault(len(pts), []).append(k)
+    r_n = [0.0] * len(point_sets)
+    for ks in by_order.values():  # one stacked call per order
+        for k, rn in zip(ks, correlation_fn([point_sets[k] for k in ks], cfg, q, ctrl).tolist()):
+            r_n[k] = rn
+    rows = []
+    for pts, rn in zip(point_sets, r_n):
         row = {"n": len(pts), "points": pts, "r_n": rn}
         if len(pts) == 2:
             bound = level_density(pts[0], cfg, q, ctrl) * level_density(pts[1], cfg, q, ctrl)

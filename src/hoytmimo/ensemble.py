@@ -29,10 +29,11 @@ Near but not at q = 0 a series needs O(1/tau) terms.  The double sums (G
 behind jpd, its one-point companion and the B kernel) are products of one
 term table per point set, one stream per point; each point stops on its
 own and shorter rows are zero-padded (see _term_table).  Correlation
-functions build their S, A and B matrices once per point set (see
-_blocks), and each point's B row reads on from its row stream, so an
-N-point jpd and a 4x4 R_4 both read N streams.  jpd also takes a stack of
-point sets, a block of which reads one array stream
+functions take a stack of point sets of one order and build the S, A and
+B matrices of every set at once (see _blocks); each point's B row reads
+on from its own row stream, so an N-point jpd and a 4x4 R_4 both read N
+streams, and one batched call takes every determinant.  jpd also takes a
+stack of point sets, a block of which reads one array stream
 (``specfun.weighted_laguerre_array``) into one table (see _densities), and
 level_density an array of lambda, read from one array stream with the
 scalar call's sums and stops (see _kernel_s_diagonal).
@@ -105,8 +106,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.nt < 1 or self.nr < 1:
             raise ValueError("antenna counts must be positive integers")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -161,6 +162,16 @@ def crossover_tau(q: float) -> float:
     if q == 1.0:
         return math.inf
     return 0.0 - math.log((1.0 - q * q) / (1.0 + q * q)) + 0.0
+
+
+def _check_finite(x: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of x is finite and >= 0.
+
+    A NaN or infinite argument would read every series to the end of its
+    budget and then raise SeriesTruncationError, or give NaN or 0.
+    """
+    if not ((x >= 0.0) & (x < math.inf)).all():  # NaN fails both
+        raise ValueError(f"{what} must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +291,15 @@ def _streams(x, a: float) -> list:
     return [weighted_laguerre(2.0 * a + 1.0, float(u)) for u in x]
 
 
-def _term_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) -> np.ndarray:
-    """Term table of a point set, one weighted-Laguerre stream per point.
+def _term_rows(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) -> list:
+    """Term rows (1-D arrays) of a point set, one weighted-Laguerre stream per point.
 
     streams holds one stream per point x_j, at order n.  Row j holds
     t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j), k >= n, read from that stream in
     (k, k + 1) pairs whose coefficients are stepped once for all points.  A
     point stops after three pairs in a row add at most ``rel_tol`` of its
-    running sums of the two parities, and ``max_terms`` bounds its pairs;
-    shorter rows are zero-padded, so a row depends only on its own point.
+    running sums of the two parities, and ``max_terms`` bounds its pairs,
+    so a row depends only on its own point.
     """
     rows = []
     spare = _coefficient_pairs(a, tau, n)
@@ -312,7 +323,12 @@ def _term_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) 
                 small = 0
         else:
             raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
-        rows.append(row)
+        rows.append(np.array(row))  # frees the row's float objects before the next point
+    return rows
+
+
+def _term_table(rows: list) -> np.ndarray:
+    """The term table t[point, order] of _term_rows: the rows zero-padded to the longest."""
     t = np.zeros((len(rows), max(map(len, rows))))
     for j, row in enumerate(rows):
         t[j, : len(row)] = row
@@ -320,11 +336,11 @@ def _term_table(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) 
 
 
 def _term_table_array(x: np.ndarray, a: float, tau: float, ctrl: SeriesControl) -> np.ndarray:
-    """The term table of _term_table at n = 0, over many points from one array stream.
+    """The term table of _term_rows at n = 0, over many points from one array stream.
 
     Every point keeps its own running sums and its own count of small pairs,
-    and stops by _term_table's rule; its later terms are written as zeros.
-    So a row depends only on its own point, and it is _term_table's row
+    and stops by _term_rows' rule; its later terms are written as zeros.
+    So a row depends only on its own point, and it is _term_rows' row
     but where the stream joins in log space (see weighted_laguerre_array).
     The rows are written pair by pair into one buffer, which doubles when
     it is full.
@@ -385,13 +401,13 @@ def g_tau(
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
     """Antisymmetric two-point function of the crossover at tau > 0."""
-    if x < 0.0 or y < 0.0:
-        raise ValueError("arguments must be >= 0")
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise ValueError("arguments must be finite and >= 0")
     if not tau > 0.0 or math.isinf(tau):
         raise ValueError("g_tau needs finite tau > 0 (tau = 0 has pointwise.g_zero)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
-    core = _g_table(_term_table(_streams((x, y), a), a, tau, ctrl))[0][0, 1]
+    core = _g_table(_term_table(_term_rows(_streams((x, y), a), a, tau, ctrl)))[0][0, 1]
     if core == 0.0:
         return 0.0
     return math.exp((a + 1.0) * math.log(x * y)) * float(core)
@@ -552,8 +568,7 @@ def jpd(
     n, a = cfg.n, cfg.a
     if lams.ndim not in (1, 2) or lams.shape[-1] != n:
         raise ValueError(f"need sets of exactly {n} eigenvalues, got shape {lams.shape}")
-    if (lams < 0.0).any():
-        raise ValueError("eigenvalues must be >= 0")
+    _check_finite(lams, "eigenvalues")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     tau = crossover_tau(q)
@@ -563,7 +578,7 @@ def jpd(
         t = None
         if series:
             x = [lam / (2.0 * cfg.omega) for lam in lams]
-            t = _term_table(_streams(x, a), a, tau, ctrl)
+            t = _term_table(_term_rows(_streams(x, a), a, tau, ctrl))
         return _density(lams, cfg, tau, t)
     out = np.empty(len(lams))
     step = max(1, _STACK_POINTS // n)
@@ -609,11 +624,15 @@ def _phi_core(j: int, w: np.ndarray, cfg: ChannelConfig, tau: float):
 
 
 def _phi_rows(w: np.ndarray, cfg: ChannelConfig, tau: float) -> np.ndarray:
-    """phi_0..phi_{K-1} / x^a, K = N - (N mod 2), one row per point, from the orders-first rows w."""
+    """phi_0..phi_{K-1} / x^a, K = N - (N mod 2), one row per point, from the orders-first rows w.
+
+    The rows take the shape of w past its orders axis: (points, K) for a
+    point set, (sets, points, K) for a stack of them.
+    """
     k2 = cfg.n - cfg.c
-    phi = np.empty((w.shape[1], k2))
+    phi = np.empty(w.shape[1:] + (k2,))
     for j in range(k2):
-        phi[:, j] = _phi_core(j, w, cfg, tau)
+        phi[..., j] = _phi_core(j, w, cfg, tau)
     return phi
 
 
@@ -701,9 +720,9 @@ def kernel_s(
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
     """Two-point kernel S_N(x, y) on the x = lambda/(2 omega) scale."""
-    if x < 0.0 or y < 0.0:
-        raise ValueError("arguments must be >= 0")
-    if tau < 0.0:
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise ValueError("arguments must be finite and >= 0")
+    if not tau >= 0.0:
         raise ValueError("tau must be >= 0")
     a = cfg.a
     wx, xs = _row(x, cfg)
@@ -791,13 +810,14 @@ def level_density(
     one array stream (see _kernel_s_diagonal), bit for bit the same values.
     """
     if np.ndim(lam) == 0:
-        if lam < 0.0:
-            raise ValueError("lambda must be >= 0")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError("lambda must be finite and >= 0")
         x = lam / (2.0 * cfg.omega)
         return float(kernel_s(x, x, cfg, crossover_tau(q), ctrl)) / (2.0 * cfg.omega)
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or (lam < 0.0).any():
-        raise ValueError(f"lambda must be >= 0, in a float or a 1-D array (got shape {lam.shape})")
+    if lam.ndim != 1:
+        raise ValueError(f"lambda must be a float or a 1-D array (got shape {lam.shape})")
+    _check_finite(lam, "lambda")
     x = lam / (2.0 * cfg.omega)
     return _kernel_s_diagonal(x, cfg, crossover_tau(q), ctrl) / (2.0 * cfg.omega)
 
@@ -832,17 +852,19 @@ def density_mp(lam, cfg: ChannelConfig) -> float | np.ndarray:
 def _pair_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Antisymmetric sum_m [p_m(x_j) r_m(x_k) - r_m(x_j) p_m(x_k)].
 
-    p and r hold one row of function values per point.  With g = p r^T the
-    matrix is g - g^T, so it is exactly antisymmetric.
+    p and r hold one row of function values per point, over any leading
+    axes.  With g = p r^T the matrix is g - g^T, so it is exactly
+    antisymmetric.
     """
-    g = p @ r.T
-    return g - g.T
+    g = p @ np.swapaxes(r, -1, -2)
+    return g - np.swapaxes(g, -1, -2)
 
 
-def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
-    """The weight-stripped S, A and B over every pair of points.
+def _blocks(x: np.ndarray, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
+    """The weight-stripped S, A and B over every pair of points of each set in the stack x.
 
-    At tau = inf (q = 1) S is the LUE core and there is no A or B (None).
+    x has shape (sets, points), and each block (sets, points, points).  At
+    tau = inf (q = 1) S is the LUE core and there is no A or B (None).
     Each point's row feeds S and A.  At tau = 0 its half-range table gives
     D and the duals: row j of S and of A drops x_j^a, column k of A drops
     x_k^a, and B = -sgn(x_j - x_k)/2 + psi-pair sum (+ parity term for odd
@@ -851,40 +873,56 @@ def _blocks(x, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     The S correction's y factor is e^{(N+1) tau} times a B row's total of
     the orders N+1, N+3, ...  A and B are balanced so the growing phi-block
     and the decaying psi-block stay O(1).
+
+    Every point reads its own scalar stream, and the term table holds all
+    the points of the stack.  Every product past that is elementwise or a
+    matmul per set, each set in the layout and at the inner length it has
+    alone, so a set's blocks do not depend on the stack it came in.
     """
     n = cfg.n
     k2 = n - cfg.c
-    rows, streams = zip(*(_row(u, cfg) for u in x))
-    w = np.array(rows).T
-    s = _s_lue_core(w[:, :, None], w[:, None, :], cfg)
+    w_rows, streams = zip(*(_row(u, cfg) for u in x.ravel().tolist()))
+    w = np.moveaxis(np.array(w_rows).reshape(x.shape + (-1,)), -1, 0)  # orders first
+    s = _s_lue_core(w[..., :, None], w[..., None, :], cfg)
     if math.isinf(tau):
         return s, None, None
     bal = math.exp(-(n - 1.0) * tau)
     phi = _phi_rows(w, cfg, tau)
-    a = _pair_matrix(phi[:, 1::2], phi[:, 0::2]) * bal
+    a = _pair_matrix(phi[..., 1::2], phi[..., 0::2]) * bal
     if tau == 0.0:
         i = _half_range(w, x, cfg)
         p = x ** (cfg.a + 1.0)
-        psi = np.array([_psi_zero(j, w, i, p, cfg) for j in range(n)]).T
-        b = _pair_matrix(psi[:, 0:k2:2], psi[:, 1:k2:2]) - 0.5 * np.sign(np.subtract.outer(x, x))
+        # the index j outermost in memory: BLAS takes the psi pairs transposed
+        psi = np.moveaxis(np.array([_psi_zero(j, w, i, p, cfg) for j in range(n)]), 0, -1)
+        sgn = np.sign(x[..., :, None] - x[..., None, :])
+        b = _pair_matrix(psi[..., 0:k2:2], psi[..., 1:k2:2]) - 0.5 * sgn
         if cfg.c:
-            b += 0.5 * np.subtract.outer(psi[:, n - 1], psi[:, n - 1])
-        return s * p + np.outer(w[n - 1], _d_zero(i[n], cfg)), a, b
-    t = _term_table(streams, cfg.a, tau, ctrl, n)
-    g = _g_table(t)[0]
-    odd = np.cumsum(t[:, 1::2], axis=1)[:, -1]
-    s += np.outer(_s_corr_lead(w, cfg, tau), math.exp((n + 1.0) * tau) * odd)
+            last = psi[..., n - 1]
+            b += 0.5 * (last[..., :, None] - last[..., None, :])
+        return s * p[..., None, :] + w[n - 1][..., :, None] * _d_zero(i[n], cfg)[..., None, :], a, b
+    rows = _term_rows(streams, cfg.a, tau, ctrl, n)
+    t = _term_table(rows).reshape(x.shape + (-1,))
+    # BLAS rounds a product by its inner length, so each set's G is taken
+    # over its own table width, as it is alone; sets of one width share a product
+    n_pts = x.shape[1]
+    widths = [max(map(len, rows[j : j + n_pts])) for j in range(0, len(rows), n_pts)]
+    g = np.empty(s.shape)
+    for width in set(widths):
+        same = [j for j, k in enumerate(widths) if k == width]
+        g[same] = _g_table(np.ascontiguousarray(t[same, :, :width]))[0]
+    odd = np.cumsum(t[..., 1::2], axis=-1)[..., -1]
+    s += _s_corr_lead(w, cfg, tau)[..., :, None] * (math.exp((n + 1.0) * tau) * odd)[..., None, :]
     return s, a, -g / bal
 
 
 def _doubled_kernel(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 2n x 2n matrix whose 2 x 2 block (j, k) is [[s_jk, a_jk], [b_jk, s_kj]]."""
-    n_pts = len(s)
-    mat = np.empty((2 * n_pts, 2 * n_pts))
-    mat[0::2, 0::2] = s
-    mat[0::2, 1::2] = a
-    mat[1::2, 0::2] = b
-    mat[1::2, 1::2] = s.T
+    """The 2n x 2n matrices whose 2 x 2 block (j, k) is [[s_jk, a_jk], [b_jk, s_kj]], per set."""
+    n_pts = s.shape[-1]
+    mat = np.empty(s.shape[:-2] + (2 * n_pts, 2 * n_pts))
+    mat[..., 0::2, 0::2] = s
+    mat[..., 0::2, 1::2] = a
+    mat[..., 1::2, 0::2] = b
+    mat[..., 1::2, 1::2] = np.swapaxes(s, -1, -2)
     return mat
 
 
@@ -893,17 +931,22 @@ def correlation_fn(
     cfg: ChannelConfig,
     q: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
+) -> float | np.ndarray:
     """n-level correlation function R_n(lambda_1..lambda_n) at parameter q.
 
-    Computed as the nonnegative square root of the ordinary determinant of
-    the doubled kernel matrix (the plain kernel determinant at q = 1); a
-    determinant negative beyond tolerance, or NaN, raises
-    NumericalConsistencyError rather than being clamped.  The S, A and B
-    matrices are built once per point set (_blocks) and interleaved into
-    the doubled matrix; for q > 0 B is summed by the term table of jpd's G
-    and the S correction comes from the B rows, so R_n costs about as much
-    as jpd.
+    points is one point set, shape (n,), and gives a float; or a stack of m
+    sets of one order n, shape (m, n), and gives an array of m values (an
+    empty stack gives an empty array).  Computed as the nonnegative square
+    root of the ordinary determinant of the doubled kernel matrix (the
+    plain kernel determinant at q = 1); a determinant negative beyond
+    tolerance, or NaN, raises NumericalConsistencyError rather than being
+    clamped, and one such set raises for the whole stack.  The S, A and B
+    matrices of every set are built at once (_blocks) and interleaved into
+    the doubled matrices, whose determinants are one batched call; for
+    q > 0 B is summed by the term table of jpd's G and the S correction
+    comes from the B rows, so R_n costs about as much as jpd.  Each set is
+    finished on its own (_signed_sqrt_det), so its value is the same bit
+    for bit alone or in any stack.
 
     R_n loses relative accuracy as points close in.  The determinant
     vanishes with the squared gaps while its O(1) entries do not, so it is
@@ -913,44 +956,52 @@ def correlation_fn(
     route: jpd factors the Vandermonde product out exactly.
     """
     pts = np.asarray(points, dtype=float)
-    n_pts = len(pts)
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"need one point set or a stack of them, got shape {pts.shape}")
+    n_pts = pts.shape[-1]
     if not 1 <= n_pts <= cfg.n:
         raise ValueError(f"number of points must lie in 1..{cfg.n}")
-    if np.any(pts < 0.0):
-        raise ValueError("points must be >= 0")
+    _check_finite(pts, "points")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     omega, a = cfg.omega, cfg.a
-    x = pts / (2.0 * omega)
+    x = pts.reshape(-1, n_pts) / (2.0 * omega)
 
     # the stripped kernels leave the weights x^a (q = 0) or x^{2a+1}
-    # (q > 0) to reattach
-    log_scale = 0.0
+    # (q > 0) to reattach; a set whose weight is 0 needs no determinant
     power = a if q == 0.0 else 2.0 * a + 1.0
-    for xi in x:
-        log_scale += edge_log_pow(xi, power)
-    if log_scale == -math.inf:
-        return 0.0
-    blocks = _blocks(x, cfg, crossover_tau(q), ctrl)
-    mat = blocks[0] if q == 1.0 else _doubled_kernel(*blocks)
-    sign, logdet = linalg.determinant_signed_log(mat)
-    if math.isnan(logdet):
-        raise NumericalConsistencyError("correlation determinant is undefined (NaN kernel entry)")
-    if log_scale == math.inf and logdet == -math.inf:
-        # an infinite edge weight (x^a at a point 0) times a determinant that
-        # underflowed to 0 is no number; returned, it would read NaN or 0
-        raise NumericalConsistencyError(
-            "correlation is undefined: the edge weight at a point 0 is infinite "
-            "and the determinant underflows"
-        )
-    log_scale -= n_pts * math.log(2.0 * omega)
-    return _signed_sqrt_det(int(sign), logdet, mat, log_scale, square=q < 1.0)
+    log_scales = []
+    for row in x.tolist():
+        log_scale = 0.0
+        for xi in row:
+            log_scale += edge_log_pow(xi, power)
+        log_scales.append(log_scale)
+    live = [k for k, log_scale in enumerate(log_scales) if log_scale != -math.inf]
+    out = np.zeros(len(x))
+    if live:
+        blocks = _blocks(x[live], cfg, crossover_tau(q), ctrl)
+        mats = blocks[0] if q == 1.0 else _doubled_kernel(*blocks)
+        signs, logdets = linalg.determinant_signed_log(mats)
+        if np.isnan(logdets).any():
+            raise NumericalConsistencyError("correlation determinant is undefined (NaN kernel entry)")
+        for k, sign, logdet, mat in zip(live, signs.tolist(), logdets.tolist(), mats):
+            log_scale = log_scales[k]
+            if log_scale == math.inf and logdet == -math.inf:
+                # an infinite edge weight (x^a at a point 0) times a determinant
+                # that underflowed to 0 is no number; returned, it would read NaN or 0
+                raise NumericalConsistencyError(
+                    "correlation is undefined: the edge weight at a point 0 is infinite "
+                    "and the determinant underflows"
+                )
+            log_scale -= n_pts * math.log(2.0 * omega)
+            out[k] = _signed_sqrt_det(int(sign), logdet, mat, log_scale, square=q < 1.0)
+    return float(out[0]) if pts.ndim == 1 else out
 
 
 def _signed_sqrt_det(
     sign: int, logdet: float, mat: np.ndarray, log_scale: float, square: bool
 ) -> float:
-    """Finish a correlation evaluation from (sign, log|det|) data."""
+    """Finish one set's correlation from the (sign, log|det|) of its matrix mat."""
     if sign == 0:
         return 0.0
     if square:

@@ -19,7 +19,7 @@ import numpy as np
 from .ensemble import (
     DEFAULT_CONTROL, ChannelConfig, SeriesControl, _blocks, _g_table, _gamma, _half_range,
     _log_alpha, _pair_matrix, _phi_core, _phi_rows, _psi_zero, _row, _series, _streams,
-    _term_table,
+    _term_rows, _term_table,
 )
 from .specfun import edge_pow, weighted_laguerre
 
@@ -50,7 +50,7 @@ def omega_tau(
     if math.isinf(tau):
         # only the mu = 0 term survives, and wt_0(x) = e^{-x}
         return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
-    inner = _g_table(_term_table(_streams((x,), a), a, tau, ctrl))[1]
+    inner = _g_table(_term_table(_term_rows(_streams((x,), a), a, tau, ctrl)))[1]
     return math.exp((a + 1.0) * math.log(x)) * float(inner[0])
 
 
@@ -136,8 +136,8 @@ def kernel_a(
     """Antisymmetric kernel A_N(x, y): x^a y^a times a finite sum over stripped phi pairs.
 
     The sum is the (x, y) entry of the A block of ``ensemble._blocks`` over
-    [x, y], before its balance factor.  So at x = 0 of a square array A is
-    a signed infinity.
+    the stack of one set [[x, y]], before its balance factor.  So at x = 0
+    of a square array A is a signed infinity.
     """
     if math.isinf(tau):
         raise ValueError("A_N diverges as tau -> inf (q = 1 is determinantal)")
@@ -145,8 +145,9 @@ def kernel_a(
         raise ValueError("arguments must be >= 0")
     if cfg.n - cfg.c == 0 or x == y:
         return 0.0  # N = 1 has no phi pair, and A vanishes on the diagonal
-    phi = _phi_rows(np.array([_row(u, cfg)[0] for u in (x, y)]).T, cfg, tau)
-    total = float(_pair_matrix(phi[:, 1::2], phi[:, 0::2])[0, 1])
+    w = np.array([_row(u, cfg)[0] for u in (x, y)]).T[:, None, :]  # orders first, one set
+    phi = _phi_rows(w, cfg, tau)
+    total = float(_pair_matrix(phi[..., 1::2], phi[..., 0::2])[0, 0, 1])
     return edge_pow(x, cfg.a) * edge_pow(y, cfg.a) * total
 
 
@@ -159,7 +160,8 @@ def kernel_b(
 ) -> float:
     """Kernel B_N(x, y): the infinite psi-pair tail plus parity term.
 
-    The (x, y) entry of the B block of ``ensemble._blocks`` over [x, y].
+    The (x, y) entry of the B block of ``ensemble._blocks`` over the stack
+    of one set [[x, y]].
     For tau > 0, tail and parity term together are minus the G double
     series restricted to the index pairs past the first N (for odd N the
     opposite-parity pairs, see ``ensemble._g_table``), formed from the term
@@ -175,7 +177,7 @@ def kernel_b(
         raise ValueError("arguments must be >= 0")
     if tau > 0.0 and (x == 0.0 or y == 0.0):
         return 0.0  # carries w_{a+1} in each argument
-    b = float(_blocks(np.array([x, y]), cfg, tau, ctrl)[2][0, 1])
+    b = float(_blocks(np.array([[x, y]]), cfg, tau, ctrl)[2][0, 0, 1])
     if tau == 0.0:
         return b
     log_w = (cfg.a + 1.0) * (math.log(x) + math.log(y)) - (cfg.n - 1.0) * tau

@@ -189,7 +189,7 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
     # R2 vs 2 * JPD at N = 2
     sets = rng.uniform(0.05, 8.0, size=(5, 2))
     p2 = 2.0 * jpd(sets, cfg2, 0.5, ctrl)
-    r2 = np.array([correlation_fn(pts, cfg2, 0.5, ctrl) for pts in sets])
+    r2 = correlation_fn(sets, cfg2, 0.5, ctrl)
     worst = float(np.max(np.abs(r2 - p2) / np.abs(p2)))
     checks.append(_check("r2_vs_jpd_n2", worst, 1e-4))
 

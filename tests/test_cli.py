@@ -397,6 +397,21 @@ class TestValidateCommand:
         assert out.read_text() == text
         assert run_cli(["--config", str(cfgfile), "validate", "--quick"]) == (0, text)
 
+    def test_r2_check_is_one_stacked_call(self, monkeypatch):
+        import hoytmimo.validation as validation
+
+        shapes = []
+        inner = validation.correlation_fn
+
+        def counted(points, *args):
+            shapes.append(np.shape(points))
+            return inner(points, *args)
+
+        monkeypatch.setattr(validation, "correlation_fn", counted)
+        checks = validation.run_checks(validation.SeriesControl(), quick=True)
+        assert shapes == [(5, 2)]
+        assert [c["passed"] for c in checks if c["name"] == "r2_vs_jpd_n2"] == [True]
+
     def test_csv_format_is_rejected(self, capsys):
         # validate writes JSON only; argparse refuses csv
         with pytest.raises(SystemExit) as exc:
@@ -509,6 +524,47 @@ class TestCorrelationsCommand:
         assert code == 0
         assert [row["points"] for row in json.loads(text)["rows"]] == [[1.0, 2.0], [3.5]]
 
+    def test_interleaved_orders_keep_input_order(self, tmp_path):
+        from hoytmimo.ensemble import ChannelConfig, correlation_fn
+
+        sets = [[1.0, 2.0], [0.5], [0.3, 1.1, 2.6], [3.0], [0.7, 2.5], [4.0, 0.2, 1.6], [2.2]]
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": sets}))
+        code, text = run_cli(["correlations", "--nt", "3", "--nr", "4", "--q", "0.35",
+                              "--points-file", str(path), "--format", "json"])
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        cfg = ChannelConfig(3, 4)
+        assert [row["points"] for row in rows] == sets
+        assert [row["n"] for row in rows] == [len(pts) for pts in sets]
+        assert [row["r_n"] for row in rows] == [correlation_fn(pts, cfg, 0.35) for pts in sets]
+
+    def test_one_call_per_order(self, monkeypatch):
+        # every set of one order goes to one stacked evaluation, orders in
+        # the order they first appear
+        import hoytmimo.cli as cli
+
+        shapes = []
+        inner = cli.correlation_fn
+
+        def counted(points, *args):
+            shapes.append(np.shape(points))
+            return inner(points, *args)
+
+        monkeypatch.setattr(cli, "correlation_fn", counted)
+        code, _ = run_cli(["correlations", "--nt", "3", "--nr", "3", "--q", "0.5",
+                           "--points", "1,2;0.5;3,1;0.3,1.1,2.6;4;2,5", "--format", "json"])
+        assert code == 0
+        assert shapes == [(3, 2), (2, 1), (1, 3)]
+
+    @pytest.mark.parametrize("omega", ["1.3", "1.0"])
+    def test_undefined_set_among_others_is_a_numerical_failure(self, omega, capsys):
+        code, text = run_cli(["correlations", "--nt", "5", "--nr", "5", "--omega", omega,
+                              "--q", "0", "--points", "0.4,1.3,2.2,3.1;6.5,900,2000,0;1,2,3,4"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and text == ""
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
     @pytest.mark.parametrize("name", sorted(CORRELATION_CASES))
     def test_documents_golden(self, name, tmp_path):
         # CSV on stdout and in a file with its sidecar, and JSON on stdout and
@@ -599,6 +655,10 @@ class TestStrictJson:
             {"rows": [{}], "empty": {}, "list": [[]]},
             {"note": "λ ≥ 0, ☃ \ud83d", "rows": [{"name": "ω = 1.3 ☃", "v": "}\u0000{\"\\"}]},
             {"rows": [{"points": [0.5, 1.5], "r_n": 0.25}, {"points": [], "nested": {"k": 1}}]},
+            {"rows": [{"p": [0.5, -2, True, None], "s": "a]b", "q": []}, {"p": [1e-300], "q": [7]}]},
+            {"rows": [{"p": [1, [2]]}, {"p": [3]}]},
+            {"rows": [{"p": [1, "]"]}, {"p": [3]}]},
+            {"rows": [{"p": [1.0, math.inf]}, {"p": [3]}]},
             {"rows": [{"a": "}", "b": "{"}, {"a": "x{", "b": "}y"}], "tail": "]}"},
             {1: "non-string key", "rows": [{2: 3}]},
             {},
@@ -614,6 +674,29 @@ class TestStrictJson:
         except ValueError:
             ref = json.dumps(_finite_json(doc), indent=2, allow_nan=False)
         assert _json_text(doc) == ref
+
+    def test_flat_list_cells_take_the_c_encoder(self, monkeypatch):
+        # rows whose cells are numbers or flat lists of numbers never reach
+        # the indenting (pure-Python) encoder; other list cells still do
+        import hoytmimo.cli as cli
+
+        indented = []
+        dumps = json.dumps
+
+        def spy(value, **kw):
+            if kw.get("indent") is not None and type(value) is list:
+                indented.append(value)
+            return dumps(value, **kw)
+
+        rows = [{"n": 2, "points": [0.5, 1e-300], "r_n": 0.25, "repulsion_violated": False},
+                {"n": 1, "points": [3], "r_n": 2.5}, {"n": 0, "points": [], "r_n": None}]
+        doc = {"schema_version": 1, "config": {"q": 0.5}, "rows": rows}
+        monkeypatch.setattr(cli.json, "dumps", spy)
+        assert cli._json_text(doc) == dumps(doc, indent=2)
+        assert indented == []
+        rows[1]["points"] = ["0.5"]
+        assert cli._json_text(doc) == dumps(doc, indent=2)
+        assert indented == [rows]
 
     def test_finite_document_is_not_walked(self, monkeypatch):
         # a finite document goes to json as it is, in the bytes the walked copy gives
@@ -671,6 +754,40 @@ class TestCliContract:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            (["correlations", "--points", "inf,1"], None),
+            (["correlations", "--points", "nan,1"], None),
+            (["correlations", "--points", "1,2;0.5,-inf"], None),
+            (["correlations", "--points-file", "{points}"], '{"points": [[NaN, 1.0]]}'),
+            (["correlations", "--points-file", "{points}"], '{"points": [[1, 2], [Infinity]]}'),
+            (["correlations", "--points-file", "{points}"], "[[0.5], [1e400]]"),
+            (["density", "--grid", "1:inf:3"], None),
+            (["density", "--grid", "nan:1:3"], None),
+            (["density", "--grid", "0:1e400:3"], None),
+            (["simulate", "--samples", "100", "--range", "0:inf"], None),
+            (["simulate", "--samples", "100", "--range=-inf:1"], None),
+            (["density", "--grid", "0:4:3", "--omega", "inf"], None),
+            (["correlations", "--points", "1,2", "--omega", "inf"], None),
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, argv, points, tmp_path, capsys):
+        # rejected before any series is read: exit 2, one "error:" line and
+        # no numpy warning, where these exited 3 after the whole term budget
+        import warnings
+
+        path = tmp_path / "pts.json"
+        if points is not None:
+            path.write_text(points)
+        argv = [argv[0], "--nt", "2", "--nr", "2", "--q", "0.5"] + argv[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli([arg.format(points=path) for arg in argv])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and text == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
 
     def test_truncation_failure_exit_code(self):
         code, _ = run_cli(

@@ -46,6 +46,13 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(2, 2, omega=0.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_non_finite_omega(self, omega):
+        # an infinite omega put every point at x = 0: densities of 0 and a
+        # capacity that ran its whole moment budget
+        with pytest.raises(ValueError, match="finite"):
+            ChannelConfig(2, 2, omega=omega)
+
 
 class TestCrossoverTau:
     def test_endpoints(self):
@@ -825,13 +832,17 @@ def test_phi_rows_and_leads_are_the_pointwise_ones(nt, nr, q):
 
 @pytest.mark.parametrize("nt,nr", [(1, 1), (2, 3), (4, 4)])
 def test_blocks_at_q1_are_the_lue_core(nt, nr):
-    # q = 1 is determinantal: S alone, the LUE core of every pair
+    # q = 1 is determinantal: S alone, the LUE core of every pair of each set
     cfg = ChannelConfig(nt, nr)
-    x = np.array([0.0, 0.4, 1.3, 3.1])[: cfg.n]
-    rows = [ensemble._row(u, cfg)[0] for u in x]
+    x = np.array([[0.0, 0.4, 1.3, 3.1], [2.2, 0.7, 5.0, 0.1]])[:, : cfg.n]
     s, a, b = ensemble._blocks(x, cfg, math.inf, CTRL)
     assert a is None and b is None
-    assert s.tolist() == [[float(ensemble._s_lue_core(wj, wk, cfg)) for wk in rows] for wj in rows]
+    assert s.shape == (2, cfg.n, cfg.n)
+    for pts, block in zip(x, s):
+        rows = [ensemble._row(u, cfg)[0] for u in pts]
+        assert block.tolist() == [
+            [float(ensemble._s_lue_core(wj, wk, cfg)) for wk in rows] for wj in rows
+        ]
 
 
 class TestSignedSqrtDet:

@@ -315,6 +315,122 @@ class TestCorrelations:
         assert r == pytest.approx(ref, rel=1e-4)
 
 
+# rotations of these points give point sets of every order, with the
+# origin, a point near it and points far in the tail, where the weighted
+# rows join in log space and the term tables differ most in length
+STACK_POINTS = (0.0, 1e-3, 0.37, 1.9, 6.5, 900.0, 2000.0)
+STACK_QS = (0.0, 0.06, 0.35, 0.75, 0.999, 1.0)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestCorrelationStacks:
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("nt,nr", [(1, 1), (2, 2), (2, 5), (3, 4), (4, 4), (5, 5), (6, 6)])
+    def test_stack_equals_per_set_calls(self, nt, nr, omega):
+        # a set's value is the per-set call's bit for bit, in any stack and
+        # any order; a stack holding an undefined set raises as that set does
+        cfg = ChannelConfig(nt, nr, omega)
+        rotations = [STACK_POINTS[r:] + STACK_POINTS[:r] for r in range(len(STACK_POINTS))]
+        for q in STACK_QS:
+            for n in range(1, cfg.n + 1):
+                sets = [list(rot[:n]) for rot in rotations]
+                single, defined = [], []
+                for pts in sets:
+                    try:
+                        single.append(correlation_fn(pts, cfg, q, CTRL))
+                        defined.append(pts)
+                    except NumericalConsistencyError:
+                        pass
+                if len(defined) < len(sets):
+                    with pytest.raises(NumericalConsistencyError):
+                        correlation_fn(sets, cfg, q, CTRL)
+                stack = correlation_fn(np.array(defined).reshape(-1, n), cfg, q, CTRL)
+                assert isinstance(stack, np.ndarray) and stack.shape == (len(defined),)
+                assert bits(stack) == bits(single), (q, n)
+                assert bits(correlation_fn(defined[::-1], cfg, q, CTRL)) == bits(single[::-1])
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_single_set_is_a_float(self, q):
+        value = correlation_fn([0.4, 1.9], ChannelConfig(2, 3), q, CTRL)
+        assert type(value) is float
+        assert value == correlation_fn([[0.4, 1.9]], ChannelConfig(2, 3), q, CTRL)[0]
+
+    def test_one_undefined_set_raises_for_the_stack(self):
+        # the origin of a square array at q = 0 with the determinant underflowed
+        cfg = ChannelConfig(5, 5, omega=1.3)
+        good = [0.4, 1.3, 2.2, 3.1]
+        assert correlation_fn([good, good[::-1]], cfg, 0.0, CTRL).shape == (2,)
+        with pytest.raises(NumericalConsistencyError):
+            correlation_fn([good, [6.5, 900.0, 2000.0, 0.0], good], cfg, 0.0, CTRL)
+
+    def test_nan_determinant_in_a_stack_is_a_numerical_failure(self, monkeypatch):
+        def one_nan(mats):
+            sign, logdet = np.linalg.slogdet(mats)
+            logdet[-1] = math.nan
+            return sign, logdet
+
+        monkeypatch.setattr("hoytmimo.ensemble.linalg.determinant_signed_log", one_nan)
+        with pytest.raises(NumericalConsistencyError, match="NaN"):
+            correlation_fn([[0.5, 1.0], [0.7, 2.0]], ChannelConfig(2, 2), 0.5, CTRL)
+
+    @pytest.mark.parametrize(
+        "points", [np.ones((2, 2, 2)), np.ones((3, 3)), np.ones((3, 0)), [[]], [], 1.0]
+    )
+    def test_shape_errors(self, points):
+        # 3-D input, an order above N = 2 and an order 0 (a scalar has none)
+        with pytest.raises(ValueError):
+            correlation_fn(points, ChannelConfig(2, 2), 0.5, CTRL)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_empty_stack_is_an_empty_array(self, q):
+        out = correlation_fn(np.empty((0, 2)), ChannelConfig(2, 2), q, CTRL)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_zero_weight_sets_skip_the_series(self):
+        # x^{2a+1} = 0 at a point 0 of a non-square array: R_n is 0 without a
+        # term table, so a budget no point could meet does not raise
+        cfg = ChannelConfig(2, 4)
+        tight = SeriesControl(max_terms=1)
+        assert correlation_fn([0.0, 1.0], cfg, 0.3, tight) == 0.0
+        with pytest.raises(ensemble.SeriesTruncationError):
+            correlation_fn([[0.0, 1.0], [0.5, 1.0]], cfg, 0.3, tight)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteArguments:
+    # NaN and +-inf are rejected before any series is read: at 0 < q < 1 they
+    # would run the whole term budget, at q = 0 and 1 give NaN or 0
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_library_functions(self, bad, q):
+        cfg = ChannelConfig(2, 3)
+        tau = crossover_tau(q)
+        calls = [
+            lambda: jpd([bad, 1.0], cfg, q, CTRL),
+            lambda: jpd([[0.5, 1.0]] * 127 + [[1.0, bad]], cfg, q, CTRL),
+            lambda: level_density(bad, cfg, q, CTRL),
+            lambda: level_density(np.linspace(0.0, 8.0, 401).tolist() + [bad], cfg, q, CTRL),
+            lambda: kernel_s(bad, 1.0, cfg, tau, CTRL),
+            lambda: kernel_s(1.0, bad, cfg, tau, CTRL),
+            lambda: correlation_fn([bad, 1.0], cfg, q, CTRL),
+            lambda: correlation_fn([[0.5, 1.0], [1.0, bad]], cfg, q, CTRL),
+        ]
+        if 0.0 < q < 1.0:
+            calls.append(lambda: g_tau(bad, 1.0, cfg.a, tau, CTRL))
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_nan_tau_is_rejected(self):
+        with pytest.raises(ValueError):
+            kernel_s(1.0, 1.0, ChannelConfig(2, 2), math.nan, CTRL)
+
+
 class TestCorrelationAgainstSimulation:
     def test_pair_counts_match_r2(self):
         # raw ordered-pair statistics vs the analytic two-point function:
