@@ -396,12 +396,14 @@ def cmd_correlations(args) -> int:
     for ks in by_order.values():  # one stacked call per order
         for k, rn in zip(ks, correlation_fn([point_sets[k] for k in ks], cfg, q, ctrl).tolist()):
             r_n[k] = rn
+    # the two-point repulsion bounds R_1(x) R_1(y), from one array call
+    rho = level_density(np.ravel([pts for pts in point_sets if len(pts) == 2]), cfg, q, ctrl)
+    bounds = iter((rho[0::2] * rho[1::2]).tolist())
     rows = []
     for pts, rn in zip(point_sets, r_n):
         row = {"n": len(pts), "points": pts, "r_n": rn}
         if len(pts) == 2:
-            bound = level_density(pts[0], cfg, q, ctrl) * level_density(pts[1], cfg, q, ctrl)
-            row["repulsion_violated"] = bool(rn > bound * (1.0 + 1e-9))
+            row["repulsion_violated"] = bool(rn > next(bounds) * (1.0 + 1e-9))
         rows.append(row)
     meta = {"command": "correlations", "config": _meta_config(cfg, q)}
     _write_rows(args, ["n", "points", "r_n", "repulsion_violated"], rows, meta)

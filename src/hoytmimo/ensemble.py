@@ -8,8 +8,6 @@ Pfaffian of the antisymmetric two-point function G), the exact level
 density (the kernel S on the diagonal, whose tau = 0 and tau = inf forms
 are the endpoint closed forms), the large-N asymptotic density and the
 n-point correlation functions (from the kernels S/A/B over a point set).
-The skew-orthogonal system and the kernels A and B at one pair of points
-are in ``hoytmimo.pointwise``, which the package does not import.
 
 Numerics: each evaluation reads one row per point, the weighted Laguerre
 values wt_k(x) = e^{-x} L_k^{(2a+1)}(2x) for k < N from one rescaled
@@ -28,15 +26,17 @@ exact recurrence over a point's row gives for every order (_half_range).
 Near but not at q = 0 a series needs O(1/tau) terms.  The double sums (G
 behind jpd, its one-point companion and the B kernel) are products of one
 term table per point set, one stream per point; each point stops on its
-own and shorter rows are zero-padded (see _term_table).  Correlation
-functions take a stack of point sets of one order and build the S, A and
-B matrices of every set at once (see _blocks); each point's B row reads
-on from its own row stream, so an N-point jpd and a 4x4 R_4 both read N
-streams, and one batched call takes every determinant.  jpd also takes a
-stack of point sets, a block of which reads one array stream
-(``specfun.weighted_laguerre_array``) into one table (see _densities), and
-level_density an array of lambda, read from one array stream with the
-scalar call's sums and stops (see _kernel_s_diagonal).
+own and shorter rows are zero-padded (see _term_table).  Each set's G
+runs over its own width, so a value built on it is the same alone or in
+any stack (see _g_table).  Correlation functions take a stack of point
+sets of one order and build the S, A and B matrices of every set at once
+(see _blocks); each point's B row reads on from its own row stream, so an
+N-point jpd and a 4x4 R_4 both read N streams, and one batched call takes
+every determinant.  jpd also takes a stack of point sets, a block of
+which reads one array stream (``specfun.weighted_laguerre_array``) into
+one table (see _densities), and level_density an array of lambda, read
+from one array stream with the scalar call's sums and stops (see
+_kernel_s_diagonal).
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -192,11 +192,10 @@ def _gamma(a: float, k: int) -> float:
     return math.exp(log_gamma(h) - log_gamma(h + a + 1.0))
 
 
-def _row(x: float, cfg: ChannelConfig, size: int = 0):
-    """wt_0..wt_{m-1}(x), m = max(N, size), and the stream left at order m."""
+def _row(x: float, cfg: ChannelConfig):
+    """wt_0..wt_{N-1}(x) and the stream left at order N."""
     ws = weighted_laguerre(2.0 * cfg.a + 1.0, float(x))  # a numpy scalar would slow it twofold
-    m = max(cfg.n, size)
-    return np.fromiter(itertools.islice(ws, m), float, m), ws
+    return np.fromiter(itertools.islice(ws, cfg.n), float, cfg.n), ws
 
 
 def _series(ws, a: float, tau: float, k0: int, ctrl: SeriesControl, what: str) -> float:
@@ -369,10 +368,10 @@ def _term_table_array(x: np.ndarray, a: float, tau: float, ctrl: SeriesControl) 
 
 
 def _g_table(t: np.ndarray):
-    """Weight-stripped G_n from a term table t[..., point, order], and each point's even total.
+    """Weight-stripped G_n from a term table t[set, point, order], and each point's even total.
 
     t holds t_k(x_j) = e^{-k tau} gamma_k wt_k(x_j), k >= n (see
-    _term_table); any leading axes are sets of points.  With C the running
+    _term_table), zero past where each point stopped.  With C the running
     sums of the inner orders n, n+2, ... and O the orders n+1, n+3, ...,
     2 sum_{i < k} [t_i(x_j) t_k(x_l) - t_k(x_j) t_i(x_l)] is 2 (g - g^T),
     g = C O^T; the caller reattaches (x_j x_l)^{a+1}.  Returned with G_n is
@@ -387,9 +386,22 @@ def _g_table(t: np.ndarray):
     G = 2 [E(x) O(y) - O(x) E(y)] + G', with E and O the even- and
     odd-order sums of t and G' this double sum over all opposite-order
     pairs: the E O products absorb the parity term.
+
+    BLAS rounds a product by its inner length, so each set's product runs
+    over its own width, up to its last nonzero pair (all of an all-zero
+    set), as alone: its G does not depend on its stack.  Sets of one width
+    share a product, a full table (one set) takes the plain one, and the
+    even totals come from the whole table: trailing zeros leave them as is.
     """
     inner = np.cumsum(t[..., 0::2], axis=-1)
-    g = inner @ np.swapaxes(t[..., 1::2], -1, -2)
+    if np.count_nonzero(t[:, :, -2:].any(axis=(1, 2))) == len(t):
+        g = inner @ np.swapaxes(t[..., 1::2], -1, -2)
+    else:
+        widths = (t.shape[2] + 1 - t.any(axis=1)[:, ::-1].argmax(axis=1)) // 2
+        g = np.empty(t.shape[:2] + t.shape[1:2])
+        for width in set(widths.tolist()):
+            same = widths == width
+            g[same] = inner[same, :, :width] @ np.swapaxes(t[same, :, 1 : 2 * width : 2], -1, -2)
     return 2.0 * (g - np.swapaxes(g, -1, -2)), inner[..., -1]
 
 
@@ -404,10 +416,10 @@ def g_tau(
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
         raise ValueError("arguments must be finite and >= 0")
     if not tau > 0.0 or math.isinf(tau):
-        raise ValueError("g_tau needs finite tau > 0 (tau = 0 has pointwise.g_zero)")
+        raise ValueError("g_tau needs finite tau > 0 (at tau = 0 G is sgn(x - y)/2)")
     if x == 0.0 or y == 0.0:
         return 0.0  # carries w_{a+1} in each argument, a + 1 > 0
-    core = _g_table(_term_table(_term_rows(_streams((x, y), a), a, tau, ctrl)))[0][0, 1]
+    core = _g_table(_term_table(_term_rows(_streams((x, y), a), a, tau, ctrl))[None])[0][0, 0, 1]
     if core == 0.0:
         return 0.0
     return math.exp((a + 1.0) * math.log(x * y)) * float(core)
@@ -456,17 +468,14 @@ def _log_const(cfg, tau: float) -> float:
 
 
 def _log_vandermonde(lams: list) -> tuple[int, float]:
-    sign = 1
-    logabs = 0.0
-    n = len(lams)
-    for j in range(n):
-        for k in range(j + 1, n):
-            d = lams[j] - lams[k]
-            if d == 0.0:
-                return 0, -math.inf
-            if d < 0.0:
-                sign = -sign
-            logabs += math.log(abs(d))
+    sign, logabs = 1, 0.0
+    for lj, lk in itertools.combinations(lams, 2):
+        d = lj - lk
+        if d == 0.0:
+            return 0, -math.inf
+        if d < 0.0:
+            sign = -sign
+        logabs += math.log(abs(d))
     return sign, logabs
 
 
@@ -553,10 +562,10 @@ def jpd(
     q = 0 form diverges as any eigenvalue reaches 0 (returns +inf there).
 
     One set reads a scalar weighted-Laguerre stream per point.  A stack is
-    taken _STACK_POINTS points at a time, each block from one array stream;
-    every point stops its series on its own sums, so a set's value does not
-    depend on the stack it came in, and it matches the single call to
-    rounding.
+    taken _STACK_POINTS points at a time, each block from one array stream.
+    Every point stops its series on its own sums and each set's G runs over
+    its own width (see _g_table), so a set's value is bit for bit the same
+    alone or in any stack, and it matches the single call to rounding.
 
     Near q = 1 it loses relative accuracy as N grows while correlation_fn /
     N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 7e-4 off
@@ -875,9 +884,9 @@ def _blocks(x: np.ndarray, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
     and the decaying psi-block stay O(1).
 
     Every point reads its own scalar stream, and the term table holds all
-    the points of the stack.  Every product past that is elementwise or a
-    matmul per set, each set in the layout and at the inner length it has
-    alone, so a set's blocks do not depend on the stack it came in.
+    the points of the stack.  Every product past that is elementwise, or
+    per set at the inner length it has alone (_g_table), so a set's blocks
+    do not depend on the stack it came in.
     """
     n = cfg.n
     k2 = n - cfg.c
@@ -900,19 +909,10 @@ def _blocks(x: np.ndarray, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
             last = psi[..., n - 1]
             b += 0.5 * (last[..., :, None] - last[..., None, :])
         return s * p[..., None, :] + w[n - 1][..., :, None] * _d_zero(i[n], cfg)[..., None, :], a, b
-    rows = _term_rows(streams, cfg.a, tau, ctrl, n)
-    t = _term_table(rows).reshape(x.shape + (-1,))
-    # BLAS rounds a product by its inner length, so each set's G is taken
-    # over its own table width, as it is alone; sets of one width share a product
-    n_pts = x.shape[1]
-    widths = [max(map(len, rows[j : j + n_pts])) for j in range(0, len(rows), n_pts)]
-    g = np.empty(s.shape)
-    for width in set(widths):
-        same = [j for j, k in enumerate(widths) if k == width]
-        g[same] = _g_table(np.ascontiguousarray(t[same, :, :width]))[0]
+    t = _term_table(_term_rows(streams, cfg.a, tau, ctrl, n)).reshape(x.shape + (-1,))
     odd = np.cumsum(t[..., 1::2], axis=-1)[..., -1]
     s += _s_corr_lead(w, cfg, tau)[..., :, None] * (math.exp((n + 1.0) * tau) * odd)[..., None, :]
-    return s, a, -g / bal
+    return s, a, -_g_table(t)[0] / bal
 
 
 def _doubled_kernel(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -979,7 +979,7 @@ def correlation_fn(
     live = [k for k, log_scale in enumerate(log_scales) if log_scale != -math.inf]
     out = np.zeros(len(x))
     if live:
-        blocks = _blocks(x[live], cfg, crossover_tau(q), ctrl)
+        blocks = _blocks(x if len(live) == len(x) else x[live], cfg, crossover_tau(q), ctrl)
         mats = blocks[0] if q == 1.0 else _doubled_kernel(*blocks)
         signs, logdets = linalg.determinant_signed_log(mats)
         if np.isnan(logdets).any():

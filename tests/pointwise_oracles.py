@@ -1,11 +1,11 @@
 """The paper's building blocks at one point or one pair of points, on x = lambda / (2 omega).
 
-The skew-orthogonal polynomials phi_j, their duals psi_j, the one-point
-companion omega, the tau = 0 two-point function g_zero and the kernels A_N
-and B_N.  The tests check them against their defining integrals and
-identities.  No command needs them: ``ensemble`` forms them over a whole
-point set (``ensemble._blocks``), and they are read from its parts.
-Nothing in the package imports this module.
+Test oracles: the skew-orthogonal polynomials phi_j, their duals psi_j,
+the one-point companion omega, the tau = 0 two-point function g_zero and
+the kernels A_N and B_N.  The tests check them against their defining
+integrals and identities, and the package's whole-set evaluators against
+them.  ``hoytmimo.ensemble`` forms the same functions over a whole point
+set (``ensemble._blocks``); these are read from its parts.
 """
 
 from __future__ import annotations
@@ -16,14 +16,21 @@ from math import lgamma as log_gamma
 
 import numpy as np
 
-from .ensemble import (
+from hoytmimo.ensemble import (
     DEFAULT_CONTROL, ChannelConfig, SeriesControl, _blocks, _g_table, _gamma, _half_range,
     _log_alpha, _pair_matrix, _phi_core, _phi_rows, _psi_zero, _row, _series, _streams,
     _term_rows, _term_table,
 )
-from .specfun import edge_pow, weighted_laguerre
+from hoytmimo.specfun import edge_pow, weighted_laguerre
 
 __all__ = ["g_zero", "omega_tau", "skew_phi", "skew_psi", "kernel_a", "kernel_b"]
+
+
+def _row_to(x: float, cfg: ChannelConfig, size: int) -> np.ndarray:
+    """wt_0..wt_{m-1}(x), m = max(N, size): the row of ``ensemble._row``, read on to size orders."""
+    ws = weighted_laguerre(2.0 * cfg.a + 1.0, float(x))
+    m = max(cfg.n, size)
+    return np.fromiter(itertools.islice(ws, m), float, m)
 
 
 def g_zero(x: float, y: float) -> float:
@@ -50,8 +57,8 @@ def omega_tau(
     if math.isinf(tau):
         # only the mu = 0 term survives, and wt_0(x) = e^{-x}
         return math.exp((a + 1.0) * math.log(x)) * _gamma(a, 0) * math.exp(-x)
-    inner = _g_table(_term_table(_term_rows(_streams((x,), a), a, tau, ctrl)))[1]
-    return math.exp((a + 1.0) * math.log(x)) * float(inner[0])
+    inner = _g_table(_term_table(_term_rows(_streams((x,), a), a, tau, ctrl))[None])[1]
+    return math.exp((a + 1.0) * math.log(x)) * float(inner[0, 0])
 
 
 def _psi_series(x: float, a: float, tau: float, ctrl: SeriesControl, start: int) -> float:
@@ -73,13 +80,13 @@ def _psi_core(
     k = 2 * mu + cfg.c
     la = _log_alpha(a, k)
     if r == 1:
-        return pref * math.exp(-k * tau - la) * _row(x, cfg, k + 1)[0][k]
+        return pref * math.exp(-k * tau - la) * _row_to(x, cfg, k + 1)[k]
     if not cfg.c:
         s = _psi_series(x, a, tau, ctrl, mu)
         fac = 0.5 * math.exp(log_gamma(mu + a + 1.0) - log_gamma(mu + 1.0) - la)
         return -pref * fac * s
     # finite sum over nu = 0..mu of even-order polynomials
-    w = _row(x, cfg, 2 * mu + 1)[0]
+    w = _row_to(x, cfg, 2 * mu + 1)
     g = np.array([_gamma(a, 2 * nu) for nu in range(mu + 1)])
     es = np.exp(-2.0 * tau * np.arange(mu + 1))
     fac = 0.5 * math.exp(log_gamma(mu + a + 1.5) - log_gamma(mu + 1.5) - la)
@@ -102,7 +109,7 @@ def skew_phi(
     _check_index(j, cfg)
     if math.isinf(tau):
         raise ValueError("phi diverges at tau = inf; use the q = 1 closed forms")
-    return edge_pow(x, cfg.a) * _phi_core(j, _row(x, cfg, j + 2)[0], cfg, tau)
+    return edge_pow(x, cfg.a) * _phi_core(j, _row_to(x, cfg, j + 2), cfg, tau)
 
 
 def skew_psi(
@@ -119,7 +126,7 @@ def skew_psi(
     if x < 0.0:
         raise ValueError("x must be >= 0")
     if tau == 0.0:
-        w = _row(x, cfg, j + 1)[0]
+        w = _row_to(x, cfg, j + 1)
         return float(_psi_zero(j, w, _half_range(w, x, cfg), edge_pow(x, cfg.a + 1.0), cfg))
     if x == 0.0:
         return 0.0  # psi carries the w_{a+1} weight

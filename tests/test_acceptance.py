@@ -28,8 +28,8 @@ from hoytmimo.ensemble import (
 )
 from hoytmimo.linalg import pfaffian_signed_log
 from hoytmimo.montecarlo import empirical_density
-from hoytmimo.pointwise import skew_phi, skew_psi
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2, jpd_normalization_n3
+from pointwise_oracles import skew_phi, skew_psi
 from test_specfun import laguerre
 
 CTRL = SeriesControl()

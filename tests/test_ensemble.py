@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hoytmimo import ensemble, pointwise, specfun
+from hoytmimo import ensemble, specfun
 from hoytmimo.ensemble import (
     ChannelConfig,
     NumericalConsistencyError,
@@ -22,8 +22,8 @@ from hoytmimo.ensemble import (
     level_density,
     mp_support,
 )
-from hoytmimo.pointwise import g_zero, omega_tau
 from hoytmimo.validation import g_tau_transposed, jpd_normalization_n2
+from pointwise_oracles import g_zero, kernel_a, omega_tau
 from test_specfun import laguerre
 
 CTRL = SeriesControl()
@@ -251,6 +251,35 @@ class TestJpdStack:
         alone = jpd(sets, cfg, q, CTRL)
         mixed = jpd(np.vstack((sets[:1], [[0.3, 900.0]], sets[1:])), cfg, q, CTRL)
         assert mixed[0] == alone[0] and mixed[2] == alone[1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nt,nr,q", [(2, 2, 0.3), (3, 4, 0.35), (4, 4, 0.5), (5, 5, 0.75)])
+    def test_value_independent_of_stack(self, nt, nr, q, seed):
+        # far-tail sets read longer rows than the rest, and the sets come in
+        # either order: each set's G still runs over its own width
+        cfg = ChannelConfig(nt, nr)
+        rng = np.random.default_rng(seed)
+        sets = rng.uniform(0.1, 12.0, (20, cfg.n))
+        tail = rng.uniform(0.1, 194.0, (3, cfg.n))
+        alone = np.array([jpd(pts[None], cfg, q, CTRL)[0] for pts in sets])
+        mixed = jpd(np.vstack((sets[:10], tail, sets[10:])), cfg, q, CTRL)
+        assert np.array_equal(np.delete(mixed, [10, 11, 12]), alone)
+        assert np.array_equal(jpd(sets[::-1], cfg, q, CTRL)[::-1], alone)
+        single = np.array([jpd(pts, cfg, q, CTRL) for pts in sets])
+        assert np.all(np.abs(alone - single) <= 1e-15 * np.abs(single))
+
+    def test_g_table_takes_each_set_at_its_own_width(self):
+        # sets of three widths and one all-zero set: each set's G and even
+        # totals are those of its own table alone
+        widths = (90, 44, 0, 64)
+        rng = np.random.default_rng(7)
+        t = np.zeros((len(widths), 4, max(widths)))
+        for rows, width in zip(t, widths):
+            rows[:, :width] = rng.uniform(-1.0, 1.0, (4, width))
+        g, even = ensemble._g_table(t)
+        for k, width in enumerate(widths):
+            g_alone, even_alone = ensemble._g_table(t[k : k + 1, :, : max(width, 2)])
+            assert np.array_equal(g[k], g_alone[0]) and np.array_equal(even[k], even_alone[0])
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
     def test_edge_sets_match_single_calls(self, q):
@@ -774,10 +803,10 @@ def test_kernel_a_origin_is_signed_infinity(nt, nr):
     # sign the sum has just off the origin
     cfg = ChannelConfig(nt, nr)
     for y in (0.37, 1.9):
-        value = pointwise.kernel_a(0.0, y, cfg, 0.0)
+        value = kernel_a(0.0, y, cfg, 0.0)
         assert math.isinf(value)
-        assert math.copysign(1.0, value) == math.copysign(1.0, pointwise.kernel_a(1e-12, y, cfg, 0.0))
-    assert pointwise.kernel_a(0.0, 0.0, cfg, 0.0) == 0.0
+        assert math.copysign(1.0, value) == math.copysign(1.0, kernel_a(1e-12, y, cfg, 0.0))
+    assert kernel_a(0.0, 0.0, cfg, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 6), (8, 8)])

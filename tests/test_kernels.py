@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 import hoytmimo
-from hoytmimo import ensemble, pointwise
+from hoytmimo import ensemble
 from hoytmimo.ensemble import (
     ChannelConfig,
     NumericalConsistencyError,
@@ -23,7 +23,8 @@ from hoytmimo.ensemble import (
     kernel_s,
     level_density,
 )
-from hoytmimo.pointwise import kernel_a, kernel_b, omega_tau, skew_phi, skew_psi
+import pointwise_oracles
+from pointwise_oracles import kernel_a, kernel_b, omega_tau, skew_phi, skew_psi
 
 CTRL = SeriesControl()
 
@@ -471,27 +472,28 @@ POINTWISE_NAMES = ("g_zero", "omega_tau", "skew_phi", "skew_psi", "kernel_a", "k
 
 
 class TestImportPath:
-    def test_package_and_cli_leave_pointwise_unimported(self):
-        # a fresh interpreter, importing the same hoytmimo as this process
-        src = str(Path(hoytmimo.__file__).resolve().parents[1])
+    def test_package_and_cli_load_every_module(self):
+        # a fresh interpreter, importing the same hoytmimo as this process:
+        # every module of the package is in use
+        package = Path(hoytmimo.__file__).resolve().parent
         code = (
-            "import sys, hoytmimo, hoytmimo.cli, hoytmimo.validation; "
+            "import sys, hoytmimo, hoytmimo.cli; "
             "print(*sorted(m for m in sys.modules if m.startswith('hoytmimo')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": str(package.parent)},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = proc.stdout.split()
-        assert "hoytmimo.ensemble" in loaded
-        assert "hoytmimo.pointwise" not in loaded
+        modules = {f"hoytmimo.{p.stem}" for p in package.glob("*.py")} - {"hoytmimo.__main__"}
+        assert set(proc.stdout.split()) == modules - {"hoytmimo.__init__"} | {"hoytmimo"}
 
     @pytest.mark.parametrize("name", POINTWISE_NAMES)
     def test_pointwise_names_live_in_pointwise_only(self, name):
-        assert callable(getattr(pointwise, name))
-        assert name in pointwise.__all__
-        assert not hasattr(ensemble, name)
-        assert name not in ensemble.__all__
+        # the oracles stay in the tests: no module of the package defines them
+        assert callable(getattr(pointwise_oracles, name))
+        assert name in pointwise_oracles.__all__
+        for module in [m for k, m in sys.modules.items() if k.startswith("hoytmimo")]:
+            assert not hasattr(module, name), module.__name__
