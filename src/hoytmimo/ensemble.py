@@ -32,11 +32,11 @@ any stack (see _g_table).  Correlation functions take a stack of point
 sets of one order and build the S, A and B matrices of every set at once
 (see _blocks); each point's B row reads on from its own row stream, so an
 N-point jpd and a 4x4 R_4 both read N streams, and one batched call takes
-every determinant.  jpd also takes a stack of point sets, a block of
-which reads one array stream (``specfun.weighted_laguerre_array``) into
-one table (see _densities), and level_density an array of lambda, read
-from one array stream with the scalar call's sums and stops (see
-_kernel_s_diagonal).
+every determinant.  jpd also takes a stack of point sets in blocks sized
+by their term table's bytes, each of which reads one array stream
+(``specfun.weighted_laguerre_array``) into one table (see jpd and
+_densities), and level_density an array of lambda, read from one array
+stream with the scalar call's sums and stops (see _kernel_s_diagonal).
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -164,13 +164,18 @@ def crossover_tau(q: float) -> float:
     return 0.0 - math.log((1.0 - q * q) / (1.0 + q * q)) + 0.0
 
 
-def _check_finite(x: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every entry of x is finite and >= 0.
+def _check_finite(x, what: str) -> None:
+    """Raise ValueError unless every entry of x, an array or a list of floats, is finite and >= 0.
 
     A NaN or infinite argument would read every series to the end of its
-    budget and then raise SeriesTruncationError, or give NaN or 0.
+    budget and then raise SeriesTruncationError, or give NaN or 0.  A short
+    list is checked in Python floats, without numpy's per-call cost.
     """
-    if not ((x >= 0.0) & (x < math.inf)).all():  # NaN fails both
+    if isinstance(x, list):
+        ok = all(0.0 <= u < math.inf for u in x)  # NaN fails both
+    else:
+        ok = ((x >= 0.0) & (x < math.inf)).all()
+    if not ok:
         raise ValueError(f"{what} must be finite and >= 0")
 
 
@@ -334,18 +339,20 @@ def _term_table(rows: list) -> np.ndarray:
     return t
 
 
-def _term_table_array(x: np.ndarray, a: float, tau: float, ctrl: SeriesControl) -> np.ndarray:
+def _term_table_array(
+    x: np.ndarray, a: float, tau: float, ctrl: SeriesControl, width: int
+) -> np.ndarray:
     """The term table of _term_rows at n = 0, over many points from one array stream.
 
     Every point keeps its own running sums and its own count of small pairs,
     and stops by _term_rows' rule; its later terms are written as zeros.
     So a row depends only on its own point, and it is _term_rows' row
     but where the stream joins in log space (see weighted_laguerre_array).
-    The rows are written pair by pair into one buffer, which doubles when
-    it is full.
+    The rows are written pair by pair into one buffer of ``width`` (even)
+    columns, which doubles when it is full.
     """
     ws = weighted_laguerre_array(2.0 * a + 1.0, x)
-    buf = np.empty((len(x), 64))
+    buf = np.empty((len(x), width))
     s0, s1 = np.zeros(len(x)), np.zeros(len(x))
     small = np.zeros(len(x), dtype=int)
     live = np.ones(len(x), dtype=bool)
@@ -485,14 +492,14 @@ def _g_pfaffian(t: np.ndarray, n: int):
     G comes from _g_table for every set at once; odd N borders it with the
     one-point companion column, the even totals.
     """
-    m = (n + 1) // 2
     g, even = _g_table(t)
-    f = np.zeros((len(t), 2 * m, 2 * m))
-    f[:, :n, :n] = g
-    if 2 * m > n:
+    if n % 2:
+        f = np.zeros((len(t), n + 1, n + 1))
+        f[:, :n, :n] = g
         f[:, :n, n] = even
         f[:, n, :n] = -even
-    return linalg.pfaffian_signed_log(f)
+        g = f
+    return linalg.pfaffian_signed_log(g)
 
 
 def _density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
@@ -544,7 +551,8 @@ def _densities(sets: np.ndarray, cfg, tau: float, t: np.ndarray | None) -> np.nd
         return np.where((logdelta == -math.inf) | (logp == -math.inf), 0.0, sign * np.exp(logp))
 
 
-_STACK_POINTS = 256  # points per block of a stacked jpd: bounds its term table
+_STACK_POINTS = 256  # points in a stacked jpd's first block, and the fewest in any block
+_TABLE_BYTES = 512 * 1024  # a later block's term-table buffer
 
 
 def jpd(
@@ -562,10 +570,15 @@ def jpd(
     q = 0 form diverges as any eigenvalue reaches 0 (returns +inf there).
 
     One set reads a scalar weighted-Laguerre stream per point.  A stack is
-    taken _STACK_POINTS points at a time, each block from one array stream.
-    Every point stops its series on its own sums and each set's G runs over
-    its own width (see _g_table), so a set's value is bit for bit the same
-    alone or in any stack, and it matches the single call to rounding.
+    taken in blocks, each from one array stream into one term table.  The
+    first holds _STACK_POINTS points.  Each later block's buffer is a
+    quarter wider than the table the block before it took, and the block
+    holds as many sets as fill _TABLE_BYTES at that width, but never fewer
+    than _STACK_POINTS points (so near q = 0, where tables are widest, all
+    blocks keep that size).  Every point stops its series on its own sums
+    and each set's G runs over its own width (see _g_table), so a set's
+    value is bit for bit the same alone or in any stack or block, and it
+    matches the single call to rounding.
 
     Near q = 1 it loses relative accuracy as N grows while correlation_fn /
     N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 7e-4 off
@@ -577,27 +590,33 @@ def jpd(
     n, a = cfg.n, cfg.a
     if lams.ndim not in (1, 2) or lams.shape[-1] != n:
         raise ValueError(f"need sets of exactly {n} eigenvalues, got shape {lams.shape}")
+    single = lams.ndim == 1
+    if single:
+        lams = lams.tolist()
     _check_finite(lams, "eigenvalues")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     tau = crossover_tau(q)
     series = 0.0 < q < 1.0
-    if lams.ndim == 1:
-        lams = lams.tolist()
+    if single:
         t = None
         if series:
             x = [lam / (2.0 * cfg.omega) for lam in lams]
             t = _term_table(_term_rows(_streams(x, a), a, tau, ctrl))
         return _density(lams, cfg, tau, t)
     out = np.empty(len(lams))
-    step = max(1, _STACK_POINTS // n)
-    for lo in range(0, len(lams), step):
-        sets = lams[lo : lo + step]
+    lo, points, width = 0, _STACK_POINTS, 64
+    while lo < len(lams):
+        sets = lams[lo : lo + max(1, points // n)]
         t = None
         if series:
-            t = _term_table_array((sets / (2.0 * cfg.omega)).ravel(), a, tau, ctrl)
-            t = t.reshape(sets.shape + (-1,))
-        out[lo : lo + step] = _densities(sets, cfg, tau, t)
+            t = _term_table_array((sets / (2.0 * cfg.omega)).ravel(), a, tau, ctrl, width)
+            w = t.shape[-1]
+            t = t.reshape(sets.shape + (w,))
+            width = w + 2 * (w // 8 + 1)  # room to grow, so the next buffer rarely doubles
+            points = max(_STACK_POINTS, _TABLE_BYTES // (8 * width))
+        out[lo : lo + len(sets)] = _densities(sets, cfg, tau, t)
+        lo += len(sets)
     return out
 
 
@@ -1001,21 +1020,19 @@ def correlation_fn(
 def _signed_sqrt_det(
     sign: int, logdet: float, mat: np.ndarray, log_scale: float, square: bool
 ) -> float:
-    """Finish one set's correlation from the (sign, log|det|) of its matrix mat."""
+    """Finish one set's correlation from the (sign, log|det|) of its matrix mat.
+
+    square takes the root of a doubled-kernel determinant (q < 1); at q = 1
+    mat is the plain kernel matrix.  A negative determinant within round-off
+    of the matrix's Hadamard bound gives 0.0 in either case: with one point
+    far in the tail, an underflowed entry can leave it so.
+    """
     if sign == 0:
         return 0.0
-    if square:
-        if sign < 0:
-            # negative determinant: tolerate only round-off magnitudes,
-            # judged against the Hadamard bound of the matrix
-            norms = np.sqrt(np.sum(mat * mat, axis=1))
-            log_had = float(np.sum(np.log(np.maximum(norms, 1e-300))))
-            if logdet > log_had + math.log(1e-9):
-                raise NumericalConsistencyError(
-                    "correlation determinant is negative beyond tolerance"
-                )
-            return 0.0
-        return math.exp(0.5 * logdet + log_scale)
     if sign < 0:
-        raise NumericalConsistencyError("correlation determinant is negative")
-    return math.exp(logdet + log_scale)
+        norms = np.sqrt(np.sum(mat * mat, axis=1))
+        log_had = float(np.sum(np.log(np.maximum(norms, 1e-300))))
+        if logdet > log_had + math.log(1e-9):
+            raise NumericalConsistencyError("correlation determinant is negative beyond tolerance")
+        return 0.0
+    return math.exp((0.5 * logdet if square else logdet) + log_scale)

@@ -3,7 +3,10 @@
 Antisymmetric matrices are real ndarrays with B^T = -B over their last two
 axes.  The one Pfaffian routine takes one matrix or a stack of them and
 returns (sign, log|Pf|) per matrix by Parlett-Reid elimination, stepped
-once for the whole stack, so a value never under- or overflows.  Hermitian
+once for the whole stack, so a value never under- or overflows.  Input
+that is antisymmetric only within 1e-12 is rebuilt as (B - B^T)/2; exactly
+antisymmetric input, such as the G of ``ensemble.jpd``, is taken as it is
+(a copy), which gives the same values without the rebuild.  Hermitian
 spectra of 1 x 1 to 3 x 3 members come in closed form from their lower
 triangles, given one 1-D array per entry, so a caller that can form the
 entries directly (the Monte Carlo gram matrices) needs neither the full
@@ -145,10 +148,11 @@ def _validate_antisymmetric(b: np.ndarray) -> np.ndarray:
     b = b.reshape(math.prod(b.shape[:-2]), n, n)
     bt = b.transpose(0, 2, 1)
     sym = b + bt
-    if sym.any():  # exact antisymmetry, the common case, needs no scale
-        scale = np.maximum(np.abs(b).max(axis=(1, 2)), 1.0)
-        if (np.abs(sym).max(axis=(1, 2)) > 1e-12 * scale).any():
-            raise ValueError("matrix is not antisymmetric within 1e-12")
+    if not sym.any():  # exact antisymmetry, the common case: 0.5 (b - b^T) is b itself
+        return b.copy()
+    scale = np.maximum(np.abs(b).max(axis=(1, 2)), 1.0)
+    if (np.abs(sym).max(axis=(1, 2)) > 1e-12 * scale).any():
+        raise ValueError("matrix is not antisymmetric within 1e-12")
     return 0.5 * (b - bt)
 
 
@@ -188,9 +192,12 @@ def pfaffian_signed_log(b: np.ndarray):
     if n:
         pivots[:, -1] = a[:, n - 2, n - 1]
     sign *= np.sign(pivots).prod(axis=1)
-    with np.errstate(divide="ignore"):
-        # pivot by pivot, as a running sum; a zero pivot gives -inf
-        logabs = np.log(np.abs(pivots)).cumsum(axis=1)[:, -1]
+    pivots = np.abs(pivots)
+    if pivots.all():
+        logabs = np.log(pivots).cumsum(axis=1)[:, -1]  # pivot by pivot, as a running sum
+    else:
+        with np.errstate(divide="ignore"):  # a zero pivot gives -inf
+            logabs = np.log(pivots).cumsum(axis=1)[:, -1]
     if not lead:
         return int(sign[0]), float(logabs[0])
     return sign.reshape(lead), logabs.reshape(lead)

@@ -193,11 +193,13 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
     worst = float(np.max(np.abs(r2 - p2) / np.abs(p2)))
     checks.append(_check("r2_vs_jpd_n2", worst, 1e-4))
 
-    # kernel integral = N: one integrand row in u = sqrt(lambda), one starting
-    # panel, and S_N on the diagonal at all of a gk15 call's nodes at once
+    # kernel integral = N: one integrand row in u = sqrt(lambda), 16 equal
+    # starting panels, and S_N on the diagonal at all of a gk15 call's nodes
+    # at once (each call reads one array stream, so few calls are cheap)
     taus = (0.7,) if quick else (0.0, 0.7, math.inf)
     sizes = ((2, 2), (3, 4)) if quick else ((2, 2), (3, 4), (4, 5), (5, 6))
-    lo, hi = np.array([0.0]), np.array([math.sqrt(45.0)])
+    edges = np.linspace(0.0, math.sqrt(45.0), 17)
+    lo, hi = edges[:-1], edges[1:]
     for nt, nr in sizes:
         cfg = ChannelConfig(nt, nr)
         for tau in taus:

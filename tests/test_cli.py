@@ -557,6 +557,14 @@ class TestCorrelationsCommand:
         assert code == 0
         assert shapes == [(3, 2), (2, 1), (1, 3)]
 
+    @pytest.mark.parametrize("nt,nr", [("2", "2"), ("3", "4"), ("4", "4")])
+    def test_far_point_at_q1_is_zero_in_either_order(self, nt, nr):
+        code, text = run_cli(["correlations", "--nt", nt, "--nr", nr, "--q", "1",
+                              "--points", "1400,2;2,1400;1,2", "--format", "json"])
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert [row["r_n"] for row in rows[:2]] == [0.0, 0.0] and rows[2]["r_n"] > 0.0
+
     @pytest.mark.parametrize("omega", ["1.3", "1.0"])
     def test_undefined_set_among_others_is_a_numerical_failure(self, omega, capsys):
         code, text = run_cli(["correlations", "--nt", "5", "--nr", "5", "--omega", omega,

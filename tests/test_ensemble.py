@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hoytmimo import ensemble, specfun
+from hoytmimo import ensemble, linalg, specfun
 from hoytmimo.ensemble import (
     ChannelConfig,
     NumericalConsistencyError,
@@ -306,12 +306,60 @@ class TestJpdStack:
         for i in (0, len(sets) // 2, len(sets) - 1):
             assert got[i] == pytest.approx(jpd(sets[i], cfg, 0.5, CTRL), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("q", [0.06, 0.35, 0.75])
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4)])
+    def test_block_growth_keeps_values(self, nt, nr, q, monkeypatch):
+        # the points grow along the stack, so with a small first block and
+        # budget each block takes a wider table than the last and holds
+        # another number of sets; every value is the one the set has alone
+        cfg = ChannelConfig(nt, nr)
+        sets = np.random.default_rng(5).uniform(0.1, 1.0, (40, cfg.n))
+        sets *= np.geomspace(1.0, 150.0, len(sets))[:, None]
+        whole = jpd(sets, cfg, q, CTRL)  # one block at the defaults
+        tau = ensemble.crossover_tau(q)
+        width = ensemble._term_table_array(sets[:4].ravel() / 2.0, cfg.a, tau, CTRL, 64).shape[1]
+        blocks = []
+        inner = ensemble._term_table_array
+
+        def spy(x, *args):
+            blocks.append(len(x))
+            return inner(x, *args)
+
+        monkeypatch.setattr(ensemble, "_term_table_array", spy)
+        monkeypatch.setattr(ensemble, "_STACK_POINTS", 8)
+        monkeypatch.setattr(ensemble, "_TABLE_BYTES", 8 * 32 * width)  # 32 points at that width
+        got = jpd(sets, cfg, q, CTRL)
+        assert len(set(blocks[:-1])) >= 3 and sum(blocks) == sets.size
+        assert np.array_equal(got, whole)
+        assert np.array_equal(got, [jpd(pts[None], cfg, q, CTRL)[0] for pts in sets])
+
+    @pytest.mark.parametrize("nt,nr,q", [(2, 2, 0.35), (3, 4, 0.35), (4, 4, 0.75), (5, 5, 0.5)])
+    def test_pfaffian_fast_path_is_bit_identical(self, nt, nr, q, monkeypatch):
+        # G (bordered for odd N) is exactly antisymmetric, so skipping the
+        # rebuild 0.5 (b - b^T) changes no value
+        cfg = ChannelConfig(nt, nr)
+        sets = np.random.default_rng(nt).uniform(0.1, 12.0, (30, cfg.n))
+        t = ensemble._term_table_array(sets.ravel() / 2.0, cfg.a, ensemble.crossover_tau(q), CTRL, 64)
+        t = t.reshape(sets.shape + (-1,))
+        fast = ensemble._g_pfaffian(t, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
+
+        def rebuild(b):
+            b = np.asarray(b, dtype=float)
+            b = b.reshape((-1,) + b.shape[-2:])
+            return 0.5 * (b - b.transpose(0, 2, 1))
+
+        monkeypatch.setattr(linalg, "_validate_antisymmetric", rebuild)
+        slow = ensemble._g_pfaffian(t, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
+        for a, b in zip(fast[0], slow[0]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fast[1], slow[1]) and fast[2] == slow[2]
+
     def test_empty_stack(self):
         assert jpd(np.empty((0, 2)), ChannelConfig(2, 2), 0.5, CTRL).shape == (0,)
 
     @pytest.mark.parametrize(
         "lams",
-        [np.ones((3, 3)), np.ones((2, 3, 2)), np.array([[1.0, 2.0], [0.5, -1e-9]]), 1.0],
+        [np.ones((3, 3)), np.ones((2, 3, 2)), np.array([[1.0, 2.0], [0.5, -1e-9]]), 1.0, [0.5, -1e-9]],
     )
     def test_rejects_bad_input(self, lams):
         with pytest.raises(ValueError):
@@ -875,8 +923,8 @@ def test_blocks_at_q1_are_the_lue_core(nt, nr):
 
 
 class TestSignedSqrtDet:
-    # a negative doubled-kernel determinant is round-off only within 1e-9 of
-    # the matrix's Hadamard bound; q = 1 takes no root and tolerates none
+    # a negative determinant is round-off only within 1e-9 of the matrix's
+    # Hadamard bound, for the doubled kernel (q < 1) and the plain one (q = 1)
     MAT = np.array([[3.0, 1.0], [2.0, 4.0]])
     LOG_HADAMARD = 0.5 * (math.log(10.0) + math.log(20.0))
 
@@ -889,6 +937,11 @@ class TestSignedSqrtDet:
         with pytest.raises(NumericalConsistencyError, match="beyond tolerance"):
             ensemble._signed_sqrt_det(-1, logdet, self.MAT, 0.0, square=True)
 
-    def test_negative_at_q1_raises(self):
-        with pytest.raises(NumericalConsistencyError, match="negative"):
-            ensemble._signed_sqrt_det(-1, math.log(1e-30), self.MAT, 0.0, square=False)
+    def test_round_off_negative_at_q1_is_zero(self):
+        for logdet in (self.LOG_HADAMARD + math.log(1e-10), math.log(1e-30)):
+            assert ensemble._signed_sqrt_det(-1, logdet, self.MAT, 0.0, square=False) == 0.0
+
+    def test_negative_beyond_tolerance_at_q1_raises(self):
+        logdet = self.LOG_HADAMARD + math.log(1e-8)
+        with pytest.raises(NumericalConsistencyError, match="beyond tolerance"):
+            ensemble._signed_sqrt_det(-1, logdet, self.MAT, 0.0, square=False)

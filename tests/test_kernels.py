@@ -217,6 +217,15 @@ class TestCorrelations:
                         level_density(lam, cfg, q, ctrl), rel=1e-10
                     )
 
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4)])
+    def test_far_point_at_q1_in_either_order(self, nt, nr):
+        # R_2 underflows with one point far in the tail; the q = 1 kernel
+        # determinant then comes out a round-off negative in one order
+        cfg = ChannelConfig(nt, nr)
+        assert correlation_fn([1400.0, 2.0], cfg, 1.0) == 0.0
+        assert correlation_fn([2.0, 1400.0], cfg, 1.0) == 0.0
+        assert correlation_fn([[1400.0, 2.0], [2.0, 1400.0]], cfg, 1.0).tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("q", [0.5, 0.3, 0.0, 1.0])
     def test_r2_equals_two_jpd(self, q):
         cfg = ChannelConfig(2, 2)
