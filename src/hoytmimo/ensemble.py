@@ -487,19 +487,23 @@ def _log_vandermonde(lams: list) -> tuple[int, float]:
 
 
 def _g_pfaffian(t: np.ndarray, n: int):
-    """Sign and ln|Pf| of G for each set, from its term table t[set, point, order].
+    """Sign and ln|Pf| of G, from the term table t[point, order] of one set or t[set, point, order].
 
-    G comes from _g_table for every set at once; odd N borders it with the
-    one-point companion column, the even totals.
+    G comes from _g_table, for every set of a stack at once; odd N borders
+    it with the one-point companion column, the even totals.  One set gives
+    an (int, float) pair: its G goes to the float path of
+    linalg.pfaffian_signed_log, which gives it bit for bit the value it
+    gets in a stack.  A stack gives two arrays.
     """
-    g, even = _g_table(t)
+    single = t.ndim == 2
+    g, even = _g_table(t[None] if single else t)
     if n % 2:
-        f = np.zeros((len(t), n + 1, n + 1))
+        f = np.zeros((len(g), n + 1, n + 1))
         f[:, :n, :n] = g
         f[:, :n, n] = even
         f[:, n, :n] = -even
         g = f
-    return linalg.pfaffian_signed_log(g)
+    return linalg.pfaffian_signed_log(g[0] if single else g)
 
 
 def _density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
@@ -512,11 +516,11 @@ def _density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
         logp += power * logdelta
         sign = 1.0
     else:
-        pf_sign, pf_log = _g_pfaffian(t[None], cfg.n)
-        if pf_sign[0] == 0.0:
+        pf_sign, pf_log = _g_pfaffian(t, cfg.n)
+        if pf_sign == 0:
             return 0.0
-        logp = _log_const(cfg, tau) + logdelta + float(pf_log[0])
-        sign = float(pf_sign[0]) * dl_sign
+        logp = _log_const(cfg, tau) + logdelta + pf_log
+        sign = float(pf_sign * dl_sign)
         # the weight and Pfaffian factors combine to x^{2a+1}
         scale, p = 2.0 * cfg.omega, 2.0 * cfg.a + 1.0
     for x in (lam / scale for lam in lams):
@@ -569,9 +573,11 @@ def jpd(
     Pfaffian representation (see _density).  For square arrays the
     q = 0 form diverges as any eigenvalue reaches 0 (returns +inf there).
 
-    One set reads a scalar weighted-Laguerre stream per point.  A stack is
-    taken in blocks, each from one array stream into one term table.  The
-    first holds _STACK_POINTS points.  Each later block's buffer is a
+    One set reads a scalar weighted-Laguerre stream per point, and its G
+    goes to the float path of linalg.pfaffian_signed_log, step for step the
+    elimination a stack takes in numpy.  A stack is taken in blocks, each
+    from one array stream into one term table.  The first holds
+    _STACK_POINTS points.  Each later block's buffer is a
     quarter wider than the table the block before it took, and the block
     holds as many sets as fill _TABLE_BYTES at that width, but never fewer
     than _STACK_POINTS points (so near q = 0, where tables are widest, all

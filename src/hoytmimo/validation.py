@@ -155,7 +155,7 @@ def run_checks(ctrl: SeriesControl, quick: bool) -> list[dict]:
     for dim in dims:
         b = rng.normal(size=(dim, dim))
         b = b - b.T
-        sign, logabs = linalg.pfaffian_signed_log(b)  # the Parlett-Reid path jpd takes
+        sign, logabs = linalg.pfaffian_signed_log(b)  # one matrix: the float path a one-set jpd takes
         pf = sign * math.exp(logabs)
         det = np.linalg.det(b)
         worst = max(worst, abs(pf * pf - det) / abs(det))

@@ -342,17 +342,43 @@ class TestJpdStack:
         t = ensemble._term_table_array(sets.ravel() / 2.0, cfg.a, ensemble.crossover_tau(q), CTRL, 64)
         t = t.reshape(sets.shape + (-1,))
         fast = ensemble._g_pfaffian(t, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
+        fast_one = ensemble._g_pfaffian(t[0], cfg.n)
 
         def rebuild(b):
             b = np.asarray(b, dtype=float)
             b = b.reshape((-1,) + b.shape[-2:])
             return 0.5 * (b - b.transpose(0, 2, 1))
 
+        # the stack's rebuild, and the float path's, which calls it, for one matrix
         monkeypatch.setattr(linalg, "_validate_antisymmetric", rebuild)
+        monkeypatch.setattr(linalg, "_antisymmetric_rows", lambda b: linalg._rebuilt_rows(b.tolist()))
         slow = ensemble._g_pfaffian(t, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
         for a, b in zip(fast[0], slow[0]):
             assert np.array_equal(a, b)
         assert np.array_equal(fast[1], slow[1]) and fast[2] == slow[2]
+        assert ensemble._g_pfaffian(t[0], cfg.n) == fast_one
+
+    @pytest.mark.parametrize("q", [0.06, 0.35, 0.75, 0.95, 0.999])
+    @pytest.mark.parametrize("nt,nr", [(1, 3), (2, 2), (3, 4), (4, 4), (5, 5), (3, 6), (6, 6)])
+    def test_single_set_pfaffian_is_the_stacked_one(self, nt, nr, q, monkeypatch):
+        # one set's G (bordered at odd N, 2x2 at N = 1) takes the
+        # float path; _density fed the stacked Pfaffian of the same table
+        # gives every value bit for bit
+        cfg = ChannelConfig(nt, nr)
+        sets = np.random.default_rng(10 * nt + nr).uniform(0.1, 3.0 * cfg.m_dim, (3, cfg.n))
+        alone = [jpd(pts, cfg, q, CTRL) for pts in sets]
+        assert all(math.isfinite(v) and v != 0.0 for v in alone)
+        inner = ensemble._g_pfaffian
+        seen = []
+
+        def stacked(t, n):
+            seen.append(t.shape)
+            sign, logabs = inner(t[None], n)
+            return int(sign[0]), float(logabs[0])
+
+        monkeypatch.setattr(ensemble, "_g_pfaffian", stacked)
+        assert [jpd(pts, cfg, q, CTRL) for pts in sets] == alone
+        assert len(seen) == len(sets) and all(len(shape) == 2 for shape in seen)
 
     def test_empty_stack(self):
         assert jpd(np.empty((0, 2)), ChannelConfig(2, 2), 0.5, CTRL).shape == (0,)

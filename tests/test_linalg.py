@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoytmimo import linalg
 from hoytmimo.ensemble import ChannelConfig
 from hoytmimo.linalg import (
     determinant_signed_log,
@@ -503,6 +504,149 @@ class TestPfaffianStack:
         b = antisymmetric_stack(np.random.default_rng(62), 3, 4)
         b[1, 0, 2] += 1e-6
         with pytest.raises(ValueError):
+            pfaffian_signed_log(b)
+
+
+def stacked(b):
+    """The stacked elimination's value for one matrix b, as the float path returns it."""
+    sign, logabs = pfaffian_signed_log(np.asarray(b, dtype=float)[None])
+    return int(sign[0]), float(logabs[0])
+
+
+def assert_float_path(b):
+    """One matrix, as an ndarray and as nested lists, gives bit for bit its stacked value."""
+    want = stacked(b)
+    for arg in (b, b.tolist()) if len(b) else (b,):
+        sign, logabs = pfaffian_signed_log(arg)
+        assert type(sign) is int and type(logabs) is float
+        assert (sign, logabs) == want
+    return want
+
+
+def matching_matrix(rng, dim):
+    """Small noise plus one large entry per pair (0, 2), (1, 4), (3, 6), ..., (d - 3, d - 1).
+
+    Row k's partner never sits at k + 1 when step k searches, so every
+    step exchanges its pivot in.
+    """
+    b = 1e-3 * rng.normal(size=(dim, dim))
+    pairs = [(0, 2)] + [(2 * j - 1, 2 * j + 2) for j in range(1, dim // 2 - 1)] + [(dim - 3, dim - 1)]
+    for j, k in pairs:
+        b[j, k] = 1.0 + rng.uniform()
+    return b - b.T
+
+
+class TestPfaffianFloatPath:
+    """One matrix up to _FLOAT_DIM is eliminated on Python floats, bit for bit as in a stack."""
+
+    @pytest.mark.parametrize("dim", [0, 2, 4, 6, 8, 10, 12, linalg._FLOAT_DIM])
+    def test_random_matrices(self, dim):
+        b = antisymmetric_stack(np.random.default_rng(dim + 70), 1, dim)[0]
+        assert_float_path(b)
+
+    def test_empty_matrix(self):
+        assert assert_float_path(np.zeros((0, 0))) == (1, 0.0)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 12])
+    def test_exchange_at_every_step(self, dim):
+        b = matching_matrix(np.random.default_rng(dim + 80), dim)
+        sign, logabs = assert_float_path(b)
+        assert sign * math.exp(logabs) == pytest.approx(pfaffian_expansion(b), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_ties_take_the_first_largest(self, dim):
+        # small integers tie in the pivot search, which takes the first maximum, as argmax does
+        rng = np.random.default_rng(dim + 85)
+        for _ in range(20):
+            b = np.triu(rng.integers(-3, 4, size=(dim, dim)).astype(float), 1)
+            b[0, 1:] = rng.choice([-2.0, 2.0], dim - 1)
+            assert_float_path(b - b.T)
+
+    def test_zero_pivot_after_a_step(self):
+        # step 0 turns a_23 = 1/4 into 1/4 + (1/4)(5) - (1/2)(3) = 0
+        b = np.array([[0, 4, 1, 2], [-4, 0, -3, -5], [-1, 3, 0, 0.25], [-2, 5, -0.25, 0]], dtype=float)
+        assert assert_float_path(b) == (0, -math.inf)
+
+    def test_zero_row(self):
+        b = antisymmetric_stack(np.random.default_rng(90), 1, 6)[0]
+        b[2, :] = b[:, 2] = 0.0
+        assert assert_float_path(b) == (0, -math.inf)
+
+    def test_negative_pivots(self):
+        b = np.zeros((6, 6))
+        for k, v in zip((0, 2, 4), (-2.0, 5.0, -0.5)):
+            b[k, k + 1], b[k + 1, k] = v, -v
+        b += 1e-3 * antisymmetric_stack(np.random.default_rng(91), 1, 6)[0]
+        sign, logabs = assert_float_path(b)
+        assert sign == 1 and math.exp(logabs) == pytest.approx(5.0, rel=1e-2)  # pivots -2, 5, -0.5
+        assert assert_float_path(np.array([[0.0, -2.0], [2.0, 0.0]])) == (-1, math.log(2.0))
+
+    @pytest.mark.parametrize("dim", [4, 8, 12])
+    def test_entries_from_1e_minus_300_to_1e300(self, dim):
+        rng = np.random.default_rng(dim + 92)
+        j, k = np.triu_indices(dim, 1)
+        b = np.zeros((dim, dim))
+        exponents = rng.permutation(np.linspace(-300.0, 300.0, len(j)))
+        b[j, k] = rng.choice([-1.0, 1.0], len(j)) * 10.0**exponents
+        assert_float_path(b - b.T)
+
+    def test_rebuild_within_tolerance(self, monkeypatch):
+        rng = np.random.default_rng(93)
+        b = antisymmetric_stack(rng, 1, 8)[0] + 1e-14 * rng.normal(size=(8, 8))
+        rebuilt = []
+        inner = linalg._rebuilt_rows
+
+        def spy(rows):
+            rebuilt.append(len(rows))
+            return inner(rows)
+
+        monkeypatch.setattr(linalg, "_rebuilt_rows", spy)
+        assert_float_path(b)
+        assert rebuilt == [8, 8]  # the ndarray and the nested lists
+
+    def test_beyond_tolerance_raises(self):
+        rng = np.random.default_rng(94)
+        b = antisymmetric_stack(rng, 1, 6)[0] + 1e-9 * rng.normal(size=(6, 6))
+        for arg in (b, b.tolist()):
+            with pytest.raises(ValueError, match="antisymmetric"):
+                pfaffian_signed_log(arg)
+
+    def test_larger_matrices_take_the_stack(self, monkeypatch):
+        b = antisymmetric_stack(np.random.default_rng(95), 1, linalg._FLOAT_DIM + 2)[0]
+        want = stacked(b)
+
+        def fail(rows):
+            raise AssertionError("float path taken")
+
+        monkeypatch.setattr(linalg, "_pfaffian_rows", fail)
+        assert pfaffian_signed_log(b) == want
+
+
+class TestPfaffianNonFinite:
+    """A NaN or infinite entry raises ValueError, with no RuntimeWarning, for one matrix or a stack."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_one_matrix(self, bad, mirror):
+        b = antisymmetric_stack(np.random.default_rng(96), 1, 4)[0]
+        b[0, 2] = bad
+        if mirror:
+            b[2, 0] = -bad
+        for arg in (b, b.tolist()):
+            with pytest.raises(ValueError, match="non-finite"):
+                pfaffian_signed_log(arg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stack(self, bad):
+        b = antisymmetric_stack(np.random.default_rng(97), 5, 4)
+        b[3, 1, 2], b[3, 2, 1] = bad, -bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pfaffian_signed_log(b)
+
+    def test_large_matrix(self):
+        b = antisymmetric_stack(np.random.default_rng(98), 1, linalg._FLOAT_DIM + 2)[0]
+        b[5, 7], b[7, 5] = math.inf, -math.inf
+        with pytest.raises(ValueError, match="non-finite"):
             pfaffian_signed_log(b)
 
 
