@@ -26,17 +26,15 @@ exact recurrence over a point's row gives for every order (_half_range).
 Near but not at q = 0 a series needs O(1/tau) terms.  The double sums (G
 behind jpd, its one-point companion and the B kernel) are products of one
 term table per point set, one stream per point; each point stops on its
-own and shorter rows are zero-padded (see _term_table).  Each set's G
-runs over its own width, so a value built on it is the same alone or in
-any stack (see _g_table).  Correlation functions take a stack of point
-sets of one order and build the S, A and B matrices of every set at once
-(see _blocks); each point's B row reads on from its own row stream, so an
-N-point jpd and a 4x4 R_4 both read N streams, and one batched call takes
-every determinant.  jpd also takes a stack of point sets in blocks sized
-by their term table's bytes, each of which reads one array stream
-(``specfun.weighted_laguerre_array``) into one table (see jpd and
-_densities), and level_density an array of lambda, read from one array
-stream with the scalar call's sums and stops (see _kernel_s_diagonal).
+own and shorter rows are zero-padded.  Every G is summed in products of
+_CHUNK order pairs, so a value built on it is the same alone or in any
+stack (see _g_table).  Correlation functions build the S, A and B matrices
+of a stack of point sets at once (see _blocks); each point's B row reads
+on from its own row stream, and one batched call takes every determinant.
+jpd takes a stack of point sets in blocks, each from one array stream
+(``specfun.weighted_laguerre_array``) folded into G as it runs (see
+_g_stream), and level_density an array of lambda from one array stream
+with the scalar call's sums and stops (see _kernel_s_diagonal).
 
 Scaling convention: analytic kernels live on x = lambda / (2 omega); all
 public densities are reported per unit lambda.  For square arrays
@@ -332,46 +330,34 @@ def _term_rows(streams, a: float, tau: float, ctrl: SeriesControl, n: int = 0) -
 
 
 def _term_table(rows: list) -> np.ndarray:
-    """The term table t[point, order] of _term_rows: the rows zero-padded to the longest."""
-    t = np.zeros((len(rows), max(map(len, rows))))
+    """The term table t[point, order] of _term_rows: the rows zero-padded to whole chunks (see _g_table)."""
+    t = np.zeros((len(rows), -(-max(map(len, rows)) // (2 * _CHUNK)) * 2 * _CHUNK))
     for j, row in enumerate(rows):
         t[j, : len(row)] = row
     return t
 
 
-def _term_table_array(
-    x: np.ndarray, a: float, tau: float, ctrl: SeriesControl, width: int
-) -> np.ndarray:
-    """The term table of _term_rows at n = 0, over many points from one array stream.
+# Order pairs per product of G: a product rounds by its inner length, so
+# every G is summed in products of this one length.  At 16, 32 and 64
+# pairs (2-core VM, medians of 7 interleaved rounds) validate's 2304-set
+# 2x2 stack at q = 0.5 took 9.3, 9.0 and 9.7 ms, 8000 3x4 sets 45.5, 44.6
+# and 48.0 ms, and one 4x4 set at q = 0.35 210, 193 and 201 us.
+_CHUNK = 32
 
-    Every point keeps its own running sums and its own count of small pairs,
-    and stops by _term_rows' rule; its later terms are written as zeros.
-    So a row depends only on its own point, and it is _term_rows' row
-    but where the stream joins in log space (see weighted_laguerre_array).
-    The rows are written pair by pair into one buffer of ``width`` (even)
-    columns, which doubles when it is full.
+
+def _fold(g: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """g += C O^T over whole chunks of the terms even/odd[..., pair]; return C's last column.
+
+    even, overwritten by its running sums C (one cumsum), and odd are
+    contiguous.  The chunks' products are added in order, so a table
+    folded chunk by chunk, the sums so far added into each chunk's first
+    even term, gives g bit for bit as one fold of the whole table.
     """
-    ws = weighted_laguerre_array(2.0 * a + 1.0, x)
-    buf = np.empty((len(x), width))
-    s0, s1 = np.zeros(len(x)), np.zeros(len(x))
-    small = np.zeros(len(x), dtype=int)
-    live = np.ones(len(x), dtype=bool)
-    for k, (c0, c1) in zip(
-        range(0, 2 * ctrl.max_terms, 2), _coefficient_pairs(a, tau, 0)
-    ):
-        if k == buf.shape[1]:
-            buf = np.concatenate((buf, np.empty_like(buf)), axis=1)
-        t0 = np.where(live, c0 * next(ws), 0.0)
-        t1 = np.where(live, c1 * next(ws), 0.0)
-        buf[:, k], buf[:, k + 1] = t0, t1
-        s0 += t0
-        s1 += t1
-        quiet = np.abs(t0) + np.abs(t1) <= ctrl.rel_tol * (np.abs(s0) + np.abs(s1))
-        small = np.where(quiet, small + 1, 0)
-        live &= small < 3
-        if not live.any():
-            return buf[:, : k + 2]
-    raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
+    np.cumsum(even, axis=-1, out=even)
+    odd = np.swapaxes(odd, -1, -2)
+    for k in range(0, even.shape[-1], _CHUNK):
+        g += even[..., k : k + _CHUNK] @ odd[..., k : k + _CHUNK, :]
+    return even[..., -1]
 
 
 def _g_table(t: np.ndarray):
@@ -394,22 +380,51 @@ def _g_table(t: np.ndarray):
     odd-order sums of t and G' this double sum over all opposite-order
     pairs: the E O products absorb the parity term.
 
-    BLAS rounds a product by its inner length, so each set's product runs
-    over its own width, up to its last nonzero pair (all of an all-zero
-    set), as alone: its G does not depend on its stack.  Sets of one width
-    share a product, a full table (one set) takes the plain one, and the
-    even totals come from the whole table: trailing zeros leave them as is.
+    The table is zero-padded to whole chunks of _CHUNK pairs and folded
+    (_fold).  A trailing zero chunk adds exact zeros, so a set's G is the
+    same bit for bit alone or in any stack, and the same as _g_stream's.
     """
-    inner = np.cumsum(t[..., 0::2], axis=-1)
-    if np.count_nonzero(t[:, :, -2:].any(axis=(1, 2))) == len(t):
-        g = inner @ np.swapaxes(t[..., 1::2], -1, -2)
-    else:
-        widths = (t.shape[2] + 1 - t.any(axis=1)[:, ::-1].argmax(axis=1)) // 2
-        g = np.empty(t.shape[:2] + t.shape[1:2])
-        for width in set(widths.tolist()):
-            same = widths == width
-            g[same] = inner[same, :, :width] @ np.swapaxes(t[same, :, 1 : 2 * width : 2], -1, -2)
-    return 2.0 * (g - np.swapaxes(g, -1, -2)), inner[..., -1]
+    pad = -t.shape[-1] % (2 * _CHUNK)
+    if pad:
+        t = np.concatenate((t, np.zeros(t.shape[:-1] + (pad,))), axis=-1)
+    g = np.zeros(t.shape[:-1] + t.shape[-2:-1])
+    even = _fold(g, t[..., 0::2].copy(), t[..., 1::2].copy())
+    return 2.0 * (g - np.swapaxes(g, -1, -2)), even
+
+
+def _g_stream(x: np.ndarray, a: float, tau: float, ctrl: SeriesControl):
+    """_g_table of the term tables at n = 0 of the point sets x[set, point], keeping no table.
+
+    One array stream runs over all the points, each stopping by
+    _term_rows' rule, so a row is _term_rows' row but where the stream
+    joins in log space (see weighted_laguerre_array).  The terms go pair
+    by pair into one buffer of _CHUNK pairs, even and odd orders apart,
+    and each full chunk, and the zero-filled last one, is folded into G.
+    """
+    pts = x.ravel()
+    ws = weighted_laguerre_array(2.0 * a + 1.0, pts)
+    buf = np.zeros((2, len(pts), _CHUNK))
+    g = np.zeros(x.shape + x.shape[-1:])
+    even = np.zeros(x.shape)
+    s0 = s1 = np.zeros(len(pts))
+    small = np.zeros(len(pts), dtype=int)
+    live = np.ones(len(pts), dtype=bool)
+    for k, (c0, c1) in zip(range(ctrl.max_terms), _coefficient_pairs(a, tau, 0)):
+        j = k % _CHUNK
+        t0 = buf[0, :, j] = np.where(live, c0 * next(ws), 0.0)
+        t1 = buf[1, :, j] = np.where(live, c1 * next(ws), 0.0)
+        s0, s1 = s0 + t0, s1 + t1
+        quiet = np.abs(t0) + np.abs(t1) <= ctrl.rel_tol * (np.abs(s0) + np.abs(s1))
+        small = np.where(quiet, small + 1, 0)
+        live &= small < 3
+        done = not live.any()
+        if done or j + 1 == _CHUNK:
+            buf[:, :, j + 1 :] = 0.0  # the last chunk's unread pairs
+            buf[0, :, 0] += even.ravel()  # the running even sums carry over
+            even = _fold(g, *buf.reshape((2,) + x.shape + (-1,))).copy()
+            if done:
+                return 2.0 * (g - np.swapaxes(g, -1, -2)), even
+    raise SeriesTruncationError("crossover kernel series", tau, ctrl.max_terms)
 
 
 def g_tau(
@@ -420,8 +435,7 @@ def g_tau(
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
     """Antisymmetric two-point function of the crossover at tau > 0."""
-    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
-        raise ValueError("arguments must be finite and >= 0")
+    _check_finite([x, y], "arguments")
     if not tau > 0.0 or math.isinf(tau):
         raise ValueError("g_tau needs finite tau > 0 (at tau = 0 G is sgn(x - y)/2)")
     if x == 0.0 or y == 0.0:
@@ -486,37 +500,34 @@ def _log_vandermonde(lams: list) -> tuple[int, float]:
     return sign, logabs
 
 
-def _g_pfaffian(t: np.ndarray, n: int):
-    """Sign and ln|Pf| of G, from the term table t[point, order] of one set or t[set, point, order].
+def _g_pfaffian(g: np.ndarray, even: np.ndarray, n: int):
+    """Sign and ln|Pf| of G, from G and the even totals of one set, or of every set of a stack.
 
-    G comes from _g_table, for every set of a stack at once; odd N borders
-    it with the one-point companion column, the even totals.  One set gives
-    an (int, float) pair: its G goes to the float path of
-    linalg.pfaffian_signed_log, which gives it bit for bit the value it
-    gets in a stack.  A stack gives two arrays.
+    Odd N borders G with the one-point companion column, the even totals.
+    One set's G (n, n) gives an (int, float) pair from the float path of
+    linalg.pfaffian_signed_log, bit for bit the value it gets in a stack;
+    a stack (sets, n, n) gives two arrays.
     """
-    single = t.ndim == 2
-    g, even = _g_table(t[None] if single else t)
     if n % 2:
-        f = np.zeros((len(g), n + 1, n + 1))
-        f[:, :n, :n] = g
-        f[:, :n, n] = even
-        f[:, n, :n] = -even
+        f = np.zeros(g.shape[:-2] + (n + 1, n + 1))
+        f[..., :n, :n] = g
+        f[..., :n, n] = even
+        f[..., n, :n] = -even
         g = f
-    return linalg.pfaffian_signed_log(g[0] if single else g)
+    return linalg.pfaffian_signed_log(g)
 
 
-def _density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
-    """The joint density at one point set lams (floats); t is its term table at 0 < tau < inf."""
+def _density(lams: list, cfg, tau: float, ge) -> float:
+    """The joint density at one point set lams (floats); ge is its G and even totals at 0 < tau < inf."""
     dl_sign, logdelta = _log_vandermonde(lams)
     if logdelta == -math.inf:
         return 0.0
-    if t is None:
+    if ge is None:
         logp, power, scale, p = _endpoint_form(cfg, tau)
         logp += power * logdelta
         sign = 1.0
     else:
-        pf_sign, pf_log = _g_pfaffian(t, cfg.n)
+        pf_sign, pf_log = _g_pfaffian(*ge, cfg.n)
         if pf_sign == 0:
             return 0.0
         logp = _log_const(cfg, tau) + logdelta + pf_log
@@ -533,18 +544,18 @@ def _density(lams: list, cfg, tau: float, t: np.ndarray | None) -> float:
         return sign * math.inf
 
 
-def _densities(sets: np.ndarray, cfg, tau: float, t: np.ndarray | None) -> np.ndarray:
-    """_density over a stack of point sets (rows of sets); t[set, point, order] at 0 < tau < inf."""
+def _densities(sets: np.ndarray, cfg, tau: float, ge) -> np.ndarray:
+    """_density over a stack of point sets (rows of sets); ge is their G and even totals at 0 < tau < inf."""
     j, k = np.triu_indices(cfg.n, 1)
     d = sets[:, j] - sets[:, k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logdelta = np.log(np.abs(d)).cumsum(axis=1)[:, -1] if d.shape[1] else np.zeros(len(d))
-        if t is None:
+        if ge is None:
             logp, power, scale, p = _endpoint_form(cfg, tau)
             logp = logp + power * logdelta
             sign = 1.0
         else:
-            pf_sign, pf_log = _g_pfaffian(t, cfg.n)
+            pf_sign, pf_log = _g_pfaffian(*ge, cfg.n)
             logp = _log_const(cfg, tau) + logdelta
             logp += pf_log
             sign = pf_sign * np.sign(d).prod(axis=1)
@@ -555,8 +566,11 @@ def _densities(sets: np.ndarray, cfg, tau: float, t: np.ndarray | None) -> np.nd
         return np.where((logdelta == -math.inf) | (logp == -math.inf), 0.0, sign * np.exp(logp))
 
 
-_STACK_POINTS = 256  # points in a stacked jpd's first block, and the fewest in any block
-_TABLE_BYTES = 512 * 1024  # a later block's term-table buffer
+# Points per block of a stacked jpd.  At 512, 1024 and 2048 points the
+# 2x2 and 3x4 stacks of _CHUNK's note took 10.8, 8.9 and 7.1 ms and 58,
+# 41 and 34 ms; perfbench pfaffian-kernels' peak RSS read 40.55 MiB at
+# 1024 and 41.10 at 2048, against 40.81 with a term table (5 runs each).
+_STACK_POINTS = 1024
 
 
 def jpd(
@@ -575,16 +589,12 @@ def jpd(
 
     One set reads a scalar weighted-Laguerre stream per point, and its G
     goes to the float path of linalg.pfaffian_signed_log, step for step the
-    elimination a stack takes in numpy.  A stack is taken in blocks, each
-    from one array stream into one term table.  The first holds
-    _STACK_POINTS points.  Each later block's buffer is a
-    quarter wider than the table the block before it took, and the block
-    holds as many sets as fill _TABLE_BYTES at that width, but never fewer
-    than _STACK_POINTS points (so near q = 0, where tables are widest, all
-    blocks keep that size).  Every point stops its series on its own sums
-    and each set's G runs over its own width (see _g_table), so a set's
-    value is bit for bit the same alone or in any stack or block, and it
-    matches the single call to rounding.
+    elimination a stack takes in numpy.  A stack is taken in blocks of
+    _STACK_POINTS points, each folded into G as its stream runs
+    (_g_stream), so no block keeps a term table.  Every point stops on its
+    own sums and every G is summed in products of one length (_g_table), so
+    a set's value is bit for bit the same alone or in any stack or block,
+    and it matches the single call to rounding.
 
     Near q = 1 it loses relative accuracy as N grows while correlation_fn /
     N! stays stable: for 5x5 at the points 0.4 + 1.3 k it is about 7e-4 off
@@ -600,29 +610,21 @@ def jpd(
     if single:
         lams = lams.tolist()
     _check_finite(lams, "eigenvalues")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
     tau = crossover_tau(q)
     series = 0.0 < q < 1.0
     if single:
-        t = None
+        ge = None
         if series:
             x = [lam / (2.0 * cfg.omega) for lam in lams]
-            t = _term_table(_term_rows(_streams(x, a), a, tau, ctrl))
-        return _density(lams, cfg, tau, t)
+            g, even = _g_table(_term_table(_term_rows(_streams(x, a), a, tau, ctrl))[None])
+            ge = g[0], even[0]
+        return _density(lams, cfg, tau, ge)
     out = np.empty(len(lams))
-    lo, points, width = 0, _STACK_POINTS, 64
-    while lo < len(lams):
-        sets = lams[lo : lo + max(1, points // n)]
-        t = None
-        if series:
-            t = _term_table_array((sets / (2.0 * cfg.omega)).ravel(), a, tau, ctrl, width)
-            w = t.shape[-1]
-            t = t.reshape(sets.shape + (w,))
-            width = w + 2 * (w // 8 + 1)  # room to grow, so the next buffer rarely doubles
-            points = max(_STACK_POINTS, _TABLE_BYTES // (8 * width))
-        out[lo : lo + len(sets)] = _densities(sets, cfg, tau, t)
-        lo += len(sets)
+    step = max(1, _STACK_POINTS // n)
+    for lo in range(0, len(lams), step):
+        sets = lams[lo : lo + step]
+        ge = _g_stream(sets / (2.0 * cfg.omega), a, tau, ctrl) if series else None
+        out[lo : lo + len(sets)] = _densities(sets, cfg, tau, ge)
     return out
 
 
@@ -754,8 +756,7 @@ def kernel_s(
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
     """Two-point kernel S_N(x, y) on the x = lambda/(2 omega) scale."""
-    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
-        raise ValueError("arguments must be finite and >= 0")
+    _check_finite([x, y], "arguments")
     if not tau >= 0.0:
         raise ValueError("tau must be >= 0")
     a = cfg.a
@@ -844,8 +845,7 @@ def level_density(
     one array stream (see _kernel_s_diagonal), bit for bit the same values.
     """
     if np.ndim(lam) == 0:
-        if not 0.0 <= lam < math.inf:
-            raise ValueError("lambda must be finite and >= 0")
+        _check_finite([lam], "lambda")
         x = lam / (2.0 * cfg.omega)
         return float(kernel_s(x, x, cfg, crossover_tau(q), ctrl)) / (2.0 * cfg.omega)
     lam = np.asarray(lam, dtype=float)
@@ -910,8 +910,8 @@ def _blocks(x: np.ndarray, cfg: ChannelConfig, tau: float, ctrl: SeriesControl):
 
     Every point reads its own scalar stream, and the term table holds all
     the points of the stack.  Every product past that is elementwise, or
-    per set at the inner length it has alone (_g_table), so a set's blocks
-    do not depend on the stack it came in.
+    in chunks of one length (_g_table), so a set's blocks do not depend
+    on the stack it came in.
     """
     n = cfg.n
     k2 = n - cfg.c
@@ -987,8 +987,7 @@ def correlation_fn(
     if not 1 <= n_pts <= cfg.n:
         raise ValueError(f"number of points must lie in 1..{cfg.n}")
     _check_finite(pts, "points")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    tau = crossover_tau(q)
     omega, a = cfg.omega, cfg.a
     x = pts.reshape(-1, n_pts) / (2.0 * omega)
 
@@ -1004,7 +1003,7 @@ def correlation_fn(
     live = [k for k, log_scale in enumerate(log_scales) if log_scale != -math.inf]
     out = np.zeros(len(x))
     if live:
-        blocks = _blocks(x if len(live) == len(x) else x[live], cfg, crossover_tau(q), ctrl)
+        blocks = _blocks(x if len(live) == len(x) else x[live], cfg, tau, ctrl)
         mats = blocks[0] if q == 1.0 else _doubled_kernel(*blocks)
         signs, logdets = linalg.determinant_signed_log(mats)
         if np.isnan(logdets).any():

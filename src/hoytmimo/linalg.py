@@ -21,6 +21,7 @@ values.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -151,6 +152,14 @@ def _eigenvalues_3x3(diag, lower) -> np.ndarray:
 # against 446 us.
 _FLOAT_DIM = 20
 
+# A d x d member whose largest |entry| passes 2^(_TOP - d) is divided by a
+# power of two to just below it before elimination.  The pivot is the
+# largest entry of its column, so |t_i| <= 1 and a step adds at most twice
+# the largest entry to each entry: over d/2 steps the largest grows at
+# most 3^(d/2) < 2^(0.8 d) fold, and stays finite.  Without the scaling,
+# entries near the float maximum overflowed to inf and then gave NaN.
+_TOP = 1023
+
 
 def _validate_antisymmetric(b: np.ndarray) -> np.ndarray:
     """b as a float stack (m, d, d), antisymmetrized, after checking each member."""
@@ -203,8 +212,13 @@ def _pfaffian_rows(a: list):
     pivot's, and a_ij += t_i c_j - t_j c_i with t = a[k, k+2:] / a_k,k+1
     (divided by 1 at a zero pivot) and c = a[k+2:, k+1].  The pivots' logs
     come from numpy's log, as the stack's do, and are summed left to right.
+    A matrix with entries near the float maximum is scaled first (_TOP).
     """
     n = len(a)
+    big = max(itertools.chain.from_iterable(a)) if n else 0.0  # antisymmetric: the largest |entry|
+    shift = math.frexp(big)[1] - (_TOP - n) if big > math.ldexp(1.0, _TOP - n) else 0
+    if shift:
+        a = [[math.ldexp(x, -shift) for x in row] for row in a]
     sign, pivots = 1.0, []
     for k in range(0, n - 2, 2):
         k1, k2 = k + 1, k + 2
@@ -241,6 +255,8 @@ def _pfaffian_rows(a: list):
     logabs = 0.0
     for x in logs:
         logabs += x
+    if shift:
+        logabs += shift * (0.5 * n * math.log(2.0))
     return int(sign), logabs
 
 
@@ -254,8 +270,11 @@ def pfaffian_signed_log(b: np.ndarray):
     so every member gets the value it gets alone.  One matrix with
     d <= _FLOAT_DIM takes the same steps on Python floats (_pfaffian_rows)
     and gets bit for bit the value it gets in a stack.  A singular member
-    gives (0, -inf) and leaves the others unchanged.  A NaN or infinite
-    entry raises ValueError, as does a matrix that is not square, of odd
+    gives (0, -inf) and leaves the others unchanged.  A member with an
+    entry past 2^(_TOP - d) is divided by a power of two 2^k before the
+    elimination, and (d/2) k ln 2 is added to its log, so entries up to
+    the float maximum give finite values; the others are unchanged.  A NaN
+    or infinite entry raises ValueError, as does a matrix that is not square, of odd
     dimension or not antisymmetric within 1e-12.  Returning logs keeps a
     value usable when the Pfaffian itself would under- or overflow (large
     matrices, strongly decaying entries).
@@ -266,6 +285,10 @@ def pfaffian_signed_log(b: np.ndarray):
     lead = b.shape[:-2]
     a = _validate_antisymmetric(b)
     n = a.shape[-1]
+    big = a.max(axis=(1, 2), initial=0.0)  # antisymmetric: the largest |entry|
+    shift = np.where(big > math.ldexp(1.0, _TOP - n), np.frexp(big)[1] - (_TOP - n), 0)
+    if shift.any():
+        a = np.ldexp(a, -shift[:, None, None])
     sign = np.ones(len(a))
     pivots = np.ones((len(a), max(n // 2, 1)))  # an empty matrix has Pf = 1
     for k in range(0, n - 2, 2):
@@ -295,6 +318,8 @@ def pfaffian_signed_log(b: np.ndarray):
     else:
         with np.errstate(divide="ignore"):  # a zero pivot gives -inf
             logabs = np.log(pivots).cumsum(axis=1)[:, -1]
+    if shift.any():
+        logabs += shift * (0.5 * n * math.log(2.0))
     if not lead:
         return int(sign[0]), float(logabs[0])
     return sign.reshape(lead), logabs.reshape(lead)

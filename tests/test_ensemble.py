@@ -268,18 +268,56 @@ class TestJpdStack:
         single = np.array([jpd(pts, cfg, q, CTRL) for pts in sets])
         assert np.all(np.abs(alone - single) <= 1e-15 * np.abs(single))
 
-    def test_g_table_takes_each_set_at_its_own_width(self):
-        # sets of three widths and one all-zero set: each set's G and even
-        # totals are those of its own table alone
+    @pytest.mark.parametrize("extra", [0, 6, 2 * ensemble._CHUNK + 2])
+    def test_g_table_is_the_same_alone_and_in_a_stack(self, extra):
+        # sets of three widths and one all-zero set, in tables with more
+        # trailing zero columns or fewer: each set's G and even totals are
+        # those of its own table alone, bit for bit
         widths = (90, 44, 0, 64)
         rng = np.random.default_rng(7)
-        t = np.zeros((len(widths), 4, max(widths)))
+        t = np.zeros((len(widths), 4, max(widths) + extra))
         for rows, width in zip(t, widths):
             rows[:, :width] = rng.uniform(-1.0, 1.0, (4, width))
         g, even = ensemble._g_table(t)
         for k, width in enumerate(widths):
-            g_alone, even_alone = ensemble._g_table(t[k : k + 1, :, : max(width, 2)])
-            assert np.array_equal(g[k], g_alone[0]) and np.array_equal(even[k], even_alone[0])
+            for cols in (max(width, 2), width + 2 * ensemble._CHUNK + 4):
+                g_alone, even_alone = ensemble._g_table(t[k : k + 1, :, :cols])
+                assert np.array_equal(g[k], g_alone[0]) and np.array_equal(even[k], even_alone[0])
+
+    @pytest.mark.parametrize("chunk", [2, 4])
+    @pytest.mark.parametrize("q", [0.06, 0.35, 0.75])
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4)])
+    def test_g_stream_is_g_table_of_the_whole_table(self, nt, nr, q, chunk, monkeypatch):
+        # the stream folds chunk by chunk, carrying the even sums over; the
+        # whole table of the same rows, from scalar streams, folds at once
+        monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+        cfg = ChannelConfig(nt, nr)
+        x = np.random.default_rng(nt + nr).uniform(0.05, 6.0 * cfg.m_dim, (7, cfg.n))
+        tau = crossover_tau(q)
+        rows = ensemble._term_rows(ensemble._streams(x.ravel(), cfg.a), cfg.a, tau, CTRL)
+        assert len({len(row) for row in rows}) > 1  # points stop at different orders
+        g, even = ensemble._g_table(ensemble._term_table(rows).reshape(x.shape + (-1,)))
+        g_stream, even_stream = ensemble._g_stream(x, cfg.a, tau, CTRL)
+        assert np.array_equal(g_stream, g) and np.array_equal(even_stream, even)
+
+    def test_stack_memory_does_not_grow_near_q0(self):
+        # near q = 0 each point reads thousands of orders; a block keeps
+        # only G and one chunk of terms, also while it runs out of budget
+        cfg = ChannelConfig(2, 2)
+        sets = np.random.default_rng(3).uniform(0.1, 8.0, (256, 2))
+        jpd(sets[:2], cfg, 0.5, CTRL)  # warm-up: first-call allocations are not per point
+        peaks = []
+        tracemalloc.start()
+        try:
+            jpd(sets, cfg, 0.03, CTRL)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            with pytest.raises(SeriesTruncationError):
+                jpd(sets, cfg, 0.01, CTRL)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
     def test_edge_sets_match_single_calls(self, q):
@@ -309,27 +347,26 @@ class TestJpdStack:
     @pytest.mark.parametrize("q", [0.06, 0.35, 0.75])
     @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 4), (4, 4)])
     def test_block_growth_keeps_values(self, nt, nr, q, monkeypatch):
-        # the points grow along the stack, so with a small first block and
-        # budget each block takes a wider table than the last and holds
-        # another number of sets; every value is the one the set has alone
+        # the points grow along the stack, so the blocks read series of
+        # different lengths, over many chunks of two pairs; every value is
+        # the one the whole stack in one block gives, and the set's alone
+        monkeypatch.setattr(ensemble, "_CHUNK", 2)
         cfg = ChannelConfig(nt, nr)
         sets = np.random.default_rng(5).uniform(0.1, 1.0, (40, cfg.n))
         sets *= np.geomspace(1.0, 150.0, len(sets))[:, None]
-        whole = jpd(sets, cfg, q, CTRL)  # one block at the defaults
-        tau = ensemble.crossover_tau(q)
-        width = ensemble._term_table_array(sets[:4].ravel() / 2.0, cfg.a, tau, CTRL, 64).shape[1]
+        whole = jpd(sets, cfg, q, CTRL)  # one block at the default _STACK_POINTS
         blocks = []
-        inner = ensemble._term_table_array
+        inner = ensemble._g_stream
 
         def spy(x, *args):
             blocks.append(len(x))
             return inner(x, *args)
 
-        monkeypatch.setattr(ensemble, "_term_table_array", spy)
+        monkeypatch.setattr(ensemble, "_g_stream", spy)
         monkeypatch.setattr(ensemble, "_STACK_POINTS", 8)
-        monkeypatch.setattr(ensemble, "_TABLE_BYTES", 8 * 32 * width)  # 32 points at that width
         got = jpd(sets, cfg, q, CTRL)
-        assert len(set(blocks[:-1])) >= 3 and sum(blocks) == sets.size
+        assert blocks[:-1] == [8 // cfg.n] * (len(blocks) - 1) and sum(blocks) == len(sets)
+        assert len(blocks) >= 10
         assert np.array_equal(got, whole)
         assert np.array_equal(got, [jpd(pts[None], cfg, q, CTRL)[0] for pts in sets])
 
@@ -339,10 +376,9 @@ class TestJpdStack:
         # rebuild 0.5 (b - b^T) changes no value
         cfg = ChannelConfig(nt, nr)
         sets = np.random.default_rng(nt).uniform(0.1, 12.0, (30, cfg.n))
-        t = ensemble._term_table_array(sets.ravel() / 2.0, cfg.a, ensemble.crossover_tau(q), CTRL, 64)
-        t = t.reshape(sets.shape + (-1,))
-        fast = ensemble._g_pfaffian(t, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
-        fast_one = ensemble._g_pfaffian(t[0], cfg.n)
+        g, even = ensemble._g_stream(sets / 2.0, cfg.a, ensemble.crossover_tau(q), CTRL)
+        fast = ensemble._g_pfaffian(g, even, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
+        fast_one = ensemble._g_pfaffian(g[0], even[0], cfg.n)
 
         def rebuild(b):
             b = np.asarray(b, dtype=float)
@@ -352,17 +388,17 @@ class TestJpdStack:
         # the stack's rebuild, and the float path's, which calls it, for one matrix
         monkeypatch.setattr(linalg, "_validate_antisymmetric", rebuild)
         monkeypatch.setattr(linalg, "_antisymmetric_rows", lambda b: linalg._rebuilt_rows(b.tolist()))
-        slow = ensemble._g_pfaffian(t, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
+        slow = ensemble._g_pfaffian(g, even, cfg.n), jpd(sets, cfg, q, CTRL), jpd(sets[0], cfg, q, CTRL)
         for a, b in zip(fast[0], slow[0]):
             assert np.array_equal(a, b)
         assert np.array_equal(fast[1], slow[1]) and fast[2] == slow[2]
-        assert ensemble._g_pfaffian(t[0], cfg.n) == fast_one
+        assert ensemble._g_pfaffian(g[0], even[0], cfg.n) == fast_one
 
     @pytest.mark.parametrize("q", [0.06, 0.35, 0.75, 0.95, 0.999])
     @pytest.mark.parametrize("nt,nr", [(1, 3), (2, 2), (3, 4), (4, 4), (5, 5), (3, 6), (6, 6)])
     def test_single_set_pfaffian_is_the_stacked_one(self, nt, nr, q, monkeypatch):
         # one set's G (bordered at odd N, 2x2 at N = 1) takes the
-        # float path; _density fed the stacked Pfaffian of the same table
+        # float path; _density fed the stacked Pfaffian of the same G
         # gives every value bit for bit
         cfg = ChannelConfig(nt, nr)
         sets = np.random.default_rng(10 * nt + nr).uniform(0.1, 3.0 * cfg.m_dim, (3, cfg.n))
@@ -371,9 +407,9 @@ class TestJpdStack:
         inner = ensemble._g_pfaffian
         seen = []
 
-        def stacked(t, n):
-            seen.append(t.shape)
-            sign, logabs = inner(t[None], n)
+        def stacked(g, even, n):
+            seen.append(g.shape)
+            sign, logabs = inner(g[None], even[None], n)
             return int(sign[0]), float(logabs[0])
 
         monkeypatch.setattr(ensemble, "_g_pfaffian", stacked)

@@ -650,6 +650,43 @@ class TestPfaffianNonFinite:
             pfaffian_signed_log(b)
 
 
+class TestPfaffianNearFloatMax:
+    """Entries up to the float maximum give finite values: such a member is scaled by a power of two first."""
+
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    def test_entries_near_the_float_maximum(self, dim):
+        # unscaled, a step's update overflowed to inf and a later one gave NaN
+        values = np.array([1.7e308, -1.7e308, 1.0, -1.0, 1e-300])
+        b = np.triu(np.random.default_rng(dim + 99).choice(values, (200, dim, dim)), 1)
+        b = b - b.transpose(0, 2, 1)
+        sign, logabs = pfaffian_signed_log(b)
+        assert not np.isnan(sign).any() and not np.isnan(logabs).any()
+        assert np.array_equal(np.isfinite(logabs), sign != 0)
+        assert (sign != 0).mean() > 0.5
+        for k, member in enumerate(b):
+            assert assert_float_path(member) == (int(sign[k]), float(logabs[k]))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, linalg._FLOAT_DIM, linalg._FLOAT_DIM + 4])
+    @pytest.mark.parametrize("top", [False, True])
+    def test_power_of_two_scaling(self, dim, top):
+        # B has its largest |entry| in [1, 2); 2^k B passes the threshold
+        # just, or by the most a finite matrix can, and is scaled back
+        # inside: its log is log|Pf B| + (d/2) k ln 2.  B itself, below
+        # the threshold, keeps its value beside 2^k B in a stack
+        b = antisymmetric_stack(np.random.default_rng(dim + 100), 1, dim)[0]
+        b = np.ldexp(b, 1 - math.frexp(np.abs(b).max())[1])
+        if dim > 2:
+            b[0, -1], b[-1, 0] = 1e-300, -1e-300
+        k = 1022 if top else linalg._TOP + 1 - dim
+        big = np.ldexp(b, k)
+        assert np.isfinite(big).all() and np.abs(big).max() > 2.0 ** (linalg._TOP - dim)
+        want = pfaffian_signed_log(b)
+        sign, logabs = pfaffian_signed_log(big)
+        assert sign == want[0] and logabs == pytest.approx(want[1] + 0.5 * dim * k * math.log(2.0), rel=1e-12)
+        signs, logs = pfaffian_signed_log(np.stack((big, b)))
+        assert (signs[0], logs[0]) == (sign, logabs) and (signs[1], logs[1]) == want
+
+
 class TestDeterminant:
     """The (sign, log|det|) pair correlation_fn reads."""
 
