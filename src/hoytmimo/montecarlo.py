@@ -21,13 +21,21 @@ ranges of ``_block_samples(cfg, q)`` samples, read one after another from
 the chunk's own substream, so consecutive sub-blocks are exactly the
 chunk's one-block draw.  A sub-block holds at most ``_BLOCK_BYTES`` of
 channels H, real or complex (at least one sample), and its gaussians, gram
-matrices and Cholesky factors are freed before the next sub-block is
-drawn.  What a sub-block reduces to, N eigenvalues or one capacity per
-sample, is written into the chunk's result array, and the chunk-level
-steps (the PSD floor check, the histogram and the sums) read that array as
-they would a whole-chunk draw.  So the working memory is bounded by a few
-times ``_BLOCK_BYTES`` plus the chunk's (CHUNK_SAMPLES, N) result,
-whatever the array size.
+matrices and Cholesky factors are freed once it is reduced.  What a
+sub-block reduces to, N eigenvalues or one capacity per sample, is written
+into the chunk's result array, and the chunk-level steps (the PSD floor
+check, the histogram and the sums) read that array as they would a
+whole-chunk draw.
+
+When a call has more than one sub-block and the process may run on more
+than one CPU, the sub-blocks are drawn in stream order on one background
+thread, each while the caller reduces the one before, so two sub-blocks
+of H are live at once.  The draw (``gaussian_block`` and the sigma
+scaling) is numpy ufunc work that releases the GIL.  The reductions, with
+every BLAS and LAPACK call, and the histogram and sums stay on the
+caller's thread in chunk order, so the thread moves no value.  The
+working memory is bounded by a few times ``_BLOCK_BYTES`` plus the
+chunk's (CHUNK_SAMPLES, N) result, whatever the array size.
 
 The gram matrix is W = H^dag H, or H H^dag when nr < nt.  For N <= 3 the
 histogram takes its eigenvalues in closed form from the lower triangle of
@@ -41,6 +49,9 @@ taking log2 det(I + snr W) from the pivots of its Cholesky factor.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +75,9 @@ CHUNK_SAMPLES = 8192
 
 # Bytes of H per sub-block: 16 samples at 4x256, 256 at 8x8, 4096 at 2x2.
 # Against 128 KiB and 1 MiB it was as fast or faster on 2x2 to 4x256, with
-# peak RSS within 0.5 MiB of 128 KiB's (measurements in CHANGES.md).
+# peak RSS within 0.5 MiB of 128 KiB's (measurements in CHANGES.md).  Two
+# sub-blocks of H are live at once while the next is drawn on the draw
+# thread; at 128 KiB that thread kept little of its gain.
 _BLOCK_BYTES = 256 * 1024
 
 _CLAMP_FACTOR = 1e-10
@@ -207,25 +220,91 @@ def _block_samples(cfg: ChannelConfig, q: float) -> int:
     return max(1, _BLOCK_BYTES // (itemsize * cfg.nr * cfg.nt))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ahead(items):
+    """Yield the items of an iterator, each drawn on one background thread
+    while the caller works on the one before.
+
+    Only the thread advances the iterator, so at most two items are live:
+    the caller's and the next.  An exception the iterator raises is raised
+    here, and the thread is joined however this generator ends, close()
+    included.
+    """
+    slot = [None]  # (item, None), (None, exception) or None at the end
+    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
+    stop = False
+
+    def draw():
+        try:
+            for item in items:
+                slot[0] = (item, None)
+                ready.release()
+                taken.acquire()
+                if stop:
+                    return
+            slot[0] = None
+        except BaseException as exc:  # raised again on the caller's thread
+            slot[0] = (None, exc)
+        ready.release()
+
+    thread = threading.Thread(target=draw, name="hoytmimo-draw")
+    thread.start()
+    try:
+        while True:
+            ready.acquire()
+            if slot[0] is None:
+                return
+            item, exc = slot[0]
+            slot[0] = None
+            if exc is not None:
+                raise exc
+            taken.release()
+            yield item
+            del item
+    finally:
+        stop = True
+        taken.release()
+        thread.join()
+
+
 def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
     """Yield, for each chunk, reduce(H) over the chunk's channel stack H, deterministically.
 
     reduce maps a stack of m channels to an array whose first axis holds
     the m samples.  It is applied to each sub-block as soon as the block
     is drawn, and the rows are gathered into one array per chunk, so no
-    chunk-sized channel stack is ever built.
+    chunk-sized channel stack is ever built.  With more than one sub-block
+    and more than one CPU, the sub-blocks are drawn in stream order on one
+    background thread, each while reduce runs on the one before; reduce,
+    and with it every BLAS and LAPACK call, stays on the caller's thread.
     """
     block = _block_samples(cfg, q)
-    for chunk_index, done in enumerate(range(0, samples, CHUNK_SAMPLES)):
-        m = min(CHUNK_SAMPLES, samples - done)
-        stream = SplitMix64(derive_stream_seed(seed, chunk_index))
-        out = None
-        for lo in range(0, m, block):
-            part = reduce(_channels(cfg, q, stream, min(block, m - lo)))
-            if out is None:
-                out = np.empty((m,) + part.shape[1:], dtype=part.dtype)
-            out[lo : lo + len(part)] = part
-        yield out
+    sizes = [min(CHUNK_SAMPLES, samples - done) for done in range(0, samples, CHUNK_SAMPLES)]
+    parts = [(k, lo, min(block, m - lo)) for k, m in enumerate(sizes) for lo in range(0, m, block)]
+
+    def draws():
+        for k, lo, n in parts:
+            if lo == 0:
+                stream = SplitMix64(derive_stream_seed(seed, k))
+            yield _channels(cfg, q, stream, n)
+
+    stacks = _ahead(draws()) if len(parts) > 1 and _cpus() > 1 else draws()
+    try:
+        for k, lo, n in parts:
+            part = reduce(next(stacks))
+            if lo == 0:
+                out = np.empty((sizes[k],) + part.shape[1:], dtype=part.dtype)
+            out[lo : lo + n] = part
+            if lo + n == sizes[k]:
+                yield out
+    finally:
+        stacks.close()
 
 
 def empirical_density(
@@ -242,16 +321,23 @@ def empirical_density(
     """
     if samples < 1 or bins < 1:
         raise ValueError("samples and bins must be >= 1")
-    if value_range is None:
+    if value_range is not None:
+        lo, hi = value_range
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise ValueError("range ends must be finite")
+        if not hi > lo:
+            raise ValueError("range needs hi > lo")
+    else:
         value_range = (0.0, 1.2 * mp_support(cfg)[1])
     edges = np.linspace(value_range[0], value_range[1], bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     eigen_sum = 0.0
-    for raw in _chunks(cfg, q, samples, seed, lambda h: _eigenvalues(cfg, h)):
-        vals = _clamped(raw)
-        c, _ = np.histogram(vals.ravel(), bins=edges)
-        counts += c
-        eigen_sum += float(np.sum(vals))
+    with closing(_chunks(cfg, q, samples, seed, lambda h: _eigenvalues(cfg, h))) as chunks:
+        for raw in chunks:
+            vals = _clamped(raw)
+            c, _ = np.histogram(vals.ravel(), bins=edges)
+            counts += c
+            eigen_sum += float(np.sum(vals))
     n_eigs = samples * cfg.n
     width = np.diff(edges)
     frac = counts / n_eigs
@@ -275,16 +361,17 @@ def mc_capacity(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte Carlo ergodic capacity (mean, standard error), power linear."""
-    if not power > 0.0:
-        raise ValueError("power must be positive (linear units)")
+    if not 0.0 < power < math.inf:
+        raise ValueError("power must be positive and finite (linear units)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     snr = power / cfg.nt
     total = 0.0
     total_sq = 0.0
-    for cap in _chunks(cfg, q, samples, seed, lambda h: _capacities(cfg, h, snr)):
-        total += float(np.sum(cap))
-        total_sq += float(np.sum(cap * cap))
+    with closing(_chunks(cfg, q, samples, seed, lambda h: _capacities(cfg, h, snr))) as chunks:
+        for cap in chunks:
+            total += float(np.sum(cap))
+            total_sq += float(np.sum(cap * cap))
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     stderr = math.sqrt(var / samples)

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hoytmimo.ensemble import ChannelConfig, level_density, mp_support
+import hoytmimo
+from hoytmimo import montecarlo
+from hoytmimo.ensemble import ChannelConfig, NumericalConsistencyError, level_density, mp_support
 from hoytmimo.montecarlo import (
     CHUNK_SAMPLES,
     _block_samples,
@@ -141,6 +148,27 @@ class TestEmpiricalDensity:
         assert not np.array_equal(h2.counts - h1.counts, h3.counts)
 
 
+class TestDensityRange:
+    @pytest.mark.parametrize(
+        "value_range,message",
+        [
+            ((1.0, 1.0), "hi > lo"),
+            ((5.0, 1.0), "hi > lo"),
+            ((0.0, math.inf), "finite"),
+            ((-math.inf, 1.0), "finite"),
+            ((math.nan, 2.0), "finite"),
+        ],
+    )
+    def test_bad_range_raises_before_drawing(self, monkeypatch, value_range, message):
+        # these gave NaN densities, negative counts or numpy's error after the draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the range")
+
+        monkeypatch.setattr(montecarlo, "gaussian_block", no_draw)
+        with pytest.raises(ValueError, match=message):
+            empirical_density(ChannelConfig(8, 8), 0.5, 40000, 10, value_range=value_range)
+
+
 class TestMcCapacity:
     def test_vanishes_at_zero_power(self):
         cfg = ChannelConfig(2, 2)
@@ -189,6 +217,12 @@ class TestMcCapacity:
             mc_capacity(cfg, 0.5, power=0.0, samples=10)
         with pytest.raises(ValueError):
             mc_capacity(cfg, 0.5, power=1.0, samples=0)
+
+    @pytest.mark.parametrize("power", [math.inf, math.nan, -1.0])
+    def test_power_must_be_finite(self, power):
+        # as ergodic_capacity: an infinite power gave (inf, 0.0)
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            mc_capacity(ChannelConfig(2, 2), 0.5, power, 10)
 
 
 def _complex_channels(cfg, q, stream, m):
@@ -388,3 +422,144 @@ class TestEndpointConsistency:
         cfg = ChannelConfig(2, 3)
         h = empirical_density(cfg, 0.5, samples=3000, bins=10, seed=1)
         assert np.sum(h.counts) <= 3000 * cfg.n
+
+
+def _cpus(monkeypatch, n):
+    """Give the process n CPUs, as os.sched_getaffinity(0) reports them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """The draw threads started while the test runs."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+def _outputs(cfg, q, samples, seed=5, power=30.0):
+    hist = empirical_density(cfg, q, samples, bins=40, seed=seed)
+    return hist, mc_capacity(cfg, q, power, samples, seed=seed)
+
+
+def _assert_same_outputs(a, b):
+    (ha, ca), (hb, cb) = a, b
+    np.testing.assert_array_equal(ha.counts, hb.counts)
+    assert ha.eigenvalue_sum == hb.eigenvalue_sum
+    np.testing.assert_array_equal(ha.normalized_values, hb.normalized_values)
+    assert ca == cb
+
+
+class TestDrawThread:
+    """Sub-blocks drawn on a background thread, each while the caller reduces
+    the one before, give every output of the in-line draw bit for bit, and
+    the thread ends with the call."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 6), (4, 4), (8, 8)])
+    def test_equals_inline_draw(self, monkeypatch, threads_started, nt, nr, q):
+        cfg = ChannelConfig(nt, nr)
+        block = _block_samples(cfg, q)
+        for samples in (block + 1, CHUNK_SAMPLES + block // 2 + 1):
+            _cpus(monkeypatch, 1)
+            inline = _outputs(cfg, q, samples)
+            assert not threads_started
+            _cpus(monkeypatch, 2)
+            _assert_same_outputs(_outputs(cfg, q, samples), inline)
+            assert len(threads_started) == 2  # one per call
+            threads_started.clear()
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_many_small_sub_blocks(self, monkeypatch, threads_started, q):
+        # a few samples per sub-block: over a thousand hand-overs in one call,
+        # with the interpreter switching threads as often as it can
+        cfg = ChannelConfig(2, 2)
+        samples = CHUNK_SAMPLES + 77
+        _cpus(monkeypatch, 1)
+        inline = _outputs(cfg, q, samples)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 16 * cfg.nr * cfg.nt)
+        assert _block_samples(cfg, q) <= 16
+        _cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _outputs(cfg, q, samples)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_outputs(threaded, inline)
+        assert len(threads_started) == 2
+        assert threading.active_count() == baseline
+
+    def test_one_cpu_or_one_sub_block_starts_no_thread(self, monkeypatch, threads_started):
+        cfg = ChannelConfig(4, 4)
+        _cpus(monkeypatch, 1)
+        _outputs(cfg, 0.5, 3 * CHUNK_SAMPLES)
+        _cpus(monkeypatch, 2)
+        _outputs(cfg, 0.5, _block_samples(cfg, 0.5))
+        assert not threads_started
+
+    def test_draw_exception_reaches_the_caller(self, monkeypatch):
+        class DrawFault(Exception):
+            pass
+
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise DrawFault("third draw")
+            return gaussian_block(*args, **kwargs)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(montecarlo, "gaussian_block", failing)
+        baseline = threading.active_count()
+        cfg = ChannelConfig(2, 2)
+        with pytest.raises(DrawFault, match="third draw"):
+            empirical_density(cfg, 0.5, 5 * _block_samples(cfg, 0.5), bins=10)
+        assert threading.active_count() == baseline
+        assert len(calls) == 3 and threading.main_thread() not in calls
+
+    def test_consumer_exception_joins_the_thread(self, monkeypatch):
+        def fault(vals):
+            raise NumericalConsistencyError("forced")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(montecarlo, "_clamped", fault)
+        baseline = threading.active_count()
+        with pytest.raises(NumericalConsistencyError, match="forced"):
+            empirical_density(ChannelConfig(4, 4), 0.5, 3 * CHUNK_SAMPLES, bins=10)
+        assert threading.active_count() == baseline
+
+    def test_closed_generator_joins_the_thread(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        cfg = ChannelConfig(4, 4)
+        chunks = _chunks(cfg, 0.5, 3 * CHUNK_SAMPLES, 1, lambda h: _eigenvalues(cfg, h))
+        first = next(chunks)
+        assert first.shape == (CHUNK_SAMPLES, cfg.n)
+        chunks.close()
+        assert threading.active_count() == baseline
+
+    def test_import_loads_no_pool_or_queue(self):
+        # threading is loaded by numpy already; these two would cost set-up time
+        package = Path(hoytmimo.__file__).resolve().parent
+        code = (
+            "import sys, hoytmimo, hoytmimo.cli; "
+            "print(*sorted({'queue', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(package.parent)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
