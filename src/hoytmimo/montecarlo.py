@@ -17,25 +17,27 @@ matrices, eigenvalues and Cholesky factors of a real stack are then taken
 in real arithmetic; ``sample_channel`` still returns a complex H.
 
 Each chunk is drawn and reduced in sub-blocks (``_chunks``): contiguous
-ranges of ``_block_samples(cfg, q)`` samples, read one after another from
-the chunk's own substream, so consecutive sub-blocks are exactly the
-chunk's one-block draw.  A sub-block holds at most ``_BLOCK_BYTES`` of
-channels H, real or complex (at least one sample), and its gaussians, gram
-matrices and Cholesky factors are freed once it is reduced.  What a
-sub-block reduces to, N eigenvalues or one capacity per sample, is written
-into the chunk's result array, and the chunk-level steps (the PSD floor
-check, the histogram and the sums) read that array as they would a
-whole-chunk draw.
+ranges of ``_block_samples(cfg, q)`` samples.  Sub-block (k, lo, n) is
+drawn from chunk k's substream moved past lo * 2 nr nt outputs, so the
+sub-blocks are exactly the chunk's one-block draw.  A sub-block holds at
+most ``_BLOCK_BYTES`` of channels H, real or complex (at least one
+sample), and its gaussians, gram matrices and Cholesky factors are freed
+once it is reduced.  What a sub-block reduces to, N eigenvalues or one
+capacity per sample, is written into the chunk's result array, and the
+chunk-level steps (the PSD floor check, the histogram and the sums) read
+that array as they would a whole-chunk draw.
 
 When a call has more than one sub-block and the process may run on more
-than one CPU, the sub-blocks are drawn in stream order on one background
-thread, each while the caller reduces the one before, so two sub-blocks
-of H are live at once.  The draw (``gaussian_block`` and the sigma
-scaling) is numpy ufunc work that releases the GIL.  The reductions, with
-every BLAS and LAPACK call, and the histogram and sums stay on the
-caller's thread in chunk order, so the thread moves no value.  The
-working memory is bounded by a few times ``_BLOCK_BYTES`` plus the
-chunk's (CHUNK_SAMPLES, N) result, whatever the array size.
+than one CPU, one background thread draws sub-blocks ahead, and the caller
+draws the next undrawn one itself rather than wait: both take it from one
+shared index, at most ``_LOOKAHEAD`` past the sub-block the caller
+reduces, so up to ``_LOOKAHEAD + 1`` sub-blocks of H are live.  The draw
+(``gaussian_block`` and the sigma scaling) is numpy ufunc work that
+releases the GIL.  The reductions, with every BLAS and LAPACK call, and
+the histogram and sums stay on the caller's thread in chunk order, so no
+schedule moves a value.  The working memory is bounded by a few times
+``_BLOCK_BYTES`` plus the chunk's (CHUNK_SAMPLES, N) result, whatever the
+array size.
 
 The gram matrix is W = H^dag H, or H H^dag when nr < nt.  For N <= 3 the
 histogram takes its eigenvalues in closed form from the lower triangle of
@@ -49,6 +51,7 @@ taking log2 det(I + snr W) from the pivots of its Cholesky factor.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from contextlib import closing
@@ -75,10 +78,14 @@ CHUNK_SAMPLES = 8192
 
 # Bytes of H per sub-block: 16 samples at 4x256, 256 at 8x8, 4096 at 2x2.
 # Against 128 KiB and 1 MiB it was as fast or faster on 2x2 to 4x256, with
-# peak RSS within 0.5 MiB of 128 KiB's (measurements in CHANGES.md).  Two
-# sub-blocks of H are live at once while the next is drawn on the draw
-# thread; at 128 KiB that thread kept little of its gain.
+# peak RSS within 0.5 MiB of 128 KiB's (measurements in CHANGES.md).  Up to
+# _LOOKAHEAD + 1 sub-blocks of H are live at once (see _chunks).
 _BLOCK_BYTES = 256 * 1024
+
+# Sub-blocks that may be drawn past the one the caller reduces.  perfbench's
+# eleven monte-carlo calls took 700 ms at 2, 900 at 1 and 684 at 3 (sums of
+# medians of 6 runs, 2-core VM): 3 would keep one more block live for 2%.
+_LOOKAHEAD = 2
 
 _CLAMP_FACTOR = 1e-10
 
@@ -227,84 +234,99 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ahead(items):
-    """Yield the items of an iterator, each drawn on one background thread
-    while the caller works on the one before.
-
-    Only the thread advances the iterator, so at most two items are live:
-    the caller's and the next.  An exception the iterator raises is raised
-    here, and the thread is joined however this generator ends, close()
-    included.
-    """
-    slot = [None]  # (item, None), (None, exception) or None at the end
-    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
-    stop = False
-
-    def draw():
-        try:
-            for item in items:
-                slot[0] = (item, None)
-                ready.release()
-                taken.acquire()
-                if stop:
-                    return
-            slot[0] = None
-        except BaseException as exc:  # raised again on the caller's thread
-            slot[0] = (None, exc)
-        ready.release()
-
-    thread = threading.Thread(target=draw, name="hoytmimo-draw")
-    thread.start()
-    try:
-        while True:
-            ready.acquire()
-            if slot[0] is None:
-                return
-            item, exc = slot[0]
-            slot[0] = None
-            if exc is not None:
-                raise exc
-            taken.release()
-            yield item
-            del item
-    finally:
-        stop = True
-        taken.release()
-        thread.join()
-
-
 def _chunks(cfg: ChannelConfig, q: float, samples: int, seed: int, reduce):
     """Yield, for each chunk, reduce(H) over the chunk's channel stack H, deterministically.
 
     reduce maps a stack of m channels to an array whose first axis holds
-    the m samples.  It is applied to each sub-block as soon as the block
-    is drawn, and the rows are gathered into one array per chunk, so no
-    chunk-sized channel stack is ever built.  With more than one sub-block
-    and more than one CPU, the sub-blocks are drawn in stream order on one
-    background thread, each while reduce runs on the one before; reduce,
-    and with it every BLAS and LAPACK call, stays on the caller's thread.
+    the m samples.  It is applied to each sub-block in stream order, and
+    the rows are gathered into one array per chunk, so no chunk-sized
+    channel stack is ever built.  With more than one sub-block and more
+    than one CPU, one background thread draws sub-blocks ahead, and the
+    caller draws the next undrawn one itself rather than wait; reduce, and
+    with it every BLAS and LAPACK call, stays on the caller's thread.  A
+    draw's exception reaches the caller, and the thread is joined however
+    the generator ends, close() included.
     """
     block = _block_samples(cfg, q)
     sizes = [min(CHUNK_SAMPLES, samples - done) for done in range(0, samples, CHUNK_SAMPLES)]
     parts = [(k, lo, min(block, m - lo)) for k, m in enumerate(sizes) for lo in range(0, m, block)]
+    drawn = {}  # sub-block -> H, or the exception its draw raised on the thread
+    claimed = reduced = 0  # sub-blocks taken to draw, and reduced, in stream order
+    stop = False
+    cond = threading.Condition()
 
-    def draws():
-        for k, lo, n in parts:
-            if lo == 0:
-                stream = SplitMix64(derive_stream_seed(seed, k))
-            yield _channels(cfg, q, stream, n)
+    def draw(i):
+        k, lo, n = parts[i]
+        stream = SplitMix64(derive_stream_seed(seed, k))
+        stream.advance(lo * 2 * cfg.nr * cfg.nt)
+        return _channels(cfg, q, stream, n)
 
-    stacks = _ahead(draws()) if len(parts) > 1 and _cpus() > 1 else draws()
+    def claim(ready):  # under cond: wait for ready() (then None) or a sub-block to draw
+        nonlocal claimed
+        cond.wait_for(lambda: ready() or claimed < min(len(parts), reduced + _LOOKAHEAD + 1))
+        if ready():
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def work():
+        while True:
+            with cond:
+                i = claim(lambda: stop or claimed == len(parts))
+            if i is None:
+                return
+            try:
+                h = draw(i)
+            except BaseException as exc:  # raised again on the caller's thread
+                h = exc
+            with cond:
+                drawn[i] = h
+                cond.notify_all()
+
+    def take(i):
+        while True:
+            with cond:
+                j = claim(lambda: i in drawn)
+                if j is None:
+                    h = drawn.pop(i)
+                    if isinstance(h, BaseException):
+                        raise h
+                    return h
+            h = draw(j)
+            if j == i:
+                return h
+            with cond:
+                drawn[j] = h
+
+    thread = None
+    if len(parts) > 1 and _cpus() > 1:
+        thread = threading.Thread(target=work, name="hoytmimo-draw")
+        thread.start()
     try:
-        for k, lo, n in parts:
-            part = reduce(next(stacks))
+        for i, (k, lo, n) in enumerate(parts):
+            part = reduce(take(i))
+            with cond:
+                reduced += 1
+                cond.notify_all()
             if lo == 0:
                 out = np.empty((sizes[k],) + part.shape[1:], dtype=part.dtype)
             out[lo : lo + n] = part
             if lo + n == sizes[k]:
                 yield out
     finally:
-        stacks.close()
+        if thread is not None:
+            with cond:
+                stop = True
+                cond.notify_all()
+            thread.join()
+
+
+def _count(value, name: str) -> int:
+    """value as an int, for an integer of any kind; a clear TypeError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def empirical_density(
@@ -318,18 +340,21 @@ def empirical_density(
     """Histogram of all N*samples eigenvalues as a marginal-density estimate.
 
     Default range is [0, 1.2 * upper MP edge].  Deterministic given seed.
+    The arguments are checked before anything is drawn: the range must be
+    finite, hi - lo too, and each of its bins at least the smallest
+    normal float wide, so that every density is finite.
     """
+    samples, bins = _count(samples, "samples"), _count(bins, "bins")
     if samples < 1 or bins < 1:
         raise ValueError("samples and bins must be >= 1")
-    if value_range is not None:
-        lo, hi = value_range
-        if not math.isfinite(lo) or not math.isfinite(hi):
-            raise ValueError("range ends must be finite")
-        if not hi > lo:
-            raise ValueError("range needs hi > lo")
-    else:
-        value_range = (0.0, 1.2 * mp_support(cfg)[1])
-    edges = np.linspace(value_range[0], value_range[1], bins + 1)
+    lo, hi = map(float, (0.0, 1.2 * mp_support(cfg)[1]) if value_range is None else value_range)
+    if not math.isfinite(hi - lo):  # Python floats: overflow gives inf, not a warning
+        raise ValueError("range ends and their difference must be finite")
+    if not hi > lo:
+        raise ValueError("range needs hi > lo")
+    edges = np.linspace(lo, hi, bins + 1)
+    if not np.diff(edges).min() >= np.finfo(float).tiny:
+        raise ValueError(f"range {lo!r}:{hi!r} is too narrow for {bins} bins")
     counts = np.zeros(bins, dtype=np.int64)
     eigen_sum = 0.0
     with closing(_chunks(cfg, q, samples, seed, lambda h: _eigenvalues(cfg, h))) as chunks:
@@ -363,6 +388,7 @@ def mc_capacity(
     """Monte Carlo ergodic capacity (mean, standard error), power linear."""
     if not 0.0 < power < math.inf:
         raise ValueError("power must be positive and finite (linear units)")
+    samples = _count(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     snr = power / cfg.nt

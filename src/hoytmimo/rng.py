@@ -22,7 +22,9 @@ scratch array.  A Box-Muller block draws u1 and u2 through it as two
 every-other-output streams and takes log and sqrt in place.  A block may
 form only a leading part of each of its equal rows (``width`` and
 ``keep``): it then draws just the pairs that part needs, and the counter
-still moves past the whole block.
+still moves past the whole block.  ``SplitMix64.advance`` moves the counter
+past any number of outputs without drawing them, so a stream can be
+positioned at any offset of its substream directly.
 """
 
 from __future__ import annotations
@@ -90,10 +92,14 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix64(self._state)
 
+    def advance(self, n: int) -> None:
+        """Move the counter past the next n outputs without drawing them (mod 2^64)."""
+        self._state = (self._state + n * _GAMMA) & _MASK
+
     def next_uint64_block(self, n: int) -> np.ndarray:
         """The next n outputs, as one vectorized draw (stream-identical)."""
         x = _mix64_block(self._state + _GAMMA, _GAMMA, n)
-        self._state = (self._state + n * _GAMMA) & _MASK
+        self.advance(n)
         return x
 
     def next_double_block(self, n: int) -> np.ndarray:
@@ -125,7 +131,7 @@ def gaussian_block(
         starts = np.arange(0, npairs, width // 2, dtype=np.uint64)
         pairs = np.add.outer(starts, np.arange((keep + 1) // 2, dtype=np.uint64)).ravel()
     s = stream._state
-    stream._state = (s + 2 * npairs * _GAMMA) & _MASK
+    stream.advance(2 * npairs)
     out = np.empty((npairs if width is None else len(pairs), 2))
     ang = _unit_doubles(_mix64_block(s + 2 * _GAMMA, 2 * _GAMMA, pairs))
     ang *= 2.0 * math.pi

@@ -752,6 +752,8 @@ class TestCliContract:
             ["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "inf"],
             ["degradation", "--nt", "2", "--nr", "2", "--power-db", "inf"],
             ["capacity", "--nt", "2", "--nr", "2", "--q", "1", "--power-db", "1e400", "--power-linear"],
+            ["simulate", "--nt", "2", "--nr", "2", "--q", "0.5", "--samples", "10", "--range=1:1.00000000000000045",
+             "--bins", "10"],
         ],
     )
     def test_invalid_input_is_usage_error(self, argv, tmp_path, capsys):
@@ -779,6 +781,7 @@ class TestCliContract:
             (["simulate", "--samples", "100", "--range=-inf:1"], None),
             (["density", "--grid", "0:4:3", "--omega", "inf"], None),
             (["correlations", "--points", "1,2", "--omega", "inf"], None),
+            (["simulate", "--samples", "100", "--range=-1e308:1e308"], None),
         ],
     )
     def test_non_finite_input_is_usage_error(self, argv, points, tmp_path, capsys):

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,16 +159,63 @@ class TestDensityRange:
             ((0.0, math.inf), "finite"),
             ((-math.inf, 1.0), "finite"),
             ((math.nan, 2.0), "finite"),
+            ((-1e308, 1e308), "finite"),
+            ((np.float64(-1e308), np.float64(1e308)), "finite"),
+            ((1.0, 1.00000000000000045), "too narrow for 10 bins"),
+            ((0.0, 1e-310), "too narrow for 10 bins"),
         ],
     )
-    def test_bad_range_raises_before_drawing(self, monkeypatch, value_range, message):
-        # these gave NaN densities, negative counts or numpy's error after the draw
+    def test_bad_range_raises_before_drawing(self, monkeypatch, threads_started, value_range, message):
+        # these gave NaN densities, negative counts or numpy's error after
+        # the draw; (-1e308, 1e308) overflowed in np.linspace, and the narrow
+        # ranges gave zero-width or subnormal bins, whose densities overflow
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the range")
 
         monkeypatch.setattr(montecarlo, "gaussian_block", no_draw)
-        with pytest.raises(ValueError, match=message):
-            empirical_density(ChannelConfig(8, 8), 0.5, 40000, 10, value_range=value_range)
+        _cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                empirical_density(ChannelConfig(8, 8), 0.5, 40000, 10, value_range=value_range)
+        assert not threads_started
+
+    def test_widest_finite_range(self):
+        # the edges of a range near the float limits are finite and increase
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = empirical_density(ChannelConfig(2, 2), 0.5, 100, 10, value_range=(-1e308, 7e307), seed=1)
+        assert np.all(np.diff(hist.bin_edges) > 0) and np.all(np.isfinite(hist.normalized_values))
+        assert hist.counts.sum() == 200
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"samples": 10.5}, "samples must be an integer, not float"),
+            ({"samples": "100"}, "samples must be an integer, not str"),
+            ({"bins": 2.0}, "bins must be an integer, not float"),
+            ({"bins": np.float64(10)}, "bins must be an integer, not float64"),
+        ],
+    )
+    def test_counts_must_be_integers(self, monkeypatch, kwargs, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(montecarlo, "gaussian_block", no_draw)
+        args = {"samples": 100, "bins": 10, **kwargs}
+        with pytest.raises(TypeError, match=message):
+            empirical_density(ChannelConfig(2, 2), 0.5, **args)
+        if "samples" in kwargs:
+            with pytest.raises(TypeError, match=message):
+                mc_capacity(ChannelConfig(2, 2), 0.5, 10.0, kwargs["samples"])
+
+    def test_numpy_integers_pass(self):
+        cfg = ChannelConfig(2, 2)
+        hist = empirical_density(cfg, 0.5, np.int64(300), np.int32(12), seed=3)
+        ref = empirical_density(cfg, 0.5, 300, 12, seed=3)
+        np.testing.assert_array_equal(hist.counts, ref.counts)
+        assert hist.total_samples == 300 and type(hist.total_samples) is int
+        assert mc_capacity(cfg, 0.5, 10.0, np.int64(300), seed=3) == mc_capacity(cfg, 0.5, 10.0, 300, seed=3)
 
 
 class TestMcCapacity:
@@ -456,10 +505,60 @@ def _assert_same_outputs(a, b):
     assert ca == cb
 
 
+class _Schedule:
+    """Spy on a call's schedule: which thread drew each sub-block, and the most
+    sub-blocks ever drawn but not yet reduced.  Draws off the main thread or
+    the reductions can be slowed by a sleep, to force either thread to draw."""
+
+    def __init__(self, monkeypatch, slow_thread=0.0, slow_reduce=0.0):
+        self.lock = threading.Lock()
+        self.drawers, self.live, self.most = [], 0, 0
+
+        def draw(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(slow_thread)
+            h = _channels(*args, **kwargs)
+            with self.lock:
+                self.drawers.append(threading.current_thread())
+                self.live += 1
+                self.most = max(self.most, self.live)
+            return h
+
+        def slowed(reduce):
+            def run(*args):
+                time.sleep(slow_reduce)
+                out = reduce(*args)
+                with self.lock:
+                    self.live -= 1
+                return out
+
+            return run
+
+        monkeypatch.setattr(montecarlo, "_channels", draw)
+        monkeypatch.setattr(montecarlo, "_eigenvalues", slowed(_eigenvalues))
+        monkeypatch.setattr(montecarlo, "_capacities", slowed(_capacities))
+
+    def run(self, cfg, q, samples):
+        """_outputs, and per call the sub-blocks the caller and the thread drew."""
+        baseline = threading.active_count()
+        main, outputs, draws = threading.main_thread(), [], []
+        for call in (
+            lambda: empirical_density(cfg, q, samples, bins=40, seed=5),
+            lambda: mc_capacity(cfg, q, 30.0, samples, seed=5),
+        ):
+            self.drawers.clear()
+            outputs.append(call())
+            assert threading.active_count() == baseline
+            assert self.live == 0 and self.most <= montecarlo._LOOKAHEAD + 1
+            caller = self.drawers.count(main)
+            draws.append((caller, len(self.drawers) - caller))
+        return tuple(outputs), draws
+
+
 class TestDrawThread:
-    """Sub-blocks drawn on a background thread, each while the caller reduces
-    the one before, give every output of the in-line draw bit for bit, and
-    the thread ends with the call."""
+    """Sub-blocks drawn by a background thread and by the caller, whichever
+    is free, give every output of the in-line draw bit for bit, and the
+    thread ends with the call."""
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 6), (4, 4), (8, 8)])
@@ -477,25 +576,28 @@ class TestDrawThread:
 
     @pytest.mark.parametrize("q", [0.0, 0.5])
     def test_many_small_sub_blocks(self, monkeypatch, threads_started, q):
-        # a few samples per sub-block: over a thousand hand-overs in one call,
-        # with the interpreter switching threads as often as it can
+        # a few samples per sub-block: over a thousand sub-blocks in one call,
+        # shared by the caller and the thread with the interpreter switching
+        # threads as often as it can; the bound on live sub-blocks holds
         cfg = ChannelConfig(2, 2)
         samples = CHUNK_SAMPLES + 77
         _cpus(monkeypatch, 1)
         inline = _outputs(cfg, q, samples)
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 16 * cfg.nr * cfg.nt)
-        assert _block_samples(cfg, q) <= 16
+        block = _block_samples(cfg, q)
+        assert block <= 16
         _cpus(monkeypatch, 2)
-        baseline = threading.active_count()
+        spy = _Schedule(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = _outputs(cfg, q, samples)
+            threaded, draws = spy.run(cfg, q, samples)
         finally:
             sys.setswitchinterval(interval)
         _assert_same_outputs(threaded, inline)
         assert len(threads_started) == 2
-        assert threading.active_count() == baseline
+        sub_blocks = -(-CHUNK_SAMPLES // block) - (-77 // block)
+        assert all(caller + thread == sub_blocks for caller, thread in draws)
 
     def test_one_cpu_or_one_sub_block_starts_no_thread(self, monkeypatch, threads_started):
         cfg = ChannelConfig(4, 4)
@@ -505,26 +607,50 @@ class TestDrawThread:
         _outputs(cfg, 0.5, _block_samples(cfg, 0.5))
         assert not threads_started
 
-    def test_draw_exception_reaches_the_caller(self, monkeypatch):
+    def test_draw_exception_reaches_the_caller(self, monkeypatch, threads_started):
+        # a sub-block the thread draws faults: its own type reaches the
+        # caller, and the thread is joined
         class DrawFault(Exception):
             pass
 
-        calls = []
+        faults = []
 
         def failing(*args, **kwargs):
-            calls.append(threading.current_thread())
-            if len(calls) == 3:
-                raise DrawFault("third draw")
-            return gaussian_block(*args, **kwargs)
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.005)  # leave the thread sub-blocks to draw
+            elif not faults:
+                faults.append(threading.current_thread())
+                raise DrawFault("thread draw")
+            return _channels(*args, **kwargs)
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(montecarlo, "gaussian_block", failing)
+        monkeypatch.setattr(montecarlo, "_channels", failing)
         baseline = threading.active_count()
         cfg = ChannelConfig(2, 2)
-        with pytest.raises(DrawFault, match="third draw"):
+        with pytest.raises(DrawFault, match="thread draw"):
             empirical_density(cfg, 0.5, 5 * _block_samples(cfg, 0.5), bins=10)
         assert threading.active_count() == baseline
-        assert len(calls) == 3 and threading.main_thread() not in calls
+        assert faults == threads_started and not faults[0].is_alive()
+
+    def test_caller_draw_exception_reaches_the_caller(self, monkeypatch, threads_started):
+        # a sub-block the caller draws faults: the same, from the caller's side
+        class DrawFault(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise DrawFault("caller draw")
+            time.sleep(0.005)  # the caller draws rather than wait
+            return _channels(*args, **kwargs)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(montecarlo, "_channels", failing)
+        baseline = threading.active_count()
+        cfg = ChannelConfig(2, 2)
+        with pytest.raises(DrawFault, match="caller draw"):
+            empirical_density(cfg, 0.5, 5 * _block_samples(cfg, 0.5), bins=10)
+        assert threading.active_count() == baseline
+        assert len(threads_started) == 1 and not threads_started[0].is_alive()
 
     def test_consumer_exception_joins_the_thread(self, monkeypatch):
         def fault(vals):
@@ -563,3 +689,43 @@ class TestDrawThread:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+SCHEDULE_CASES = [(2, 2, 0.5), (3, 6, 0.0), (4, 4, 1.0)]
+
+
+class TestSchedules:
+    """The caller and the draw thread share the sub-blocks, whichever is free.
+    Under any schedule every output equals the one-CPU path bit for bit, no
+    more than _LOOKAHEAD + 1 sub-blocks are drawn and not yet reduced, and no
+    thread outlives the call."""
+
+    @staticmethod
+    def _inline(monkeypatch, cfg, q):
+        samples = 2 * CHUNK_SAMPLES + _block_samples(cfg, q) // 2 + 1
+        _cpus(monkeypatch, 1)
+        return samples, _outputs(cfg, q, samples)
+
+    @pytest.mark.parametrize("nt,nr,q", SCHEDULE_CASES)
+    def test_caller_draws_while_the_thread_is_slow(self, monkeypatch, threads_started, nt, nr, q):
+        cfg = ChannelConfig(nt, nr)
+        samples, inline = self._inline(monkeypatch, cfg, q)
+        _cpus(monkeypatch, 2)
+        outputs, draws = _Schedule(monkeypatch, slow_thread=0.002).run(cfg, q, samples)
+        _assert_same_outputs(outputs, inline)
+        assert len(threads_started) == 2
+        # at least one besides the first it takes, which it may claim before
+        # the thread has started
+        assert all(caller >= 2 for caller, _ in draws), draws
+
+    @pytest.mark.parametrize("nt,nr,q", SCHEDULE_CASES)
+    def test_thread_draws_while_the_reduce_is_slow(self, monkeypatch, threads_started, nt, nr, q):
+        cfg = ChannelConfig(nt, nr)
+        samples, inline = self._inline(monkeypatch, cfg, q)
+        _cpus(monkeypatch, 2)
+        outputs, draws = _Schedule(monkeypatch, slow_reduce=0.01).run(cfg, q, samples)
+        _assert_same_outputs(outputs, inline)
+        assert len(threads_started) == 2
+        # the caller draws only while the thread's first draw is still on its
+        # way: no more than the first _LOOKAHEAD + 1 sub-blocks
+        assert all(caller <= montecarlo._LOOKAHEAD + 1 for caller, _ in draws), draws

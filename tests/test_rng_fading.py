@@ -12,7 +12,7 @@ from hoytmimo.fading import (
     sample_signal,
 )
 from hoytmimo.ensemble import ChannelConfig
-from hoytmimo.montecarlo import sample_channel
+from hoytmimo.montecarlo import _channels, sample_channel
 from hoytmimo.rng import SplitMix64, derive_stream_seed, gaussian_block
 
 
@@ -134,6 +134,45 @@ class TestSplitMix64:
         g = gaussian_block(SplitMix64(5), 200000)
         assert abs(np.mean(g)) < 4.0 / math.sqrt(200000)
         assert np.var(g) == pytest.approx(1.0, rel=0.02)
+
+
+class TestAdvance:
+    """advance(n) moves the counter past n outputs without drawing them, so a
+    stream can be positioned at any offset of its substream."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2**20])
+    def test_equals_drawing_the_outputs(self, n):
+        moved, drew = SplitMix64(99), SplitMix64(99)
+        moved.advance(n)
+        drew.next_uint64_block(n)
+        assert moved.next_uint64_block(5).tolist() == drew.next_uint64_block(5).tolist()
+        assert moved.next_uint64() == drew.next_uint64()
+
+    def test_counter_wraps(self):
+        seed = 0xFFFF_FFFF_FFFF_FFF0
+        first = SplitMix64(seed).next_uint64_block(3).tolist()
+        whole = SplitMix64(seed)
+        whole.advance(2**64)
+        assert whole.next_uint64_block(3).tolist() == first
+        # one output short of a full turn: the next output is that of the seed state itself
+        back = SplitMix64(seed)
+        back.advance(2**64 - 1)
+        assert back.next_uint64() == SplitMix64(seed - 0x9E3779B97F4A7C15).next_uint64()
+        assert back.next_uint64() == first[0]
+        past, near = SplitMix64(seed), SplitMix64(seed)
+        past.advance(2**64 + 5)
+        near.advance(5)
+        assert past.next_uint64() == near.next_uint64()
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_positioned_sub_block_equals_rows_of_the_one_block_draw(self, q):
+        # q = 0 draws real H from part of each row of gaussians, q = 0.5 complex H
+        cfg = ChannelConfig(3, 2)
+        whole = _channels(cfg, q, SplitMix64(derive_stream_seed(8, 1)), 50)
+        for lo, n in ((0, 7), (7, 1), (13, 37)):
+            stream = SplitMix64(derive_stream_seed(8, 1))
+            stream.advance(lo * 2 * cfg.nr * cfg.nt)
+            assert _channels(cfg, q, stream, n).tobytes() == whole[lo : lo + n].tobytes()
 
 
 class TestParams:
