@@ -5,7 +5,9 @@ come from one streamed recurrence on rescaled values with a single scale
 factor, so high orders (n up to a few 10^4) never overflow, and from a
 log-space join where that factor would underflow, so large x never does.
 The recurrence runs on one point (``weighted_laguerre``) or on a vector of
-points (``weighted_laguerre_array``) with the same float operations.
+points (``weighted_laguerre_array``) with the same float operations; the
+vector one steps in place in three rotating buffers, its scalars held in
+reused 0-d arrays, which numpy takes faster than Python floats.
 The lower incomplete gamma steps up from gamma(1, x) or gamma(1/2, x),
 which libm's expm1 and erf give; it seeds the half-range integrals of the
 q = 0 closed forms (see ``ensemble._half_range``).
@@ -82,6 +84,12 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
     step, with the scalar stream's float operations, so its values are the
     scalar ones.  Only the log-space join uses numpy's exp and log, which
     may differ from the math module's in the last few ulp.
+
+    A step works in place in three buffers kept for the whole stream, which
+    rotate as vk and vkm1 move on, and the step's scalars (2k + 1 + alpha,
+    k + alpha and k + 1) enter as reused 0-d arrays, which numpy takes
+    faster than Python floats.  Each value yielded is a new array, so a
+    caller may keep it.
     """
     x = np.array(x, dtype=float)
     xs = x.tolist()
@@ -92,7 +100,8 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
     scale = np.array([math.exp(-t) for t in xs])
     # a column is joined in log space while its scale is at or below the floor
     any_joined = bool(xs) and math.exp(-max(xs)) <= _SCALE_FLOOR
-    vkm1, vk = np.zeros_like(x), np.ones_like(x)
+    vkm1, vk, t = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    c0, ka, k1 = np.empty(()), np.empty(()), np.empty(())
     # bkm1, bk bound |vkm1|, |vk| over every column (the recurrence with each
     # term at its largest magnitude), so the columns are only searched for a
     # rescale once the bound passes half the limit
@@ -106,7 +115,14 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
             out[m] = np.copysign(np.exp(np.log(np.abs(vk[m])) + offset[m] - x[m]), vk[m])
         yield out
         c = 2.0 * k + 1.0 + alpha
-        vkm1, vk = vk, ((c - z) * vk - (k + alpha) * vkm1) / (k + 1.0)
+        c0[()], ka[()], k1[()] = c, k + alpha, k + 1.0
+        # t = ((c - z) * vk - (k + alpha) * vkm1) / (k + 1), then the buffers rotate
+        np.subtract(c0, z, t)
+        t *= vk
+        vkm1 *= ka
+        t -= vkm1
+        t /= k1
+        t, vkm1, vk = vkm1, vk, t
         bkm1, bk = bk, (max(abs(c - z_lo), abs(c - z_hi)) * bk + abs(k + alpha) * bkm1) / (k + 1.0)
         k += 1.0
         if bk > 0.5 * _RESCALE_LIMIT:
@@ -139,8 +155,10 @@ def lower_incomplete_gamma(s: float, x):
         raise ValueError("lower incomplete gamma: x must be >= 0")
     if round(two_s) % 2:
         k = 0.5
-        out = math.sqrt(math.pi) * np.array([math.erf(math.sqrt(v)) for v in xs]).reshape(x.shape)
-        term = np.sqrt(x) * np.exp(-x)
+        root = np.sqrt(x)  # correctly rounded, as math.sqrt is
+        erf = np.fromiter(map(math.erf, root.ravel().tolist()), float, x.size)
+        out = math.sqrt(math.pi) * erf.reshape(x.shape)
+        term = root * np.exp(-x)
     else:
         k = 1.0
         out = -np.expm1(-x)

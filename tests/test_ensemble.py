@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -190,6 +191,15 @@ class TestJpd:
                 * (x[1] ** a * math.exp(-x[1]))
             )
             assert jpd(lam, cfg, 0.0, CTRL) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("q,cached", [(0.0, "_log_c0"), (0.5, "_log_c0"), (1.0, "_log_c1")])
+    def test_constant_cached_by_array_not_omega(self, q, cached):
+        cache = getattr(ensemble, cached)
+        cache.cache_clear()
+        for omega in (0.7, 1.0, 1.3, 2.9):
+            jpd([0.4, 1.7, 3.0], ChannelConfig(3, 4, omega=omega), q, CTRL)
+        assert cache.cache_info().currsize == 1
+        assert cache.cache_info().hits == 3
 
     def test_normalization_n1_all_q(self):
         cfg = ChannelConfig(1, 1)
@@ -690,6 +700,66 @@ class TestLevelDensityArray:
         for q in (0.0, 0.5, 1.0):
             level_density(np.linspace(0.0, 9.0, 31), ChannelConfig(4, 4), q, CTRL)
         assert opened == [31, 31, 31]
+
+
+class TestDensitySeriesBlocks:
+    """The array density series sums and stops in blocks of pairs, bit for bit the scalar series."""
+
+    CHUNK = ensemble._SERIES_CHUNK
+
+    @staticmethod
+    def pairs_read(x, cfg, tau):
+        """The pairs kernel_s(x, x) reads: the smallest max_terms at which it does not raise."""
+        lo, hi = 0, 4096
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                kernel_s(x, x, cfg, tau, SeriesControl(max_terms=mid))
+                hi = mid
+            except SeriesTruncationError:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("q", [0.45, 0.3])
+    def test_stops_around_a_block_edge(self, q):
+        # at q = 0.45 the grid's points stop after 27 to 37 pairs, at q = 0.3
+        # after 56 to 72: each range spans the last pair of some block
+        cfg = ChannelConfig(2, 2, omega=1.3)
+        tau = crossover_tau(q)
+        grid = np.linspace(0.0, 40.0, 81).tolist()
+        reads = {x: self.pairs_read(x, cfg, tau) for x in grid}
+        end = next(k for k in itertools.count(self.CHUNK, self.CHUNK) if k > min(reads.values()))
+        assert end < max(reads.values()) and self.CHUNK <= ensemble._SERIES_CELLS // 5
+        # third small term just before, on and just after the block's last
+        # pair, then the first and the last point to stop; taken in both
+        # orders, so the first column is once the first and once the last
+        picks = [next(x for x in grid if reads[x] == p) for p in (end - 1, end, end + 1)]
+        picks += [min(grid, key=reads.get), max(grid, key=reads.get)]
+        budgets = (1, 2, 3, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, end - 1, end, end + 1)
+        for budget in (CTRL.max_terms,) + budgets:
+            ctrl = SeriesControl(max_terms=budget)
+            for pts in [picks, picks[::-1]] + [[x] for x in picks]:
+                if max(reads[x] for x in pts) > budget:
+                    with pytest.raises(SeriesTruncationError):
+                        ensemble._kernel_s_diagonal(np.array(pts), cfg, tau, ctrl)
+                else:
+                    got = ensemble._kernel_s_diagonal(np.array(pts), cfg, tau, ctrl)
+                    assert got.tolist() == [kernel_s(x, x, cfg, tau, ctrl) for x in pts]
+
+    def test_stopped_point_keeps_its_first_total(self):
+        # the near point meets runs of three small terms again while the far
+        # one reads on, and its total still moves with the terms past its stop
+        tau = crossover_tau(0.3)
+        a, k0 = -0.5, 3  # 2x2, from order N + 1
+
+        def total(x, ctrl):
+            ws = itertools.islice(specfun.weighted_laguerre(0.0, x), k0, None)
+            return ensemble._series(ws, a, tau, k0, ctrl, "")
+
+        ws = itertools.islice(specfun.weighted_laguerre_array(0.0, [0.5, 3.0]), k0, None)
+        got = ensemble._series_array(ws, a, tau, k0, 2, CTRL)
+        assert got.tolist() == [total(0.5, CTRL), total(3.0, CTRL)]
+        assert total(0.5, SeriesControl(rel_tol=1e-13)) != got[0]
 
 
 class TestDensityMp:

@@ -146,6 +146,19 @@ class TestLaguerreWeightedArray:
             else:
                 assert np.all(np.abs(got[:, j] - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
+    def test_rotated_buffers_at_high_alpha(self):
+        # the step's three buffers trade places every order and a rescale
+        # scales two of them in place: a value read through islice must still
+        # be the scalar stream's, not a buffer that moved on
+        xs = (1e-3, 6.5, 700.0, 2000.0)
+        got = np.array(list(islice(weighted_laguerre_array(40.0, xs), 5000)))
+        for j, x in enumerate(xs):
+            ref = stream_table(4999, 40.0, x)
+            if x <= 50.0:
+                assert np.array_equal(got[:, j], ref)
+            else:
+                assert np.all(np.abs(got[:, j] - ref) <= 4.0 * np.spacing(np.abs(ref)))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             next(weighted_laguerre_array(0.0, [1.0, -0.5]))
