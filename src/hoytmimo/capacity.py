@@ -15,11 +15,13 @@ u = sqrt(lambda) serves every q and every power of a call.  The integrand
 has one row per q.  Its pieces that depend only on the nodes (the weighted
 Laguerre row, the LUE core, the q = 0 bracket and the moment sums
 sum_{j<J} c_j(tau) wt_{k_j}(x)) come from one weighted Laguerre stream
-through all nodes, each moment folded into every q's sum as it is read, and
-each power multiplies in its own weight log2(1 + snr lambda) u / omega.  No
-moment table is kept: a sweep whose powers need series lengths J_p reads
-the starting nodes' stream once, to the largest J_p, and copies the running
-sums at each distinct J_p, so memory is O(#distinct J x #q x #nodes).
+through all nodes, read two orders at a time (``send(2)``, which forms no
+value at the order it skips), its moment orders folded into every q's sum
+in chunks of _FOLD_CHUNK as one product each, and each power multiplies in
+its own weight log2(1 + snr lambda) u / omega.  No moment table is kept: a
+sweep whose powers need series lengths J_p reads the starting nodes' stream
+once, to the largest J_p, and keeps the sums at each distinct J_p, so
+memory is O(#distinct J x #q x #nodes).
 
 The series length J is fixed before the moments are integrated.  Since
 |wt_k| <= C(k + 2a + 1, k) (DLMF 18.14.8), |M_j| <= C(k_j + 2a + 1, k_j) A
@@ -38,7 +40,6 @@ helpers convert as P = 10^(dB/10).  Capacity is in bits/s/Hz.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +67,9 @@ _PANELS = 24  # equal panels in u on [0, sqrt(cut)]
 _TAIL_BATCH = 5  # tail segments added per gk15 call
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-9
+# Moment orders per product in _Nodes.fold.  Chunks of 16, 32, 64 and 128
+# timed within 2% of each other on 2x2 and 4x4 sweeps (q = 0.1 to 1).
+_FOLD_CHUNK = 32
 
 
 def db_to_linear(power_db: float) -> float:
@@ -114,20 +118,29 @@ class _Nodes:
     def fold(self, coefs: np.ndarray, lengths) -> None:
         """Keep the moment sum of the first J terms for every J > 0 in lengths.
 
-        One pass over orders N+1, N+3, ... up to the largest J; the running
-        sum is copied at each smaller J, so each copy is bit for bit the sum
-        a pass of that length ends with.
+        One pass over orders N+1, N+3, ... up to the largest J, two orders
+        per read of the stream, in chunks of _FOLD_CHUNK terms: each chunk's
+        orders are copied into one buffer and added to the running sums as
+        one product with their coefficients.  A J inside a chunk takes the
+        running sums plus the product of the chunk's first terms, which is
+        how a pass of that length ends, so each J's sums are bit for bit
+        those of a pass to J alone.
         """
         keep = set(lengths) - {0}
         if not keep:
             return
         top = max(keep)
         acc = np.zeros((len(self.mid), len(self.u)))
-        orders = itertools.islice(self.ws, 1, None, 2)  # orders N+1, N+3, ...
-        for j, (c, w) in enumerate(zip(coefs[:top], orders), 1):
-            acc += c[:, None] * w
-            if j in keep:
-                self.sums[j] = acc if j == top else acc.copy()
+        buf = np.empty((min(_FOLD_CHUNK, top), len(self.u)))
+        for start in range(0, top, _FOLD_CHUNK):
+            stop = min(start + _FOLD_CHUNK, top)
+            for i in range(stop - start):
+                buf[i] = self.ws.send(2)
+            for j in sorted({k for k in keep if start < k < stop} | {stop}):
+                part = acc + coefs[start:j].T @ buf[: j - start]
+                if j in keep:
+                    self.sums[j] = part
+            acc = part
 
     def _weights(self, snr: float) -> tuple[np.ndarray, np.ndarray]:
         """The weight (the Jacobian du times log2(1 + snr lambda) / (2 omega)) and it times x^{2a+1}."""

@@ -243,18 +243,20 @@ _SERIES_CELLS = 4096
 
 
 def _series_array(ws, a: float, tau: float, k0: int, m: int, ctrl: SeriesControl) -> np.ndarray:
-    """_series at m points at once; ws is their array stream at order k0.
+    """_series at m points at once; ws is their array stream, last read at order k0 - 2.
 
-    Every point sums its own terms and stops on its own three small terms,
-    so its total does not depend on the other points.  The terms go into
-    blocks of pairs (see _SERIES_CHUNK; the budget's last block may be
-    shorter).  One cumsum, seeded with the totals carried in, gives a
-    block's running totals; it adds in order, so each is _series' float
-    for float.  Each live point's first run of three small terms, the last
-    two pairs carried in, is then found over the block at once, and a point
-    that meets another run after it stopped keeps its first total.  So the
-    stream may run up to a block past the last stop; a point still running
-    after ``max_terms`` terms raises.
+    Each ``ws.send(2)`` reads the next pair's value and forms none at the
+    order it skips (see ``specfun.weighted_laguerre_array``).  Every point
+    sums its own terms and stops on its own three small terms, so its total
+    does not depend on the other points.  The terms go into blocks of pairs
+    (see _SERIES_CHUNK; the budget's last block may be shorter).  One
+    cumsum, seeded with the totals carried in, gives a block's running
+    totals; it adds in order, so each is _series' float for float.  Each
+    live point's first run of three small terms, the last two pairs carried
+    in, is then found over the block at once, and a point that meets
+    another run after it stopped keeps its first total.  So the stream may
+    run up to a block past the last stop; a point still running after
+    ``max_terms`` terms raises.
     """
     decay = math.exp(-2.0 * tau)
     coef = _gamma(a, k0)
@@ -267,11 +269,10 @@ def _series_array(ws, a: float, tau: float, k0: int, m: int, ctrl: SeriesControl
     coefs = np.empty(rows)
     live = np.ones(m, dtype=bool)
     out = np.empty(m)
-    pairs = itertools.islice(ws, 0, None, 2)
     for start in range(0, ctrl.max_terms, rows):
         n = min(rows, ctrl.max_terms - start)
         for i in range(n):
-            s[i + 1] = next(pairs)
+            s[i + 1] = ws.send(2)
             coefs[i] = coef
             coef *= decay * h / (h + a + 1.0)
             h += 1.0
@@ -851,10 +852,10 @@ def _kernel_s_diagonal(
 
     One stream runs over all the points (_diagonal_parts): its first N
     orders give the LUE core, and at 0 < tau < inf it reads on into the
-    correction series over the orders N+1, N+3, ... (_series_array).  Every
-    weight is reattached point by point with ``specfun.edge_pow``, so each
-    value is kernel_s(x, x) bit for bit, except where the stream joins in
-    log space (x above about 667).
+    correction series over the orders N+1, N+3, ... (_series_array), two
+    orders per read.  Every weight is reattached point by point with
+    ``specfun.edge_pow``, so each value is kernel_s(x, x) bit for bit,
+    except where the stream joins in log space (x above about 667).
     """
     n, a = cfg.n, cfg.a
     xs = x.tolist()
@@ -862,7 +863,6 @@ def _kernel_s_diagonal(
         return np.empty(0)
     ws, w, core, d = _diagonal_parts(x, cfg, tau == 0.0)
     if 0.0 < tau < math.inf:
-        next(ws)  # the series reads on from order N + 1
         core = core + _s_corr_lead(w, cfg, tau) * _series_array(ws, a, tau, n + 1, len(xs), ctrl)
     out = np.array([edge_pow(u, 2.0 * a + 1.0) for u in xs]) * core
     if tau == 0.0:

@@ -3,9 +3,10 @@
 Node and weight constants are the standard QUADPACK dqk15 values.  One
 array rule, ``gk15``, integrates many panels and many integrands sharing
 their nodes in one call; its two halves, ``gk15_nodes`` and ``gk15_sums``,
-serve callers that reuse node values.  One routine, ``refine_panels``,
-bisects a whole set of panels for those integrands in batches.  A single
-integrand is a one-row integrand on one starting panel.
+serve callers that reuse node values.  The sums are dot products with
+15-point weight vectors, not QUADPACK's pair-by-pair loop.  One routine,
+``refine_panels``, bisects a whole set of panels for those integrands in
+batches.  A single integrand is a one-row integrand on one starting panel.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ _WG = (
 # node offsets in units of the half-width: -x_0..-x_6, the center, x_6..x_0
 _X = np.array([-v for v in _XGK[:7]] + [0.0] + list(reversed(_XGK[:7])))
 
+# the Kronrod and Gauss weights of the nodes _X; the Gauss nodes are the
+# odd-index ones, and the Gauss weights are 0 at the Kronrod-only nodes
+_WK15 = np.array(_WGK + _WGK[6::-1])
+_WG15 = np.zeros(15)
+_WG15[1::2] = _WG + _WG[2::-1]
+
 _MAX_PANELS = 4096  # refine_panels' limit over all rows
 
 
@@ -80,30 +87,21 @@ def gk15_sums(fv, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """gk15 from the integrand values fv at ``gk15_nodes(lo, hi)``.
 
     A caller that reuses node values across integrands evaluates them once
-    and sums here.  The sums run in QUADPACK's order, node pairs symmetric
-    about the center first, and the error is scaled against the
-    integrand's variation as QUADPACK scales it.
+    and sums here.  The Kronrod, Gauss and resasc sums are dot products of
+    each panel's 15 values with a 15-point weight vector (the Gauss one is
+    0 at the Kronrod-only nodes), not QUADPACK's pair-by-pair sums, and the
+    error is scaled against the integrand's variation as QUADPACK scales
+    it.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     fv = np.asarray(fv, dtype=float)
     fv = fv.reshape(fv.shape[:-1] + (len(lo), len(_X)))
-    fc = fv[..., 7]
-    pairs = [(fv[..., i], fv[..., 14 - i]) for i in range(7)]
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    for i, (f1, f2) in enumerate(pairs):
-        resk = resk + _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            resg = resg + _WG[i // 2] * (f1 + f2)
-    resk = resk * half
-    resg = resg * half
+    resk = (fv @ _WK15) * half
+    resg = (fv @ _WG15) * half
     mean = resk / (hi - lo)
-    resasc = _WGK[7] * np.abs(fc - mean)
-    for i, (f1, f2) in enumerate(pairs):
-        resasc = resasc + _WGK[i] * (np.abs(f1 - mean) + np.abs(f2 - mean))
-    resasc = resasc * np.abs(half)
+    resasc = (np.abs(fv - mean[..., None]) @ _WK15) * np.abs(half)
     err = np.abs(resk - resg)
     # err -> resasc * min(1, (200 err / resasc)^1.5) where resasc != 0 (err = 0 stays 0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,7 +7,9 @@ log-space join where that factor would underflow, so large x never does.
 The recurrence runs on one point (``weighted_laguerre``) or on a vector of
 points (``weighted_laguerre_array``) with the same float operations; the
 vector one steps in place in three rotating buffers, its scalars held in
-reused 0-d arrays, which numpy takes faster than Python floats.
+reused 0-d arrays, which numpy takes faster than Python floats, and a
+reader may step it several orders per read (``send(n)``) without forming
+the values of the orders it skips.
 The lower incomplete gamma steps up from gamma(1, x) or gamma(1/2, x),
 which libm's expm1 and erf give; it seeds the half-range integrals of the
 q = 0 closed forms (see ``ensemble._half_range``).
@@ -85,6 +87,11 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
     scalar ones.  Only the log-space join uses numpy's exp and log, which
     may differ from the math module's in the last few ulp.
 
+    ``next`` reads the next order; ``send(n)`` steps n >= 1 orders and
+    yields the last of them, so a reader of every other order forms no
+    values at the orders it skips, and the values it gets are those of
+    the one-order read, bit for bit.
+
     A step works in place in three buffers kept for the whole stream, which
     rotate as vk and vkm1 move on, and the step's scalars (2k + 1 + alpha,
     k + alpha and k + 1) enter as reused 0-d arrays, which numpy takes
@@ -113,28 +120,30 @@ def weighted_laguerre_array(alpha: float, x) -> Iterator[np.ndarray]:
         if any_joined:
             m = (scale <= _SCALE_FLOOR) & (vk != 0.0)
             out[m] = np.copysign(np.exp(np.log(np.abs(vk[m])) + offset[m] - x[m]), vk[m])
-        yield out
-        c = 2.0 * k + 1.0 + alpha
-        c0[()], ka[()], k1[()] = c, k + alpha, k + 1.0
-        # t = ((c - z) * vk - (k + alpha) * vkm1) / (k + 1), then the buffers rotate
-        np.subtract(c0, z, t)
-        t *= vk
-        vkm1 *= ka
-        t -= vkm1
-        t /= k1
-        t, vkm1, vk = vkm1, vk, t
-        bkm1, bk = bk, (max(abs(c - z_lo), abs(c - z_hi)) * bk + abs(k + alpha) * bkm1) / (k + 1.0)
-        k += 1.0
-        if bk > 0.5 * _RESCALE_LIMIT:
-            for i in np.flatnonzero(np.abs(vk) > _RESCALE_LIMIT).tolist():
-                s = math.log(abs(vk[i]))
-                f = math.exp(-s)
-                vkm1[i] *= f
-                vk[i] *= f
-                offset[i] += s
-                scale[i] = math.exp(offset[i] - x[i])
-            any_joined = min(scale.tolist()) <= _SCALE_FLOOR
-            bkm1, bk = float(np.abs(vkm1).max()), float(np.abs(vk).max())
+        steps = yield out
+        for _ in range(1 if steps is None else steps):
+            c = 2.0 * k + 1.0 + alpha
+            c0[()], ka[()], k1[()] = c, k + alpha, k + 1.0
+            # t = ((c - z) * vk - (k + alpha) * vkm1) / (k + 1), then the buffers rotate
+            np.subtract(c0, z, t)
+            t *= vk
+            vkm1 *= ka
+            t -= vkm1
+            t /= k1
+            t, vkm1, vk = vkm1, vk, t
+            bkm1, bk = bk, (max(abs(c - z_lo), abs(c - z_hi)) * bk + abs(k + alpha) * bkm1) / (k + 1.0)
+            k += 1.0
+            if bk > 0.5 * _RESCALE_LIMIT:
+                for i in np.flatnonzero(np.abs(vk) > _RESCALE_LIMIT).tolist():
+                    s = math.log(abs(vk[i]))
+                    f = math.exp(-s)
+                    vkm1[i] *= f
+                    vk[i] *= f
+                    offset[i] += s
+                    scale[i] = math.exp(offset[i] - x[i])
+                # initial= keeps an empty x's stream going (its bounds become 0)
+                any_joined = float(scale.min(initial=math.inf)) <= _SCALE_FLOOR
+                bkm1, bk = float(np.abs(vkm1).max(initial=0.0)), float(np.abs(vk).max(initial=0.0))
 
 
 def lower_incomplete_gamma(s: float, x):

@@ -756,7 +756,9 @@ class TestDensitySeriesBlocks:
             ws = itertools.islice(specfun.weighted_laguerre(0.0, x), k0, None)
             return ensemble._series(ws, a, tau, k0, ctrl, "")
 
-        ws = itertools.islice(specfun.weighted_laguerre_array(0.0, [0.5, 3.0]), k0, None)
+        ws = specfun.weighted_laguerre_array(0.0, [0.5, 3.0])
+        for _ in range(k0 - 1):  # the series reads on from order k0 - 2 in pairs
+            next(ws)
         got = ensemble._series_array(ws, a, tau, k0, 2, CTRL)
         assert got.tolist() == [total(0.5, CTRL), total(3.0, CTRL)]
         assert total(0.5, SeriesControl(rel_tol=1e-13)) != got[0]

@@ -159,6 +159,27 @@ class TestLaguerreWeightedArray:
             else:
                 assert np.all(np.abs(got[:, j] - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
+    @pytest.mark.parametrize("alpha", [0.0, 3.0])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_two_orders_per_read(self, alpha, first):
+        # send(2) steps over an order without forming its value; what it
+        # reads is the one-order stream's value, also in rescaled (300) and
+        # log-joined (700, 900) columns
+        xs = (0.5, 30.0, 300.0, 700.0, 900.0)
+        one = np.array(list(islice(weighted_laguerre_array(alpha, xs), 4000)))
+        ws = weighted_laguerre_array(alpha, xs)
+        got = [next(ws) for _ in range(first + 1)][first:]
+        got += [ws.send(2) for _ in range((3999 - first) // 2)]
+        assert np.array_equal(np.array(got), one[first::2])
+
+    def test_empty_points(self):
+        # past the rescale threshold (about 565 orders at alpha = 0) the
+        # bound's reset must not search an empty column set
+        one = list(islice(weighted_laguerre_array(0.0, []), 6000))
+        ws = weighted_laguerre_array(0.0, [])
+        two = [next(ws)] + [ws.send(2) for _ in range(2999)]
+        assert all(v.shape == (0,) for v in one + two)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             next(weighted_laguerre_array(0.0, [1.0, -0.5]))
