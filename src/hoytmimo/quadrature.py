@@ -3,7 +3,8 @@
 Node and weight constants are the standard QUADPACK dqk15 values.  One
 array rule, ``gk15``, integrates many panels and many integrands sharing
 their nodes in one call; its two halves, ``gk15_nodes`` and ``gk15_sums``,
-serve callers that reuse node values.  The sums are dot products with
+serve callers that reuse node values, and ``gk15_weights`` gives the
+Kronrod weight of each node to a caller that sums its own.  The sums are dot products with
 15-point weight vectors, not QUADPACK's pair-by-pair loop.  One routine,
 ``refine_panels``, bisects a whole set of panels for those integrands in
 batches.  A single integrand is a one-row integrand on one starting panel.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadratureError", "gk15", "gk15_nodes", "gk15_sums", "refine_panels"]
+__all__ = ["QuadratureError", "gk15", "gk15_nodes", "gk15_sums", "gk15_weights", "refine_panels"]
 
 
 class QuadratureError(RuntimeError):
@@ -81,6 +82,12 @@ def gk15_nodes(lo, hi) -> np.ndarray:
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return (center[:, None] + half[:, None] * _X).ravel()
+
+
+def gk15_weights(lo, hi) -> np.ndarray:
+    """The Kronrod weights of ``gk15_nodes(lo, hi)``, each times its panel's half-width."""
+    half = 0.5 * (np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float))
+    return (half[:, None] * _WK15).ravel()
 
 
 def gk15_sums(fv, lo, hi) -> tuple[np.ndarray, np.ndarray]:

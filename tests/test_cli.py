@@ -802,10 +802,26 @@ class TestCliContract:
 
     def test_truncation_failure_exit_code(self):
         code, _ = run_cli(
-            ["density", "--nt", "2", "--nr", "2", "--tau", "0.005", "--grid",
-             "1:2:3", "--max-terms", "40"]
+            ["density", "--nt", "2", "--nr", "2", "--tau", "0.2", "--grid",
+             "1:2:3", "--max-terms", "10"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("near_zero", [["--q", "0.005"], ["--tau", "1e-4"]])
+    def test_density_near_q0_finishes(self, near_zero):
+        # below the density's integral threshold no series is read
+        code, text = run_cli(
+            ["density", "--nt", "3", "--nr", "3", "--grid", "0.01:12:61", "--format", "json"] + near_zero
+        )
+        assert code == 0
+        rho = np.array([row["rho_analytic"] for row in json.loads(text)["rows"]])
+        assert len(rho) == 61 and np.isfinite(rho).all() and (rho >= 0.0).all()
+
+    def test_capacity_near_q0_still_truncates(self, capsys):
+        # the capacity's moment series is sized up front and still too long here
+        code, text = run_cli(["capacity", "--nt", "2", "--nr", "2", "--q", "0.01", "--power-db", "15"])
+        assert code == 3 and text == ""
+        assert "did not converge" in capsys.readouterr().err
 
     def test_linalg_failure_is_numerical(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is not a usage error

@@ -598,8 +598,9 @@ class TestLevelDensity:
 
         monkeypatch.setattr(ensemble, "log_gamma", counted)
         cfg = ChannelConfig(3, 3)
+        # above _INTEGRAL_TAU, and a tolerance no term meets: 1000 terms, then a raise
         with pytest.raises(SeriesTruncationError):
-            level_density(1.0, cfg, 0.005, CTRL)
+            level_density(1.0, cfg, 0.3, SeriesControl(rel_tol=1e-300, max_terms=1000))
         truncating = len(calls)
         calls.clear()
         level_density(1.0, cfg, 0.5, CTRL)
@@ -684,8 +685,9 @@ class TestLevelDensityArray:
         assert mixed[[0, 2, 3]].tolist() == alone.tolist()
 
     def test_truncating_grid_raises(self):
+        # above _INTEGRAL_TAU the grid's series need about 60 terms
         with pytest.raises(SeriesTruncationError):
-            level_density(np.linspace(0.01, 10.0, 401), ChannelConfig(2, 2), 0.005, CTRL)
+            level_density(np.linspace(0.01, 10.0, 401), ChannelConfig(2, 2), 0.3, SeriesControl(max_terms=20))
 
     def test_reads_one_array_stream(self, monkeypatch):
         opened = []
@@ -762,6 +764,167 @@ class TestDensitySeriesBlocks:
         got = ensemble._series_array(ws, a, tau, k0, 2, CTRL)
         assert got.tolist() == [total(0.5, CTRL), total(3.0, CTRL)]
         assert total(0.5, SeriesControl(rel_tol=1e-13)) != got[0]
+
+
+class TestDensityIntegral:
+    """Below _INTEGRAL_TAU the density correction is a Beta integral of the Laguerre generating function."""
+
+    TIGHT = SeriesControl(rel_tol=1e-16, max_terms=10**6)
+
+    # level_density(lambda, ChannelConfig(nt, nr), q) from the same Beta
+    # integral evaluated in mpmath at 45 digits: tanh-sinh quadrature in
+    # phi, split at sqrt(tau) times 0.1, 0.3, 1, 3, 10, 30 and 100, with the
+    # head and the finite sums from mpmath's laguerre and gamma, and tau
+    # from q in mpmath; 30 digits kept.  The same mpmath integral agreed with
+    # the 50-digit series values of test_long_density_series_matches_high_
+    # precision_values to 4e-31, and with a 45-digit sum of the series at
+    # q = 0.01 (2x2 at lambda = 0.5, 3x6 at 9) to 5e-37.
+    REFERENCES = [
+        (0.01, 2, 2, 0.5, "0.592421974642773238738560719291"),
+        (0.01, 2, 2, 3.0, "0.184372800189466480653035588666"),
+        (0.01, 3, 6, 2.0, "0.364406560821137405686387611562"),
+        (0.01, 3, 6, 9.0, "0.136215735533143377619479725699"),
+        (1e-3, 2, 2, 0.5, "0.592382164305620506980971273356"),
+        (1e-3, 2, 2, 3.0, "0.184357168015086681845109959849"),
+        (1e-3, 3, 6, 2.0, "0.364386962812118206832273570500"),
+        (1e-3, 3, 6, 9.0, "0.136211271557013169504100169809"),
+        (1e-4, 2, 2, 0.5, "0.592381766481567260463839726320"),
+        (1e-4, 2, 2, 3.0, "0.184357011693610338980885613875"),
+        (1e-4, 3, 6, 2.0, "0.364386766880309055435546495660"),
+        (1e-4, 3, 6, 9.0, "0.136211226915688939947193700970"),
+    ]
+
+    @pytest.mark.parametrize("q,nt,nr,lam,expect", REFERENCES)
+    def test_high_precision_values(self, q, nt, nr, lam, expect):
+        cfg = ChannelConfig(nt, nr)
+        assert crossover_tau(q) < ensemble._INTEGRAL_TAU
+        expect = float(expect)
+        assert level_density(lam, cfg, q) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert level_density(np.array([lam]), cfg, q)[0] == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    # S_N(x, x) near the origin, where g(t) = (1 - t)^{-2a-2} carries the
+    # integral and 1 - t must not be formed by cancellation, by the same
+    # mpmath integral at the float tau given (crossover_tau rounds tau
+    # itself by 1.6e-9 relative at q = 1e-4)
+    EDGE_REFERENCES = [
+        (2e-6, 2, 2, 0.0, "1570.80103385708229631678867186"),
+        (2e-6, 2, 2, 5e-8, "1532.25697544395021196530598161"),
+        (2e-6, 3, 3, 0.0, "2000.00998402430141687570654443"),
+        (2e-6, 3, 3, 5e-8, "1950.93387162320262998099834442"),
+        (2e-8, 2, 2, 0.0, "15707.9637391345372774682157377"),
+        (2e-8, 2, 2, 5e-8, "4241.87907653926293467704939196"),
+        (2e-8, 3, 3, 0.0, "20000.0009998400241209081187807"),
+        (2e-8, 3, 3, 5e-8, "5400.92775229831283635649896521"),
+    ]
+
+    @pytest.mark.parametrize("tau,nt,nr,x,expect", EDGE_REFERENCES)
+    def test_high_precision_values_at_the_origin(self, tau, nt, nr, x, expect):
+        got = kernel_s(x, x, ChannelConfig(nt, nr), tau)
+        assert got == pytest.approx(float(expect), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tau", [0.03, 0.06, 0.1, 0.15])
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 3), (3, 6), (4, 4), (2, 12), (4, 15), (8, 8)])
+    def test_matches_tight_series(self, nt, nr, tau):
+        # both evaluators of S(x; N + 1) on one row, compared inside S_N(x, x)
+        cfg = ChannelConfig(nt, nr)
+        x = np.concatenate([[0.0, 1e-3], np.linspace(0.01, 8.0 * cfg.m_dim, 40), [100.0, 300.0, 600.0]])
+        ws, w, core, _ = ensemble._diagonal_parts(x, cfg, False)
+        lead = ensemble._s_corr_lead(w, cfg, tau)
+        series = ensemble._series_array(ws, cfg.a, tau, cfg.n + 1, len(x), self.TIGHT)
+        integral = ensemble._s_integral(w, x, cfg.a, tau, cfg.n + 1)
+        np.testing.assert_allclose(core + lead * integral, core + lead * series, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("q", [0.2, 0.01, 1e-3, 1e-4])
+    @pytest.mark.parametrize("nt,nr", [(1, 1), (2, 2), (2, 3), (3, 6), (4, 4), (4, 15), (8, 8)])
+    def test_scalar_and_array_bit_for_bit(self, nt, nr, q):
+        cfg = ChannelConfig(nt, nr, omega=1.3)
+        grid = [0.0, 1e-3, 0.37, 1.9, 6.5, 13.0, 40.0, 900.0]
+        got = level_density(np.array(grid), cfg, q)
+        assert got.tolist() == [level_density(v, cfg, q) for v in grid]
+
+    @pytest.mark.parametrize("q", [0.2, 0.01, 1e-4])
+    def test_value_independent_of_batch(self, q, monkeypatch):
+        # x = 0 and tail points up to x = 1000, past the log-space join at
+        # about 667: alone, together and one point per block
+        cfg = ChannelConfig(3, 3)
+        lam = np.array([0.0, 0.4, 1.7, 600.0, 1400.0, 2000.0])
+        x = lam / 2.0
+        ws, w, _, _ = ensemble._diagonal_parts(x, cfg, False)
+        tau = crossover_tau(q)
+        s_alone = [ensemble._s_integral(w[:, [j]], x[[j]], cfg.a, tau, 4)[0] for j in range(len(x))]
+        d_alone = [level_density(lam[[j]], cfg, q)[0] for j in range(len(x))]
+        s_together = ensemble._s_integral(w, x, cfg.a, tau, 4).tolist()
+        d_together = level_density(lam, cfg, q).tolist()
+        monkeypatch.setattr(ensemble, "_INTEGRAL_CELLS", 1)
+        assert ensemble._s_integral(w, x, cfg.a, tau, 4).tolist() == s_together == s_alone
+        assert level_density(lam, cfg, q).tolist() == d_together == d_alone
+        assert all(math.isfinite(v) and v != 0.0 for v in s_alone)
+
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (3, 6), (4, 15), (2, 12)])
+    def test_no_runtime_warning(self, nt, nr):
+        import warnings
+
+        cfg = ChannelConfig(nt, nr)
+        lam = np.concatenate([[0.0, 1e-12], np.geomspace(1e-6, 3000.0, 40)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in (0.2, 0.01, 1e-4, 1e-6):
+                got = level_density(lam, cfg, q)
+                assert np.isfinite(got).all() and (got >= 0.0).all()
+                assert got[1] == level_density(1e-12, cfg, q)
+
+    def test_panels(self, monkeypatch):
+        # octaves pi/2 2^-j down to 0.2 sqrt(tau), then 0; split in parts as a grows
+        panels = []
+        inner = ensemble.gk15_nodes
+
+        def counted(lo, hi):
+            panels.append(len(lo))
+            return inner(lo, hi)
+
+        monkeypatch.setattr(ensemble, "gk15_nodes", counted)
+        for q in (0.2, 1e-4):
+            level_density(np.array([1.0]), ChannelConfig(2, 2), q)
+        level_density(np.array([1.0]), ChannelConfig(2, 14), 1e-4)  # 2a + 1 = 12: three panels per octave
+        assert panels == [5, 16, 48]
+
+    def test_below_one_percent_finishes(self):
+        # the series needs O(1/tau) terms and raised here under the default budget
+        cfg = ChannelConfig(2, 2)
+        grid = np.linspace(0.01, 10.0, 401)
+        got = level_density(grid, cfg, 0.005)
+        assert np.isfinite(got).all() and (got > 0.0).all()
+        assert [level_density(v, cfg, 0.005) for v in grid[::50].tolist()] == got[::50].tolist()
+
+    @pytest.mark.parametrize("q", [0.01, 1e-3])
+    @pytest.mark.parametrize("nt,nr,omega", [(2, 2, 0.7), (2, 3, 1.0), (3, 3, 1.0)])
+    def test_moments_match_isserlis(self, nt, nr, omega, q):
+        # int lambda^k R_1 = E tr W^k: N, nm omega, nm (n + m + theta^2) omega^2
+        # and nm (n^2 + m^2 + 3nm + 1 + 3 (n + m + 1) theta^2) omega^3 (see
+        # test_capacity's TestSpectralMomentExpansion), theta = (1 - q^2)/(1 + q^2);
+        # in u = sqrt(lambda), whose integrand stays bounded as q -> 0
+        cfg = ChannelConfig(nt, nr, omega)
+        theta2 = ((1.0 - q * q) / (1.0 + q * q)) ** 2
+        nm = nt * nr
+        expect = [
+            cfg.n,
+            nm * omega,
+            nm * (nt + nr + theta2) * omega**2,
+            nm * (nt**2 + nr**2 + 3 * nm + 1 + 3 * (nt + nr + 1) * theta2) * omega**3,
+        ]
+        hi = math.sqrt(2.0 * mp_support(cfg)[1] + 160.0 * omega)
+        root = math.sqrt(2.0 * omega * crossover_tau(q))  # lambda on the scale of tau
+        for k, m in enumerate(expect):
+            got, _ = quad(
+                lambda u: 2.0 * u ** (2 * k + 1) * level_density(np.array([u * u]), cfg, q)[0],
+                0.0,
+                hi,
+                points=[root, 10.0 * root, 100.0 * root],
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=400,
+            )
+            assert got == pytest.approx(m, rel=1e-10, abs=0.0)
 
 
 class TestDensityMp:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hoytmimo.quadrature import QuadratureError, gk15, refine_panels
+from hoytmimo.quadrature import QuadratureError, gk15, gk15_nodes, gk15_sums, gk15_weights, refine_panels
 
 
 def integrate(f, a, b, rel_tol=1e-10, abs_tol=0.0):
@@ -21,6 +21,16 @@ def test_polynomial_exact():
     val, err = integrate(lambda x: x**3 - 2 * x + 1, 0.0, 2.0)
     assert val == pytest.approx(4.0 - 4.0 + 2.0, rel=1e-13)
     assert err < 1e-10
+
+
+def test_weights_give_the_kronrod_sums():
+    # each node's weight times its value, summed per panel, is gk15_sums' value
+    lo, hi = np.array([0.0, 0.5, 2.0]), np.array([0.5, 2.0, 2.25])
+    fv = np.exp(-gk15_nodes(lo, hi))
+    w = gk15_weights(lo, hi)
+    assert w.shape == fv.shape
+    assert (w * fv).reshape(3, 15).sum(axis=1) == pytest.approx(gk15_sums(fv, lo, hi)[0], rel=1e-14)
+    assert w.sum() == pytest.approx(2.25, rel=1e-15)
 
 
 def test_exponential():
